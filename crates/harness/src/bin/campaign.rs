@@ -147,13 +147,10 @@ fn sim_options(args: &Args) -> SimOptions {
 }
 
 fn registry_or_exit(args: &Args) -> TraceRegistry {
-    match &args.trace_dir {
-        None => TraceRegistry::builtin(),
-        Some(dir) => TraceRegistry::with_trace_dir(dir).unwrap_or_else(|e| {
-            eprintln!("error: trace dir {}: {e}", dir.display());
-            std::process::exit(2)
-        }),
-    }
+    berti_harness::build_registry(args.trace_dir.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 fn campaign_or_exit(args: &Args, reg: &TraceRegistry) -> berti_harness::Campaign {

@@ -101,7 +101,7 @@ pub enum Event {
         /// Measured IPC (the headline result).
         ipc: f64,
     },
-    /// A simulation attempt panicked.
+    /// The cell was rejected up front, or one attempt at it failed.
     JobFailed {
         /// Cache key of the cell.
         key: String,
@@ -111,9 +111,10 @@ pub enum Event {
         label: String,
         /// 1-based attempt number.
         attempt: u32,
-        /// Whether the harness will retry this cell.
+        /// Whether the cell will be attempted again (only after a
+        /// retryable failure with attempts left).
         will_retry: bool,
-        /// Captured panic message.
+        /// The rejection, typed error, panic or worker diagnostic.
         error: String,
     },
     /// A campaign was accepted by a service (e.g. `berti-serve`) and is

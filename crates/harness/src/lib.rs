@@ -10,9 +10,19 @@
 //!
 //! - **Parallelism** — a fixed-size pool of OS threads drains a shared
 //!   work queue (`--jobs N`; default = available parallelism).
-//! - **Isolation** — each cell runs under `catch_unwind`; a panicking
-//!   cell is retried once, then reported failed, and never takes its
-//!   siblings or the campaign down.
+//! - **One cell lifecycle** — [`run_cell`] is the only code that
+//!   prechecks a cell, consults the result store, attempts it,
+//!   retries, publishes, and builds its [`JobOutcome`] and `job_*`
+//!   events. The worker pool here and the `berti-serve` scheduler both
+//!   call it and supply only the *attempt*, so a cell means the same
+//!   thing through either front end by construction.
+//! - **Isolation, three attempt classes** — every attempt ends as an
+//!   [`Attempt`]: a report; a *fatal* typed error (corrupt trace,
+//!   unknown workload), failed at once with `attempts: 1`; or a
+//!   *retryable* loss (a panic caught by [`Attempt::catching`], or in
+//!   the daemon a dead or wedged worker process), retried up to
+//!   [`MAX_ATTEMPTS`]. A failing cell never takes its siblings or the
+//!   campaign down.
 //! - **Resumability** — completed cells persist in a content-addressed
 //!   cache (`results/cache/<hash-of-spec>.json`); re-running a
 //!   campaign skips everything already answered, so an interrupted
@@ -36,6 +46,7 @@
 
 mod cache;
 mod campaign;
+mod cell;
 mod events;
 mod pool;
 mod store;
@@ -44,10 +55,10 @@ pub mod registry;
 
 pub use cache::{CachedResult, ResultCache, CACHE_SCHEMA_VERSION};
 pub use campaign::{Campaign, CampaignBuilder, JobSpec};
-pub use events::{Event, EventSink, EVENT_SCHEMA_VERSION};
-pub use pool::{
-    build_registry, check_workload, execute_spec, execute_spec_in, run_campaign,
-    run_campaign_try_with, run_campaign_with, run_campaign_with_events, CampaignResult, JobOutcome,
-    JobResult, RunOptions,
+pub use cell::{
+    build_registry, check_workload, execute_spec, execute_spec_in, run_cell, Attempt, JobOutcome,
+    JobResult, MAX_ATTEMPTS,
 };
+pub use events::{Event, EventSink, EVENT_SCHEMA_VERSION};
+pub use pool::{run_campaign, run_campaign_with, CampaignResult, RunOptions};
 pub use store::ResultStore;

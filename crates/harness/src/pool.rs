@@ -1,9 +1,9 @@
 //! The campaign executor: a fixed worker pool over a shared work
-//! queue, with per-job panic isolation, one bounded retry, and the
-//! result cache in front of the simulator.
+//! queue. Each worker thread runs its cells through the one cell
+//! lifecycle ([`run_cell`]) with an in-process attempt: the executor
+//! under `catch_unwind`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -14,7 +14,9 @@ use serde::Value;
 
 use crate::cache::ResultCache;
 use crate::campaign::{Campaign, JobSpec};
+use crate::cell::{build_registry, execute_spec_in, run_cell, Attempt, JobOutcome, JobResult};
 use crate::events::{Event, EventSink};
+use crate::store::ResultStore;
 
 /// How a campaign should be executed.
 #[derive(Clone, Debug)]
@@ -64,45 +66,6 @@ impl RunOptions {
                 .unwrap_or(1)
         }
     }
-}
-
-/// Terminal state of one cell.
-// A Report is much bigger than a failure record, but there is exactly
-// one outcome per cell and almost all of them carry reports — boxing
-// would cost an allocation per cell for no measurable saving.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug)]
-pub enum JobOutcome {
-    /// The cell has a report.
-    Done {
-        /// The simulation report.
-        report: Report,
-        /// Whether it came from the result cache.
-        cached: bool,
-    },
-    /// The cell could not produce a report: its configuration was
-    /// rejected up front, or both execution attempts panicked.
-    Failed {
-        /// The validation diagnostic or the captured panic message of
-        /// the last attempt.
-        error: String,
-        /// Attempts made: 1 for cells rejected by config validation or
-        /// failing with a typed executor error such as a corrupt trace
-        /// (retrying cannot help), 2 for panicking cells (initial +
-        /// one retry).
-        attempts: u32,
-    },
-}
-
-/// One cell's spec, key, and outcome.
-#[derive(Clone, Debug)]
-pub struct JobResult {
-    /// The cell that ran.
-    pub spec: JobSpec,
-    /// Its cache key.
-    pub key: String,
-    /// What happened.
-    pub outcome: JobOutcome,
 }
 
 /// All results of one campaign run, in campaign (declaration) order.
@@ -199,180 +162,38 @@ impl CampaignResult {
     }
 }
 
-/// Builds the workload registry a campaign resolves against: builtins
-/// plus anything discovered under `trace_dir`.
-///
-/// # Panics
-///
-/// Panics when the trace dir cannot be scanned or a file clashes with
-/// a registered name — both are configuration errors the caller
-/// should have caught pre-dispatch (see [`check_workload`]).
-pub fn build_registry(trace_dir: Option<&Path>) -> TraceRegistry {
-    match trace_dir {
-        None => TraceRegistry::builtin(),
-        Some(dir) => TraceRegistry::with_trace_dir(dir)
-            .unwrap_or_else(|e| panic!("trace dir {}: {e}", dir.display())),
-    }
-}
-
-/// Pre-dispatch workload check: `Err` with a "did you mean" diagnostic
-/// when `name` is not in the registry. Mirrors `SimOptions::validate` —
-/// reject bad cells with a deterministic message before the cache or
-/// the simulator ever sees them.
-pub fn check_workload(registry: &TraceRegistry, name: &str) -> Result<(), String> {
-    if registry.get(name).is_some() {
-        return Ok(());
-    }
-    let near = registry.suggest(name, 3);
-    let mut msg = format!("unknown workload `{name}`");
-    if near.is_empty() {
-        msg.push_str(" (run `campaign list` for all names)");
-    } else {
-        msg.push_str(&format!(" — did you mean {}?", near.join(", ")));
-    }
-    Err(msg)
-}
-
-/// Executes one cell with the real simulator: resolves the workload
-/// against `registry`, runs the simulation (instrumented when
-/// `interval` is set, forwarding each window as an
-/// [`Event::JobInterval`] through `emit`), and returns the report.
-///
-/// This is the single execution path shared by every executor — the
-/// in-process worker pool below and `berti-serve`'s worker processes —
-/// so a cell produces byte-identical reports no matter which engine ran
-/// it. An unknown workload or an unreadable/corrupt trace file is a
-/// typed `Err` — deterministic, so callers fail the cell without
-/// retrying; only genuine simulator panics need `catch_unwind` (or a
-/// process boundary).
-pub fn execute_spec_in(
-    registry: &TraceRegistry,
-    spec: &JobSpec,
-    interval: Option<u64>,
-    emit: &mut dyn FnMut(Event),
-) -> Result<Report, String> {
-    let workload = registry
-        .get(&spec.workload)
-        .ok_or_else(|| format!("unknown workload `{}`", spec.workload))?;
-    let mut trace = workload
-        .try_trace()
-        .map_err(|e| format!("workload `{}`: {e}", spec.workload))?;
-    Ok(match interval {
-        None => berti_sim::simulate_with_l2(
-            &spec.config,
-            spec.l1.clone(),
-            spec.l2,
-            &mut trace,
-            &spec.opts,
-        ),
-        Some(n) => {
-            let key = spec.key();
-            let label = spec.label();
-            let mut sink = |s: berti_sim::IntervalSample| {
-                emit(Event::JobInterval {
-                    key: key.clone(),
-                    workload: spec.workload.clone(),
-                    label: label.clone(),
-                    instructions: s.instructions,
-                    ipc: s.ipc,
-                    l1d_mpki: s.l1d_mpki,
-                    l2_mpki: s.l2_mpki,
-                    llc_mpki: s.llc_mpki,
-                    l1d_accuracy: s.l1d_accuracy,
-                });
-            };
-            berti_sim::simulate_instrumented(
-                &spec.config,
-                spec.l1.clone(),
-                spec.l2,
-                &mut trace,
-                &spec.opts,
-                berti_sim::Engine::default(),
-                Some(berti_sim::Sampling {
-                    interval: n,
-                    sink: &mut sink,
-                }),
-            )
-        }
-    })
-}
-
-/// One-shot variant of [`execute_spec_in`]: builds the registry for
-/// `trace_dir` (builtins only when `None`) and executes the cell.
-/// `berti-serve` workers use this — one cell per request; the registry
-/// rebuild is cheap, and the decoded-trace cache means repeated cells
-/// naming the same trace decode it once per worker process.
-pub fn execute_spec(
-    spec: &JobSpec,
-    trace_dir: Option<&Path>,
-    interval: Option<u64>,
-    emit: &mut dyn FnMut(Event),
-) -> Result<Report, String> {
-    execute_spec_in(&build_registry(trace_dir), spec, interval, emit)
-}
-
 /// Runs a campaign with the real simulator. The registry (builtins +
 /// `opts.trace_dir`) is built once and shared by all workers; cells
 /// naming unknown workloads fail pre-dispatch with a "did you mean"
-/// diagnostic instead of burning a retry on a panic.
+/// diagnostic, and an unreadable trace dir fails every cell with its
+/// diagnostic, instead of burning a retry on a panic.
 pub fn run_campaign(campaign: &Campaign, opts: &RunOptions) -> CampaignResult {
     let interval = opts.interval;
     let registry = build_registry(opts.trace_dir.as_deref());
-    run_campaign_inner(
-        campaign,
-        opts,
-        Some(&|spec: &JobSpec| check_workload(&registry, &spec.workload)),
-        |spec, emit| execute_spec_in(&registry, spec, interval, emit),
-    )
+    run_campaign_inner(campaign, opts, Some(&registry), |spec, emit| {
+        execute_spec_in(registry.as_ref()?, spec, interval, emit)
+    })
 }
 
 /// Runs a campaign with an arbitrary executor (tests inject failing or
-/// instant executors here).
+/// instant executors here). No workload precheck on this path:
+/// injected executors are free to use workload names the registry has
+/// never heard of.
 pub fn run_campaign_with<F>(campaign: &Campaign, opts: &RunOptions, exec: F) -> CampaignResult
 where
     F: Fn(&JobSpec) -> Report + Sync,
 {
-    run_campaign_with_events(campaign, opts, |spec, _emit| exec(spec))
+    run_campaign_inner(campaign, opts, None, |spec, _emit| Ok(exec(spec)))
 }
 
-/// Like [`run_campaign_with`], for executors that fail with a typed
-/// error: an `Err` cell fails immediately without a retry (the error is
-/// deterministic), unlike a panicking one.
-pub fn run_campaign_try_with<F>(campaign: &Campaign, opts: &RunOptions, exec: F) -> CampaignResult
-where
-    F: Fn(&JobSpec) -> Result<Report, String> + Sync,
-{
-    run_campaign_inner(campaign, opts, None, |spec, _emit| exec(spec))
-}
-
-/// Runs a campaign with an executor that can also emit events into the
-/// campaign's stream (the real simulator uses this to forward interval
-/// time-series points as [`Event::JobInterval`]).
-///
 /// Scheduling: all cells go into a shared queue; `jobs` workers drain
-/// it. Each cell is first tried against the result cache; on a miss
-/// the executor runs under [`catch_unwind`], and a panicking attempt
-/// is retried once before the cell is marked failed. A failing or
-/// panicking cell never takes its siblings down.
-pub fn run_campaign_with_events<F>(
-    campaign: &Campaign,
-    opts: &RunOptions,
-    exec: F,
-) -> CampaignResult
-where
-    F: Fn(&JobSpec, &mut dyn FnMut(Event)) -> Report + Sync,
-{
-    // No workload precheck on the generic path: injected executors are
-    // free to use workload names the registry has never heard of.
-    run_campaign_inner(campaign, opts, None, |spec, emit| Ok(exec(spec, emit)))
-}
-
-type Precheck<'a> = &'a (dyn Fn(&JobSpec) -> Result<(), String> + Sync);
-
+/// it, each running [`run_cell`] with the executor under
+/// [`Attempt::catching`] as the attempt. A failing or panicking cell
+/// never takes its siblings down.
 fn run_campaign_inner<F>(
     campaign: &Campaign,
     opts: &RunOptions,
-    precheck: Option<Precheck<'_>>,
+    registry: Option<&Result<TraceRegistry, String>>,
     exec: F,
 ) -> CampaignResult
 where
@@ -421,14 +242,20 @@ where
             let event_tx = event_tx.clone();
             let work_rx = &work_rx;
             let slots = &slots;
-            let cache = cache.as_ref();
+            let store = cache.as_ref().map(|c| c as &dyn ResultStore);
             let exec = &exec;
             scope.spawn(move || loop {
                 let Some(idx) = next_index(work_rx) else {
                     return;
                 };
                 let spec = &campaign.cells[idx];
-                let result = run_cell(spec, cache, precheck, exec, &event_tx);
+                let emit = |e: Event| {
+                    let _ = event_tx.send(e);
+                };
+                let result = run_cell(spec, registry, store, emit, |_| {
+                    let mut emit = emit;
+                    Attempt::catching(|| exec(spec, &mut emit))
+                });
                 *slots[idx].lock().expect("result slot poisoned") = Some(result);
             });
         }
@@ -464,152 +291,4 @@ where
 
 fn next_index(work_rx: &Mutex<mpsc::Receiver<usize>>) -> Option<usize> {
     work_rx.lock().expect("work queue poisoned").recv().ok()
-}
-
-fn run_cell<F>(
-    spec: &JobSpec,
-    cache: Option<&ResultCache>,
-    precheck: Option<Precheck<'_>>,
-    exec: &F,
-    events: &mpsc::Sender<Event>,
-) -> JobResult
-where
-    F: Fn(&JobSpec, &mut dyn FnMut(Event)) -> Result<Report, String> + Sync,
-{
-    let key = spec.key();
-    let workload = spec.workload.clone();
-    let label = spec.label();
-
-    // Reject invalid grid cells before touching the cache or the
-    // simulator: a deterministic diagnostic on this one cell, not a
-    // panic caught (and pointlessly retried) by the isolation path.
-    // The precheck (unknown-workload rejection) runs the same way.
-    let rejected = spec
-        .opts
-        .validate(&spec.config)
-        .map_err(|e| e.to_string())
-        .and_then(|()| precheck.map_or(Ok(()), |check| check(spec)));
-    if let Err(error) = rejected {
-        let _ = events.send(Event::JobFailed {
-            key: key.clone(),
-            workload,
-            label,
-            attempt: 1,
-            will_retry: false,
-            error: error.clone(),
-        });
-        return JobResult {
-            spec: spec.clone(),
-            key,
-            outcome: JobOutcome::Failed { error, attempts: 1 },
-        };
-    }
-
-    if let Some(report) = cache.and_then(|c| c.lookup(spec)) {
-        let _ = events.send(Event::JobCacheHit {
-            key: key.clone(),
-            workload,
-            label,
-        });
-        return JobResult {
-            spec: spec.clone(),
-            key,
-            outcome: JobOutcome::Done {
-                report,
-                cached: true,
-            },
-        };
-    }
-
-    let _ = events.send(Event::JobStarted {
-        key: key.clone(),
-        workload: workload.clone(),
-        label: label.clone(),
-    });
-
-    const MAX_ATTEMPTS: u32 = 2;
-    let mut last_error = String::new();
-    for attempt in 1..=MAX_ATTEMPTS {
-        let started = Instant::now();
-        let mut emit = |e: Event| {
-            let _ = events.send(e);
-        };
-        match catch_unwind(AssertUnwindSafe(|| exec(spec, &mut emit))) {
-            Ok(Err(error)) => {
-                // A typed executor failure (unknown workload, corrupt
-                // or unreadable trace) is deterministic: fail the cell
-                // now, a retry cannot change the answer.
-                let _ = events.send(Event::JobFailed {
-                    key: key.clone(),
-                    workload,
-                    label,
-                    attempt,
-                    will_retry: false,
-                    error: error.clone(),
-                });
-                return JobResult {
-                    spec: spec.clone(),
-                    key,
-                    outcome: JobOutcome::Failed {
-                        error,
-                        attempts: attempt,
-                    },
-                };
-            }
-            Ok(Ok(report)) => {
-                if let Some(c) = cache {
-                    let _ = c.store(spec, &report);
-                }
-                let wall_ms = started.elapsed().as_millis() as u64;
-                let wall_s = (wall_ms as f64 / 1000.0).max(1e-9);
-                let _ = events.send(Event::JobFinished {
-                    key: key.clone(),
-                    workload,
-                    label,
-                    wall_ms,
-                    instructions: report.instructions,
-                    mips: report.instructions as f64 / 1e6 / wall_s,
-                    ipc: report.ipc(),
-                });
-                return JobResult {
-                    spec: spec.clone(),
-                    key,
-                    outcome: JobOutcome::Done {
-                        report,
-                        cached: false,
-                    },
-                };
-            }
-            Err(payload) => {
-                last_error = panic_message(payload);
-                let _ = events.send(Event::JobFailed {
-                    key: key.clone(),
-                    workload: workload.clone(),
-                    label: label.clone(),
-                    attempt,
-                    will_retry: attempt < MAX_ATTEMPTS,
-                    error: last_error.clone(),
-                });
-            }
-        }
-    }
-
-    JobResult {
-        spec: spec.clone(),
-        key,
-        outcome: JobOutcome::Failed {
-            error: last_error,
-            attempts: MAX_ATTEMPTS,
-        },
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
 }

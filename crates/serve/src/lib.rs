@@ -23,9 +23,11 @@
 //!   cells run in a pool of worker *processes*: the daemon re-execs
 //!   itself with a hidden `--worker` flag and speaks length-prefixed
 //!   JSON over the child's stdin/stdout. A worker crash (SIGKILL, OOM,
-//!   abort — not just a catchable panic) fails exactly one cell, which
-//!   is retried on a fresh worker, lifting `berti-harness`'s
-//!   panic-isolation semantics one level up the stack.
+//!   abort — not just a catchable panic) loses exactly one attempt of
+//!   one cell, which is retried on a fresh worker. Cells run through
+//!   `berti-harness`'s one cell lifecycle ([`berti_harness::run_cell`]);
+//!   the scheduler only supplies the attempt, so daemon and CLI cells
+//!   cannot drift apart.
 //! - **Multi-campaign scheduling with deadlines** ([`sched`]) —
 //!   campaigns share a global worker budget (FIFO admission,
 //!   per-campaign max-share so a huge grid cannot starve a later

@@ -16,23 +16,27 @@
 //! one cell:
 //!
 //! ```text
-//! worker → parent   {"v":3}                                               (once, at spawn)
-//! parent → worker   {"v":3,"spec":{…JobSpec…},"interval":5000,"trace_dir":null}
+//! worker → parent   {"v":4}                                               (once, at spawn)
+//! parent → worker   {"v":4,"spec":{…JobSpec…},"interval":5000,"trace_dir":null}
 //! worker → parent   {"kind":"interval","event_json":"{…job_interval…}"}   (0+ times)
 //! worker → parent   {"kind":"done","report":{…Report…}}                   (or)
+//! worker → parent   {"kind":"failed","error":"typed diagnostic"}          (or)
 //! worker → parent   {"kind":"error","error":"panic message"}
 //! ```
 //!
-//! The worker is reused for the next cell; closing its stdin shuts it
-//! down cleanly. Panics inside the simulator are caught in the worker
-//! and surface as `"error"` replies (the worker survives); an actual
-//! process death (SIGKILL, abort, OOM) surfaces to the parent as
-//! EOF/short read and fails only the cell in flight.
+//! The three terminal kinds are the three [`Attempt`] classes of the
+//! cell lifecycle (`berti_harness::run_cell`), carried across the pipe
+//! unchanged: `"done"` is a report, `"failed"` a typed, deterministic
+//! `execute_spec` error (corrupt trace, unknown workload — fatal,
+//! never retried), `"error"` a panic caught in the worker (retryable;
+//! the worker survives). The worker is reused for the next cell;
+//! closing its stdin shuts it down cleanly. An actual process death
+//! (SIGKILL, abort, OOM) surfaces to the parent as EOF/short read and
+//! fails only the attempt in flight, as does a reply of unknown kind.
 
 use std::io::{Read, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use berti_harness::{execute_spec, Event, JobSpec};
+use berti_harness::{execute_spec, Attempt, Event, JobSpec};
 use berti_sim::Report;
 use serde::{Deserialize, Serialize};
 
@@ -42,8 +46,10 @@ use serde::{Deserialize, Serialize};
 /// hence the version bump). v3 added the [`WorkerHello`] greeting a
 /// worker writes at spawn, which the parent reads under the handshake
 /// deadline (and which moves the version check to spawn time, before
-/// any cell is entrusted to the worker).
-pub const PROTO_VERSION: u32 = 3;
+/// any cell is entrusted to the worker). v4 added the `"failed"` reply
+/// kind: a typed `execute_spec` error no longer shares `"error"` with
+/// caught panics, so the parent can tell fatal from retryable.
+pub const PROTO_VERSION: u32 = 4;
 
 /// Largest accepted frame (reports are a few KB; this is a safety cap,
 /// not a tuning knob).
@@ -74,44 +80,69 @@ pub struct WorkerRequest {
 
 /// Worker → parent: one reply frame. `kind` discriminates:
 /// `"interval"` carries `event_json`, `"done"` carries `report`,
-/// `"error"` carries `error`.
+/// `"failed"` and `"error"` carry `error`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WorkerReply {
-    /// `"interval"`, `"done"`, or `"error"`.
+    /// `"interval"`, `"done"`, `"failed"`, or `"error"`.
     pub kind: String,
     /// The report, when `kind == "done"`.
     pub report: Option<Report>,
-    /// The captured panic/diagnostic, when `kind == "error"`.
+    /// The typed diagnostic (`"failed"`) or captured panic (`"error"`).
     pub error: Option<String>,
     /// A pre-serialized JSONL event line, when `kind == "interval"`.
     pub event_json: Option<String>,
 }
 
 impl WorkerReply {
-    fn done(report: Report) -> Self {
+    fn new(kind: &str) -> Self {
         WorkerReply {
-            kind: "done".to_string(),
-            report: Some(report),
-            error: None,
-            event_json: None,
-        }
-    }
-
-    fn error(msg: String) -> Self {
-        WorkerReply {
-            kind: "error".to_string(),
+            kind: kind.to_string(),
             report: None,
-            error: Some(msg),
+            error: None,
             event_json: None,
         }
     }
 
     fn interval(event_json: String) -> Self {
         WorkerReply {
-            kind: "interval".to_string(),
-            report: None,
-            error: None,
             event_json: Some(event_json),
+            ..WorkerReply::new("interval")
+        }
+    }
+
+    /// The terminal reply for an attempt's class.
+    fn from_attempt(attempt: Attempt) -> Self {
+        match attempt {
+            Attempt::Report(report) => WorkerReply {
+                report: Some(report),
+                ..WorkerReply::new("done")
+            },
+            Attempt::Fatal(error) => WorkerReply {
+                error: Some(error),
+                ..WorkerReply::new("failed")
+            },
+            Attempt::Retryable(error) => WorkerReply {
+                error: Some(error),
+                ..WorkerReply::new("error")
+            },
+        }
+    }
+
+    /// The attempt class a terminal reply carries; `Err` (a protocol
+    /// violation: the worker cannot be trusted further) for an unknown
+    /// kind or a `"done"` without its report.
+    pub fn into_attempt(self) -> Result<Attempt, String> {
+        let error = self
+            .error
+            .unwrap_or_else(|| "unknown worker error".to_string());
+        match self.kind.as_str() {
+            "done" => self
+                .report
+                .map(Attempt::Report)
+                .ok_or_else(|| "done reply without report".to_string()),
+            "failed" => Ok(Attempt::Fatal(error)),
+            "error" => Ok(Attempt::Retryable(error)),
+            other => Err(format!("unknown reply kind `{other}`")),
         }
     }
 }
@@ -228,11 +259,15 @@ pub fn worker_main() -> u8 {
             Err(_) => return 1,
         };
         let reply = match serde::json::from_str::<WorkerRequest>(&frame) {
-            Ok(req) if req.v != PROTO_VERSION => WorkerReply::error(format!(
-                "protocol version mismatch: parent {} vs worker {}",
-                req.v, PROTO_VERSION
-            )),
-            Err(e) => WorkerReply::error(format!("malformed request: {e}")),
+            Ok(req) if req.v != PROTO_VERSION => {
+                WorkerReply::from_attempt(Attempt::Retryable(format!(
+                    "protocol version mismatch: parent {} vs worker {}",
+                    req.v, PROTO_VERSION
+                )))
+            }
+            Err(e) => {
+                WorkerReply::from_attempt(Attempt::Retryable(format!("malformed request: {e}")))
+            }
             Ok(req) => {
                 maybe_crash_for_test(&req.spec);
                 maybe_stall_for_test(&req.spec);
@@ -245,36 +280,19 @@ pub fn worker_main() -> u8 {
     }
 }
 
-/// Runs one cell under `catch_unwind`, streaming interval events as
-/// frames as they occur so live SSE watchers see them in real time.
+/// Runs one cell as one classified attempt, streaming interval events
+/// as frames as they occur so live SSE watchers see them in real time.
 /// Interval-frame write failures are ignored here: if the parent is
 /// gone, the final reply write fails too and the worker exits.
 fn run_cell(req: &WorkerRequest, w: &mut impl Write) -> WorkerReply {
-    let result = catch_unwind(AssertUnwindSafe(|| {
+    WorkerReply::from_attempt(Attempt::catching(|| {
         let mut emit = |e: Event| {
             let frame = serde::json::to_string(&WorkerReply::interval(serde::json::to_string(&e)));
             let _ = write_frame(&mut *w, &frame);
         };
         let trace_dir = req.trace_dir.as_deref().map(std::path::Path::new);
         execute_spec(&req.spec, trace_dir, req.interval, &mut emit)
-    }));
-    match result {
-        Ok(Ok(report)) => WorkerReply::done(report),
-        // Typed executor failure (corrupt/unreadable trace, unknown
-        // workload): the worker stays healthy and reports the error.
-        Ok(Err(error)) => WorkerReply::error(error),
-        Err(payload) => WorkerReply::error(panic_message(payload)),
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
+    }))
 }
 
 #[cfg(test)]
@@ -335,11 +353,23 @@ mod tests {
         assert_eq!(back.interval, Some(1000));
         assert_eq!(back.trace_dir.as_deref(), Some("/tmp/traces"));
 
-        let reply = WorkerReply::error("boom".to_string());
-        let back: WorkerReply =
-            serde::json::from_str(&serde::json::to_string(&reply)).expect("parses");
-        assert_eq!(back.kind, "error");
-        assert_eq!(back.error.as_deref(), Some("boom"));
-        assert!(back.report.is_none());
+        // A typed failure and a caught panic stay distinct on the wire.
+        for (attempt, kind) in [
+            (Attempt::Fatal("boom".to_string()), "failed"),
+            (Attempt::Retryable("boom".to_string()), "error"),
+        ] {
+            let reply = WorkerReply::from_attempt(attempt.clone());
+            let back: WorkerReply =
+                serde::json::from_str(&serde::json::to_string(&reply)).expect("parses");
+            assert_eq!(back.kind, kind);
+            assert_eq!(back.error.as_deref(), Some("boom"));
+            assert!(back.report.is_none());
+            assert_eq!(
+                format!("{:?}", back.into_attempt()),
+                format!("{:?}", Ok::<_, String>(attempt))
+            );
+        }
+        assert!(WorkerReply::new("bogus").into_attempt().is_err());
+        assert!(WorkerReply::new("done").into_attempt().is_err());
     }
 }

@@ -2,13 +2,13 @@
 //! **global worker budget** across every running campaign and gives
 //! every worker interaction a **deadline**.
 //!
-//! The default executor is a **worker process** ([`ProcessWorker`]):
+//! Cells normally run on a **worker process** ([`ProcessWorker`]):
 //! the daemon re-execs its own binary with `--worker` and speaks the
 //! [`crate::proto`] frame protocol over the child's pipes. Idle worker
 //! processes are parked in a daemon-wide pool and reused across
 //! campaigns, so a steady stream of submissions pays process startup
-//! once, not per campaign. An in-process thread executor
-//! ([`ThreadExecutor`]) exists for `--in-process` mode and tests.
+//! once, not per campaign. `--in-process` mode (and tests) runs cells
+//! on the budget-slot thread instead.
 //!
 //! **Budget sharing.** Campaigns are admitted FIFO, but they do not run
 //! one at a time: `cfg.workers` budget slots are shared across every
@@ -20,30 +20,29 @@
 //! **Deadlines.** Every cell attempt on a process worker runs under a
 //! wall-clock deadline enforced by a [`deadline::WorkerMonitor`]: a
 //! wedged worker is killed, the parent emits `worker_timeout`, and the
-//! cell is retried on a fresh worker with exponential backoff, capped
-//! at [`MAX_ATTEMPTS`]. Worker spawns themselves are guarded by a
-//! handshake deadline on the protocol's hello frame. (The `--in-process`
-//! thread executor cannot be killed, so deadlines apply only to
-//! process workers.)
+//! attempt is lost. Worker spawns themselves are guarded by a
+//! handshake deadline on the protocol's hello frame. (An `--in-process`
+//! cell cannot be killed, so deadlines apply only to process workers.)
 //!
-//! Per-cell semantics deliberately mirror `berti_harness::pool`, one
-//! level up the isolation ladder: validate → store lookup → attempt →
-//! retry once → fail. What the harness does for a *panicking* cell
-//! (catch, retry, never take siblings down), this layer also does for
-//! a *dying* worker process (`worker_crashed`) and for a *wedged* one
-//! (`worker_timeout`) — the same ladder, extended one more rung to
-//! time.
+//! **Cells.** This module owns no per-cell policy. A dispatched cell
+//! runs through [`berti_harness::run_cell`] — the same precheck →
+//! store → attempt → classify → retry → publish lifecycle the CLI pool
+//! runs — and the scheduler only supplies the *attempt*
+//! (`attempt_cell`): check out a worker, arm the deadline, run, and
+//! classify. A report, a typed failure (`"failed"` reply: fatal) and a
+//! caught panic (`"error"` reply: retryable) arrive classified from
+//! the worker; a dead worker (`worker_crashed`), a deadline kill
+//! (`worker_timeout`) and a failed spawn are retryable, and a retry
+//! first sleeps an exponential backoff.
 
 use std::io::{BufReader, Write as _};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use berti_harness::{check_workload, execute_spec, Event, JobOutcome, JobResult, JobSpec};
-use berti_sim::Report;
+use berti_harness::{build_registry, execute_spec, run_cell, Attempt, Event, JobOutcome, JobSpec};
 use berti_traces::TraceRegistry;
 
 use crate::proto::{
@@ -51,49 +50,13 @@ use crate::proto::{
 };
 use crate::state::{CampaignEntry, CampaignStatus, Daemon};
 
-/// Attempts per cell (initial + one retry), matching the harness pool.
-const MAX_ATTEMPTS: u32 = 2;
-
 /// First retry waits this long; each further attempt doubles it.
 const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(50);
 
 /// How often an idle dispatcher re-checks for work and shutdown.
 const DISPATCH_POLL: Duration = Duration::from_millis(50);
 
-/// Why a cell attempt produced no report.
-#[derive(Debug)]
-pub enum CellError {
-    /// The executor itself died (worker process crash); the caller
-    /// must discard the executor and retry on a fresh one.
-    WorkerDied {
-        /// Pid of the dead worker, if it ever spawned.
-        pid: u32,
-        /// Transport-level diagnostic.
-        error: String,
-    },
-    /// The simulation failed (caught panic / reported error); the
-    /// executor survives and may be reused.
-    Sim(String),
-}
-
-/// Runs one cell to a report or an error. `emit` receives
-/// pre-serialized JSONL event lines (interval samples) as they occur.
-pub trait CellExecutor: Send {
-    /// Executes `spec`, resolving workloads against builtins plus the
-    /// optional `trace_dir`.
-    fn run(
-        &mut self,
-        spec: &JobSpec,
-        trace_dir: Option<&str>,
-        interval: Option<u64>,
-        emit: &mut dyn FnMut(String),
-    ) -> Result<Report, CellError>;
-
-    /// The worker pid, for process-backed executors.
-    fn pid(&self) -> Option<u32>;
-}
-
-/// How the scheduler obtains executors and enforces deadlines.
+/// How the scheduler obtains workers and enforces deadlines.
 #[derive(Clone, Debug)]
 pub struct SchedulerConfig {
     /// Global budget: cells in flight across *all* campaigns.
@@ -429,16 +392,19 @@ impl Drop for ProcessWorker {
     }
 }
 
-impl CellExecutor for ProcessWorker {
+impl ProcessWorker {
+    /// Runs one cell on the worker and returns the attempt class its
+    /// terminal reply carries; `emit` receives pre-serialized JSONL
+    /// event lines (interval samples) as they arrive. `Err` is a
+    /// transport or protocol failure: the worker is dead or cannot be
+    /// trusted, and the caller must discard it.
     fn run(
         &mut self,
         spec: &JobSpec,
         trace_dir: Option<&str>,
         interval: Option<u64>,
         emit: &mut dyn FnMut(String),
-    ) -> Result<Report, CellError> {
-        let pid = self.pid();
-        let died = |error: String| CellError::WorkerDied { pid, error };
+    ) -> Result<Attempt, String> {
         let request = WorkerRequest {
             v: PROTO_VERSION,
             spec: spec.clone(),
@@ -446,111 +412,19 @@ impl CellExecutor for ProcessWorker {
             trace_dir: trace_dir.map(str::to_string),
         };
         write_frame(&mut self.stdin, &serde::json::to_string(&request))
-            .map_err(|e| died(format!("writing request: {e}")))?;
+            .map_err(|e| format!("writing request: {e}"))?;
         loop {
-            let frame = match read_frame(&mut self.stdout) {
-                Ok(Some(f)) => f,
-                Ok(None) => return Err(died("worker closed its pipe mid-cell".to_string())),
-                Err(e) => return Err(died(format!("reading reply: {e}"))),
-            };
-            let reply: WorkerReply = serde::json::from_str(&frame)
-                .map_err(|e| died(format!("malformed reply frame: {e}")))?;
-            match reply.kind.as_str() {
-                "interval" => {
-                    if let Some(line) = reply.event_json {
-                        emit(line);
-                    }
-                }
-                "done" => {
-                    return reply
-                        .report
-                        .ok_or_else(|| died("done reply without report".to_string()));
-                }
-                "error" => {
-                    return Err(CellError::Sim(
-                        reply
-                            .error
-                            .unwrap_or_else(|| "unknown worker error".to_string()),
-                    ));
-                }
-                other => return Err(died(format!("unknown reply kind `{other}`"))),
+            let frame = read_frame(&mut self.stdout)
+                .map_err(|e| format!("reading reply: {e}"))?
+                .ok_or("worker closed its pipe mid-cell")?;
+            let reply: WorkerReply =
+                serde::json::from_str(&frame).map_err(|e| format!("malformed reply frame: {e}"))?;
+            if reply.kind != "interval" {
+                return reply.into_attempt();
             }
-        }
-    }
-
-    fn pid(&self) -> Option<u32> {
-        Some(ProcessWorker::pid(self))
-    }
-}
-
-/// Runs cells on a thread in the daemon process (no crash isolation).
-#[derive(Default)]
-pub struct ThreadExecutor;
-
-impl CellExecutor for ThreadExecutor {
-    fn run(
-        &mut self,
-        spec: &JobSpec,
-        trace_dir: Option<&str>,
-        interval: Option<u64>,
-        emit: &mut dyn FnMut(String),
-    ) -> Result<Report, CellError> {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let mut forward = |e: Event| emit(serde::json::to_string(&e));
-            let trace_dir = trace_dir.map(std::path::Path::new);
-            execute_spec(spec, trace_dir, interval, &mut forward)
-        }));
-        match result {
-            Ok(Ok(report)) => Ok(report),
-            // Typed executor failure: deterministic, no isolation or
-            // retry semantics needed.
-            Ok(Err(error)) => Err(CellError::Sim(error)),
-            Err(payload) => Err(CellError::Sim(
-                if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "panic with non-string payload".to_string()
-                },
-            )),
-        }
-    }
-
-    fn pid(&self) -> Option<u32> {
-        None
-    }
-}
-
-/// The executor owned by one budget slot: a concrete enum (rather
-/// than `Box<dyn CellExecutor>`) so a healthy [`ProcessWorker`] can be
-/// recovered and parked back in the [`WorkerPool`] when the slot
-/// drains.
-pub enum ExecSlot {
-    /// A worker process.
-    Proc(ProcessWorker),
-    /// An in-process thread executor.
-    Thread(ThreadExecutor),
-}
-
-impl CellExecutor for ExecSlot {
-    fn run(
-        &mut self,
-        spec: &JobSpec,
-        trace_dir: Option<&str>,
-        interval: Option<u64>,
-        emit: &mut dyn FnMut(String),
-    ) -> Result<Report, CellError> {
-        match self {
-            ExecSlot::Proc(w) => w.run(spec, trace_dir, interval, emit),
-            ExecSlot::Thread(t) => t.run(spec, trace_dir, interval, emit),
-        }
-    }
-
-    fn pid(&self) -> Option<u32> {
-        match self {
-            ExecSlot::Proc(w) => CellExecutor::pid(w),
-            ExecSlot::Thread(t) => t.pid(),
+            if let Some(line) = reply.event_json {
+                emit(line);
+            }
         }
     }
 }
@@ -651,11 +525,7 @@ impl Sched {
     /// Admits a submission into the active set (registry built outside
     /// the state lock; directory scanning can be slow).
     fn admit(&self, entry: Arc<CampaignEntry>) {
-        let registry = Arc::new(match entry.trace_dir.as_deref() {
-            None => Ok(TraceRegistry::builtin()),
-            Some(dir) => TraceRegistry::with_trace_dir(std::path::Path::new(dir))
-                .map_err(|e| format!("trace dir {dir}: {e}")),
-        });
+        let registry = Arc::new(build_registry(entry.trace_dir.as_deref().map(Path::new)));
         let mut state = self.state.lock().expect("sched state poisoned");
         state.active.push(Active {
             entry,
@@ -900,87 +770,80 @@ pub fn scheduler_loop(
 }
 
 /// One budget slot: pulls dispatched cells until the scheduler drains
-/// or shuts down, keeping its executor warm across cells and parking a
-/// healthy process worker on exit.
+/// or shuts down, keeping its worker warm across cells and parking a
+/// healthy one on exit.
 fn budget_slot_loop(sched: &Sched) {
-    let mut executor: Option<ExecSlot> = None;
+    let mut worker: Option<ProcessWorker> = None;
     while let Some(task) = sched.next_task() {
-        run_cell(sched, &task, &mut executor);
+        run_task(sched, &task, &mut worker);
         sched.complete(&task);
     }
-    if let Some(ExecSlot::Proc(worker)) = executor.take() {
+    if let Some(worker) = worker.take() {
         sched.pool.checkin(worker);
     }
 }
 
-fn run_cell(sched: &Sched, task: &Task, executor: &mut Option<ExecSlot>) {
-    let daemon = &*sched.daemon;
+/// Runs one dispatched cell through the shared lifecycle and records
+/// its result; the `serve` cell counters follow from the outcome.
+fn run_task(sched: &Sched, task: &Task, worker: &mut Option<ProcessWorker>) {
     let entry = &*task.entry;
     let spec = &entry.campaign.cells[task.idx];
-    let key = spec.key();
-    let workload = spec.workload.clone();
-    let label = spec.label();
-
-    // Reject invalid cells before touching the store or a worker,
-    // exactly like the harness pool: deterministic diagnostic, no
-    // retry. Unknown workloads get the same treatment, with a "did
-    // you mean" pointing at near-miss registry entries.
-    let rejected = spec
-        .opts
-        .validate(&spec.config)
-        .map_err(|e| e.to_string())
-        .and_then(|()| match &*task.registry {
-            Ok(reg) => check_workload(reg, &spec.workload),
-            Err(e) => Err(e.clone()),
-        });
-    if let Err(error) = rejected {
-        entry.events.push(&Event::JobFailed {
-            key: key.clone(),
-            workload,
-            label,
-            attempt: 1,
-            will_retry: false,
-            error: error.clone(),
-        });
-        daemon.stats.lock().expect("stats poisoned").cells_failed += 1;
-        entry.fill_slot(
-            task.idx,
-            JobResult {
-                spec: spec.clone(),
-                key,
-                outcome: JobOutcome::Failed { error, attempts: 1 },
-            },
-        );
-        return;
+    let result = run_cell(
+        spec,
+        Some(&*task.registry),
+        Some(&*sched.daemon.store),
+        |event| entry.events.push(&event),
+        |attempt| attempt_cell(sched, entry, spec, attempt, worker),
+    );
+    {
+        let mut stats = sched.daemon.stats.lock().expect("stats poisoned");
+        match result.outcome {
+            JobOutcome::Done { cached: true, .. } => stats.cells_cached += 1,
+            JobOutcome::Done { .. } => stats.cells_completed += 1,
+            JobOutcome::Failed { .. } => stats.cells_failed += 1,
+        }
     }
+    entry.fill_slot(task.idx, result);
+}
 
-    if let Some(report) = daemon.store.lookup(spec) {
-        entry.events.push(&Event::JobCacheHit {
-            key: key.clone(),
-            workload,
-            label,
-        });
-        daemon.stats.lock().expect("stats poisoned").cells_cached += 1;
-        entry.fill_slot(
-            task.idx,
-            JobResult {
-                spec: spec.clone(),
-                key,
-                outcome: JobOutcome::Done {
-                    report,
-                    cached: true,
-                },
-            },
-        );
-        return;
+/// One attempt at one cell, as the daemon makes it: back off before a
+/// retry, then run the cell in-process or on this slot's worker (a
+/// fresh one if the last died) under the cell deadline. A worker that
+/// dies or is killed mid-cell is discarded and reported
+/// (`worker_crashed` / `worker_timeout`) before the attempt is handed
+/// back as retryable.
+fn attempt_cell(
+    sched: &Sched,
+    entry: &CampaignEntry,
+    spec: &JobSpec,
+    attempt: u32,
+    worker: &mut Option<ProcessWorker>,
+) -> Attempt {
+    let daemon = &*sched.daemon;
+    if attempt > 1 {
+        // Exponential backoff: doubles per attempt from the base,
+        // counted so the e2e suite can observe it happened.
+        {
+            let mut sched_stats = daemon.sched.lock().expect("sched stats poisoned");
+            sched_stats.cell_retries += 1;
+            sched_stats.backoff_sleeps += 1;
+        }
+        std::thread::sleep(RETRY_BACKOFF_BASE * (1 << (attempt - 2)));
     }
-
-    entry.events.push(&Event::JobStarted {
-        key: key.clone(),
-        workload: workload.clone(),
-        label: label.clone(),
-    });
-
+    let trace_dir = entry.trace_dir.as_deref();
+    if sched.cfg.in_process {
+        return Attempt::catching(|| {
+            let mut emit = |event: Event| entry.events.push(&event);
+            execute_spec(spec, trace_dir.map(Path::new), entry.interval, &mut emit)
+        });
+    }
+    let proc = match worker {
+        Some(w) => w,
+        None => match sched.pool.checkout(&sched.cfg, daemon, &sched.monitor) {
+            Ok(w) => worker.insert(w),
+            Err(e) => return Attempt::Retryable(format!("spawning worker: {e}")),
+        },
+    };
     // Campaign override beats the daemon default; an explicit 0
     // disables the deadline for this campaign.
     let cell_timeout = match entry.cell_timeout_ms {
@@ -988,151 +851,38 @@ fn run_cell(sched: &Sched, task: &Task, executor: &mut Option<ExecSlot>) {
         Some(ms) => Some(Duration::from_millis(ms)),
         None => sched.cfg.cell_timeout,
     };
-
-    let mut last_error = String::new();
-    for attempt in 1..=MAX_ATTEMPTS {
-        if attempt > 1 {
-            // Exponential backoff before every retry: doubles per
-            // attempt from the base, counted so the e2e suite can
-            // observe it happened.
-            let backoff = RETRY_BACKOFF_BASE * (1 << (attempt - 2));
-            {
-                let mut sched_stats = daemon.sched.lock().expect("sched stats poisoned");
-                sched_stats.cell_retries += 1;
-                sched_stats.backoff_sleeps += 1;
-            }
-            std::thread::sleep(backoff);
-        }
-        // (Re)acquire an executor; a spawn (or handshake) failure
-        // counts as this attempt failing.
-        if executor.is_none() {
-            *executor = match acquire_executor(sched) {
-                Ok(e) => Some(e),
-                Err(e) => {
-                    last_error = format!("spawning worker: {e}");
-                    entry.events.push(&Event::JobFailed {
-                        key: key.clone(),
-                        workload: workload.clone(),
-                        label: label.clone(),
-                        attempt,
-                        will_retry: attempt < MAX_ATTEMPTS,
-                        error: last_error.clone(),
-                    });
-                    continue;
-                }
-            };
-        }
-        let exec = executor.as_mut().expect("just ensured");
-        // Arm the cell deadline: only process workers can be killed,
-        // so the in-process thread executor runs unguarded.
-        let watch = match (exec.pid(), cell_timeout) {
-            (Some(pid), Some(timeout)) => Some(sched.monitor.watch(pid, timeout)),
-            _ => None,
-        };
-        let started = Instant::now();
-        let mut emit = |line: String| entry.events.push_line(line);
-        let outcome = exec.run(spec, entry.trace_dir.as_deref(), entry.interval, &mut emit);
-        let timed_out = watch.as_ref().is_some_and(|w| w.fired());
-        drop(watch);
-        match outcome {
-            Ok(report) => {
-                let _ = daemon.store.store(spec, &report);
-                let wall_ms = started.elapsed().as_millis() as u64;
-                let wall_s = (wall_ms as f64 / 1000.0).max(1e-9);
-                entry.events.push(&Event::JobFinished {
-                    key: key.clone(),
-                    workload,
-                    label,
-                    wall_ms,
-                    instructions: report.instructions,
-                    mips: report.instructions as f64 / 1e6 / wall_s,
-                    ipc: report.ipc(),
-                });
-                daemon.stats.lock().expect("stats poisoned").cells_completed += 1;
-                entry.fill_slot(
-                    task.idx,
-                    JobResult {
-                        spec: spec.clone(),
-                        key,
-                        outcome: JobOutcome::Done {
-                            report,
-                            cached: false,
-                        },
-                    },
-                );
-                return;
-            }
-            Err(CellError::WorkerDied { pid, error }) => {
-                // The executor is gone: discard it so the next attempt
-                // (or next cell) starts a fresh worker.
-                *executor = None;
-                if timed_out {
-                    let timeout_ms = cell_timeout.unwrap_or_default().as_millis() as u64;
-                    last_error =
-                        format!("worker process {pid} exceeded the {timeout_ms}ms cell deadline");
-                    entry.events.push(&Event::WorkerTimeout {
-                        key: key.clone(),
-                        pid,
-                        timeout_ms,
-                    });
-                    daemon
-                        .sched
-                        .lock()
-                        .expect("sched stats poisoned")
-                        .cell_timeouts += 1;
-                } else {
-                    last_error = format!("worker process {pid} died: {error}");
-                    entry.events.push(&Event::WorkerCrashed {
-                        key: key.clone(),
-                        pid,
-                    });
-                    daemon.stats.lock().expect("stats poisoned").worker_crashes += 1;
-                }
-                entry.events.push(&Event::JobFailed {
-                    key: key.clone(),
-                    workload: workload.clone(),
-                    label: label.clone(),
-                    attempt,
-                    will_retry: attempt < MAX_ATTEMPTS,
-                    error: last_error.clone(),
-                });
-            }
-            Err(CellError::Sim(error)) => {
-                last_error = error;
-                entry.events.push(&Event::JobFailed {
-                    key: key.clone(),
-                    workload: workload.clone(),
-                    label: label.clone(),
-                    attempt,
-                    will_retry: attempt < MAX_ATTEMPTS,
-                    error: last_error.clone(),
-                });
-            }
-        }
-    }
-
-    daemon.stats.lock().expect("stats poisoned").cells_failed += 1;
-    entry.fill_slot(
-        task.idx,
-        JobResult {
-            spec: spec.clone(),
+    let pid = proc.pid();
+    let watch = cell_timeout.map(|timeout| sched.monitor.watch(pid, timeout));
+    let mut emit = |line: String| entry.events.push_line(line);
+    let outcome = proc.run(spec, trace_dir, entry.interval, &mut emit);
+    let timed_out = watch.as_ref().is_some_and(|w| w.fired());
+    drop(watch);
+    let error = match outcome {
+        Ok(attempt) => return attempt,
+        Err(error) => error,
+    };
+    // The worker is gone: discard it so the next attempt (or the next
+    // cell) starts a fresh one.
+    *worker = None;
+    let key = spec.key();
+    if timed_out {
+        let timeout_ms = cell_timeout.unwrap_or_default().as_millis() as u64;
+        entry.events.push(&Event::WorkerTimeout {
             key,
-            outcome: JobOutcome::Failed {
-                error: last_error,
-                attempts: MAX_ATTEMPTS,
-            },
-        },
-    );
-}
-
-fn acquire_executor(sched: &Sched) -> std::io::Result<ExecSlot> {
-    if sched.cfg.in_process {
-        Ok(ExecSlot::Thread(ThreadExecutor))
+            pid,
+            timeout_ms,
+        });
+        daemon
+            .sched
+            .lock()
+            .expect("sched stats poisoned")
+            .cell_timeouts += 1;
+        Attempt::Retryable(format!(
+            "worker process {pid} exceeded the {timeout_ms}ms cell deadline"
+        ))
     } else {
-        Ok(ExecSlot::Proc(sched.pool.checkout(
-            &sched.cfg,
-            &sched.daemon,
-            &sched.monitor,
-        )?))
+        entry.events.push(&Event::WorkerCrashed { key, pid });
+        daemon.stats.lock().expect("stats poisoned").worker_crashes += 1;
+        Attempt::Retryable(format!("worker process {pid} died: {error}"))
     }
 }

@@ -13,9 +13,10 @@
 //!
 //! Connections are one-request (`Connection: close`); accepted streams
 //! fan out to a bounded pool of handler threads through a shared
-//! channel. The accept loop polls a shutdown flag, so SIGTERM turns
-//! into: stop accepting → tell the scheduler to stop dispatching →
-//! wait for in-flight cells to publish to the store → exit.
+//! channel. The accept loop polls a shutdown flag (every 50 ms idle,
+//! every 5 ms while cells are in flight), so SIGTERM turns into: stop
+//! accepting → tell the scheduler to stop dispatching → wait for
+//! in-flight cells to publish to the store → exit.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -35,6 +36,15 @@ use crate::stats::metrics_json;
 
 /// How often blocked loops (accept, SSE wait) re-check shutdown.
 const POLL: Duration = Duration::from_millis(50);
+
+/// The accept loop's poll period while cells are in flight. Whoever
+/// follows a campaign's stream to its end fetches the result straight
+/// away; at the idle period that fetch would wait anything up to
+/// [`POLL`] depending on which side of a poll boundary the last cell
+/// finished, so a few per cent more or less simulation time would move
+/// a short campaign's turnaround by a whole period. An idle daemon
+/// keeps the long period and its 20 wake-ups a second.
+const POLL_BUSY: Duration = Duration::from_millis(5);
 
 /// Read/write timeout on accepted connections, so a stalled or
 /// half-dead client can wedge at most one handler thread for this
@@ -190,10 +200,18 @@ impl Server {
                             break;
                         }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL);
+                    Err(_) => {
+                        // Nothing pending (or a transient accept
+                        // error): nap, briefly while cells run.
+                        let busy = self
+                            .daemon
+                            .sched
+                            .lock()
+                            .expect("sched stats poisoned")
+                            .cells_in_flight
+                            > 0;
+                        std::thread::sleep(if busy { POLL_BUSY } else { POLL });
                     }
-                    Err(_) => std::thread::sleep(POLL),
                 }
             }
 
@@ -373,16 +391,14 @@ fn post_campaign(
         .and_then(|v| v.as_str())
         .map(str::to_string)
         .or_else(|| daemon.default_trace_dir.clone());
-    let workload_registry = match trace_dir.as_deref() {
-        None => berti_traces::TraceRegistry::builtin(),
-        Some(dir) => match berti_traces::TraceRegistry::with_trace_dir(std::path::Path::new(dir)) {
+    let workload_registry =
+        match berti_harness::build_registry(trace_dir.as_deref().map(std::path::Path::new)) {
             Ok(r) => r,
             Err(e) => {
-                let _ = respond_error(w, 400, &format!("trace dir {dir}: {e}"));
+                let _ = respond_error(w, 400, &e);
                 return 400;
             }
-        },
-    };
+        };
     let campaign = if let Some(name) = value.get("builtin").and_then(|v| v.as_str()) {
         let mut opts = SimOptions::default();
         if let Some(n) = value.get("warmup").and_then(|v| v.as_u64()) {

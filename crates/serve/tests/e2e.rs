@@ -19,8 +19,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use berti_harness::{registry, run_campaign, RunOptions};
-use berti_sim::SimOptions;
+use berti_harness::{registry, run_campaign, Campaign, RunOptions};
+use berti_sim::{PrefetcherChoice, SimOptions};
 
 /// How long a test waits for the daemon to reach a state before
 /// giving up (debug-build cells are slow; CI is slower).
@@ -216,6 +216,19 @@ fn wait_for(
         );
         std::thread::sleep(Duration::from_millis(50));
     }
+}
+
+/// Submits a full campaign spec; returns the daemon-assigned id.
+fn submit(addr: &str, campaign: &Campaign) -> String {
+    let payload = serde::json::to_string(&serde::Serialize::to_value(campaign));
+    let (status, body) = http(addr, "POST", "/campaigns", Some(&payload));
+    assert_eq!(status, 202, "submit accepted: {body}");
+    serde::json::parse(&body)
+        .expect("json")
+        .get("id")
+        .and_then(|v| v.as_str())
+        .expect("id")
+        .to_string()
 }
 
 fn status_of(summary: &serde::Value) -> String {
@@ -603,33 +616,45 @@ fn concurrent_campaigns_share_the_budget_and_aggregate_byte_identically() {
     let addr = daemon.addr.clone();
 
     // Long campaign first (so FIFO admission would starve the short
-    // one without the max-share), then a much shorter one.
-    let (status, body) = http(
-        &addr,
-        "POST",
-        "/campaigns",
-        Some(r#"{"builtin": "quick", "warmup": 5000, "instr": 40000}"#),
+    // one without the max-share), then a much shorter one. Both run
+    // over `lbm-like` only: its generator is cheap, so the campaigns'
+    // wall time is their *simulated* work (a `bfs-kron` cell is ~all
+    // trace generation, the same for any instruction count). The long
+    // grid has twice the cells at ten times the instructions each, so
+    // when the short one drains the long one has most of its second
+    // wave still to run. An optimized build simulates ~10x faster, so
+    // it gets 10x the work: either way the short campaign runs for
+    // some hundreds of ms — long enough for the gauge polls below.
+    let work = if cfg!(debug_assertions) { 1 } else { 10 };
+    let lbm_grid = |name: &str, l1s: Vec<PrefetcherChoice>, opts: SimOptions| {
+        let mut grid = Campaign::grid(name).workload("lbm-like").opts(opts);
+        for l1 in l1s {
+            grid = grid.l1(l1);
+        }
+        grid.build()
+    };
+    let mut long_l1s = vec![PrefetcherChoice::IpStride];
+    long_l1s.extend(registry::l1d_contenders());
+    let long = lbm_grid(
+        "long",
+        long_l1s,
+        SimOptions {
+            warmup_instructions: 5_000,
+            sim_instructions: 1_000_000 * work,
+            ..SimOptions::default()
+        },
     );
-    assert_eq!(status, 202, "{body}");
-    let long_id = serde::json::parse(&body)
-        .expect("json")
-        .get("id")
-        .and_then(|v| v.as_str())
-        .expect("id")
-        .to_string();
-    let (status, body) = http(
-        &addr,
-        "POST",
-        "/campaigns",
-        Some(r#"{"builtin": "quick", "warmup": 1000, "instr": 2000}"#),
+    let short = lbm_grid(
+        "short",
+        vec![PrefetcherChoice::IpStride, PrefetcherChoice::Berti],
+        SimOptions {
+            warmup_instructions: 5_000,
+            sim_instructions: 100_000 * work,
+            ..SimOptions::default()
+        },
     );
-    assert_eq!(status, 202, "{body}");
-    let short_id = serde::json::parse(&body)
-        .expect("json")
-        .get("id")
-        .and_then(|v| v.as_str())
-        .expect("id")
-        .to_string();
+    let long_id = submit(&addr, &long);
+    let short_id = submit(&addr, &short);
 
     // Poll the short campaign to completion, sampling the scheduler
     // gauges on the way: both campaigns must be observed running
@@ -662,7 +687,7 @@ fn concurrent_campaigns_share_the_budget_and_aggregate_byte_identically() {
             started.elapsed() < DEADLINE,
             "timed out waiting for the short campaign"
         );
-        std::thread::sleep(Duration::from_millis(25));
+        std::thread::sleep(Duration::from_millis(5));
     }
     assert!(
         saw_both_running,
@@ -688,22 +713,11 @@ fn concurrent_campaigns_share_the_budget_and_aggregate_byte_identically() {
 
     // Both aggregates byte-identical to one-shot CLI runs of the same
     // specs against the same cache.
-    for (id, opts) in [
-        (
-            &long_id,
-            SimOptions {
-                warmup_instructions: 5_000,
-                sim_instructions: 40_000,
-                ..SimOptions::default()
-            },
-        ),
-        (&short_id, tiny_opts()),
-    ] {
+    for (id, campaign) in [(&long_id, &long), (&short_id, &short)] {
         let (status, daemon_result) = http(&addr, "GET", &format!("/campaigns/{id}/result"), None);
         assert_eq!(status, 200);
-        let campaign = registry::builtin("quick", opts).expect("builtin exists");
         let one_shot = run_campaign(
-            &campaign,
+            campaign,
             &RunOptions {
                 jobs: 2,
                 cache_dir: Some(store.clone()),
@@ -798,4 +812,90 @@ fn trace_dir_campaign_matches_cli_and_validates_workloads() {
         one_shot.aggregated_json(),
         "daemon and CLI aggregate byte-identically for trace-dir campaigns"
     );
+}
+
+/// A typed executor failure means the same thing through every front
+/// end. One good and one truncated `.btrc` in a trace dir, the same
+/// two-cell campaign through the one-shot path, the daemon with
+/// process workers, and the daemon `--in-process`, each on its own
+/// store: the corrupt cell fails once (`attempts == 1`, no retry, no
+/// backoff) everywhere, and the three aggregates agree byte for byte.
+#[test]
+fn corrupt_trace_fails_once_and_aggregates_identically_through_every_front_end() {
+    let root = fresh_dir("corrupt");
+    let traces = root.join("traces");
+    std::fs::create_dir_all(&traces).expect("mkdir traces");
+    let source = berti_traces::workload_by_name("lbm-like")
+        .expect("builtin exists")
+        .instrs()
+        .expect("generates");
+    berti_traces::ingest::write_btrc(&traces.join("good.btrc"), &source[..2_000]).expect("writes");
+    // A header that claims more records than the body holds: a typed
+    // `Truncated` error when the cell opens the trace.
+    let good = std::fs::read(traces.join("good.btrc")).expect("reads");
+    std::fs::write(traces.join("bad.btrc"), &good[..good.len() - 13]).expect("writes");
+
+    let campaign = Campaign::grid("corrupt-cell")
+        .workload("good")
+        .workload("bad")
+        .l1(PrefetcherChoice::Berti)
+        .opts(tiny_opts())
+        .build();
+    let one_shot = run_campaign(
+        &campaign,
+        &RunOptions {
+            jobs: 2,
+            cache_dir: Some(root.join("store-cli")),
+            trace_dir: Some(traces.clone()),
+            ..RunOptions::default()
+        },
+    )
+    .aggregated_json();
+    let cells = serde::json::parse(&one_shot).expect("aggregate parses");
+    let cells = cells
+        .get("cells")
+        .and_then(|c| c.as_array())
+        .expect("cells");
+    let bad: Vec<_> = cells.iter().filter(|c| c.get("error").is_some()).collect();
+    assert_eq!(bad.len(), 1, "exactly the corrupt cell failed: {one_shot}");
+    assert_eq!(bad[0].get("attempts").and_then(|v| v.as_u64()), Some(1));
+
+    for (store, mode) in [("store-proc", None), ("store-thread", Some("--in-process"))] {
+        let mut args = vec!["--trace-dir", traces.to_str().expect("utf-8")];
+        args.extend(mode);
+        let daemon = DaemonProc::start(&root.join(store), &[], &args);
+        let addr = daemon.addr.clone();
+        let id = submit(&addr, &campaign);
+        let summary = wait_for(&addr, &id, "campaign done", |s| status_of(s) == "done");
+        assert_eq!(summary.get("completed").and_then(|v| v.as_u64()), Some(1));
+        assert_eq!(summary.get("failed").and_then(|v| v.as_u64()), Some(1));
+
+        let (status, result) = http(&addr, "GET", &format!("/campaigns/{id}/result"), None);
+        assert_eq!(status, 200);
+        assert_eq!(
+            result, one_shot,
+            "{mode:?}: daemon and one-shot aggregates agree byte for byte"
+        );
+
+        let stream = sse_collect(&addr, &format!("/campaigns/{id}/events?offset=0"), None);
+        let failures: Vec<serde::Value> = stream
+            .frames
+            .iter()
+            .map(|(_, line)| serde::json::parse(line).expect("parses"))
+            .filter(|v| v.get("event").and_then(|e| e.as_str()) == Some("job_failed"))
+            .collect();
+        assert_eq!(failures.len(), 1, "{mode:?}: one failed attempt, not two");
+        assert_eq!(failures[0].get("attempt").and_then(|v| v.as_u64()), Some(1));
+        assert_eq!(
+            failures[0].get("will_retry").and_then(|v| v.as_bool()),
+            Some(false)
+        );
+        let sched = get_json(&addr, "/metrics");
+        let sched = sched.get("scheduler").expect("scheduler group");
+        assert_eq!(sched.get("cell_retries").and_then(|v| v.as_u64()), Some(0));
+        assert_eq!(
+            sched.get("backoff_sleeps").and_then(|v| v.as_u64()),
+            Some(0)
+        );
+    }
 }

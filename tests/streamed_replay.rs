@@ -30,7 +30,9 @@ fn assert_replay_paths_agree(name: &str, l1: PrefetcherChoice) {
 
     let dir = std::env::temp_dir().join(format!("berti-streamed-replay-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join(format!("{name}.btrc"));
+    // One file per call: the tests of this binary run in parallel
+    // and each removes its file when done.
+    let path = dir.join(format!("{name}-{}.btrc", l1.name()));
     write_btrc(&path, slice).expect("writes");
 
     let cfg = SystemConfig::default();
