@@ -4,6 +4,7 @@
 use berti_bench::*;
 use berti_sim::PrefetcherChoice;
 use berti_traces::{memory_intensive_suite, Suite};
+use berti_types::SystemConfig;
 
 fn main() {
     header(
@@ -15,7 +16,8 @@ fn main() {
     // One campaign for the whole figure: baseline + contenders.
     let mut configs = vec![(PrefetcherChoice::IpStride, None)];
     configs.extend(l1d_contenders().into_iter().map(|p| (p, None)));
-    let mut grid = run_grid("fig08", &configs, &workloads, &opts);
+    let system = SystemConfig::default();
+    let mut grid = run_grid("fig08", &system, &configs, &workloads, &opts);
     let baseline = grid.remove(0).runs;
     println!(
         "{:<12} {:>10} {:>10} {:>10}",

@@ -3,6 +3,7 @@
 
 use berti_bench::*;
 use berti_traces::{memory_intensive_suite, Suite};
+use berti_types::SystemConfig;
 
 fn main() {
     header(
@@ -12,7 +13,8 @@ fn main() {
     let opts = experiment_options();
     let workloads = memory_intensive_suite();
     let configs: Vec<_> = l1d_contenders().into_iter().map(|p| (p, None)).collect();
-    let grid = run_grid("fig10", &configs, &workloads, &opts);
+    let system = SystemConfig::default();
+    let grid = run_grid("fig10", &system, &configs, &workloads, &opts);
     println!(
         "{:<12} {:>12} {:>12} {:>12} {:>12}",
         "prefetcher", "acc(SPEC)", "acc(GAP)", "acc(all)", "late frac"

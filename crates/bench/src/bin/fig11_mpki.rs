@@ -3,6 +3,7 @@
 use berti_bench::*;
 use berti_sim::PrefetcherChoice;
 use berti_traces::{memory_intensive_suite, Suite};
+use berti_types::SystemConfig;
 
 fn main() {
     header(
@@ -17,7 +18,8 @@ fn main() {
     );
     let mut configs = vec![(PrefetcherChoice::IpStride, None)];
     configs.extend(l1d_contenders().into_iter().map(|p| (p, None)));
-    let grid = run_grid("fig11", &configs, &workloads, &opts);
+    let system = SystemConfig::default();
+    let grid = run_grid("fig11", &system, &configs, &workloads, &opts);
     for cfg in &grid {
         let spec = Some(Suite::Spec);
         let gap = Some(Suite::Gap);

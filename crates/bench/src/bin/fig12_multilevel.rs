@@ -3,6 +3,7 @@
 use berti_bench::*;
 use berti_sim::PrefetcherChoice;
 use berti_traces::{memory_intensive_suite, Suite};
+use berti_types::SystemConfig;
 
 fn main() {
     header(
@@ -17,7 +18,8 @@ fn main() {
         (PrefetcherChoice::Berti, None),
     ];
     configs.extend(multilevel_contenders());
-    let mut grid = run_grid("fig12", &configs, &workloads, &opts);
+    let system = SystemConfig::default();
+    let mut grid = run_grid("fig12", &system, &configs, &workloads, &opts);
     let baseline = grid.remove(0).runs;
     println!(
         "{:<16} {:>10} {:>10} {:>10}",

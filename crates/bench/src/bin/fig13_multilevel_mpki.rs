@@ -3,6 +3,7 @@
 use berti_bench::*;
 use berti_sim::PrefetcherChoice;
 use berti_traces::{memory_intensive_suite, Suite};
+use berti_types::SystemConfig;
 
 fn main() {
     header(
@@ -21,7 +22,8 @@ fn main() {
         (PrefetcherChoice::Berti, None),
     ];
     configs.extend(multilevel_contenders());
-    let grid = run_grid("fig13", &configs, &workloads, &opts);
+    let system = SystemConfig::default();
+    let grid = run_grid("fig13", &system, &configs, &workloads, &opts);
     for cfg in &grid {
         let spec = Some(Suite::Spec);
         let gap = Some(Suite::Gap);

@@ -2,7 +2,7 @@
 //! (DDR5-6400 / DDR4-3200 / DDR3-1600).
 
 use berti_bench::*;
-use berti_sim::{simulate_suite, PrefetcherChoice};
+use berti_sim::PrefetcherChoice;
 use berti_traces::memory_intensive_suite;
 use berti_types::{SystemConfig, DDR3_1600, DDR4_3200, DDR5_6400};
 
@@ -17,27 +17,25 @@ fn main() {
         "{:<12} {:>10} {:>10} {:>10}",
         "prefetcher", "6400", "3200", "1600"
     );
-    // One baseline per bandwidth, shared by every contender.
-    let bands = [DDR5_6400, DDR4_3200, DDR3_1600];
-    let baselines: Vec<_> = bands
-        .iter()
-        .map(|&dram| {
-            let cfg = SystemConfig {
+    // One campaign per bandwidth: the IP-stride baseline, then every
+    // contender.
+    let mut configs = vec![(PrefetcherChoice::IpStride, None)];
+    configs.extend(l1d_contenders().into_iter().map(|p| (p, None)));
+    let bands: Vec<_> = [DDR5_6400, DDR4_3200, DDR3_1600]
+        .into_iter()
+        .map(|dram| {
+            let system = SystemConfig {
                 dram,
                 ..SystemConfig::default()
             };
-            simulate_suite(&cfg, PrefetcherChoice::IpStride, None, &workloads, &opts)
+            run_grid("fig16", &system, &configs, &workloads, &opts)
         })
         .collect();
-    for l1 in l1d_contenders() {
-        print!("{:<12}", l1.name());
-        for (dram, base) in bands.iter().zip(&baselines) {
-            let cfg = SystemConfig {
-                dram: *dram,
-                ..SystemConfig::default()
-            };
-            let runs = simulate_suite(&cfg, l1.clone(), None, &workloads, &opts);
-            print!(" {:>9.3}", geomean_speedup(&workloads, &runs, base, None));
+    for ci in 1..configs.len() {
+        print!("{:<12}", bands[0][ci].label);
+        for grid in &bands {
+            let speedup = geomean_speedup(&workloads, &grid[ci].runs, &grid[0].runs, None);
+            print!(" {speedup:>9.3}");
         }
         println!();
     }

@@ -2,7 +2,7 @@
 //! bandwidth.
 
 use berti_bench::*;
-use berti_sim::{simulate_suite, PrefetcherChoice};
+use berti_sim::PrefetcherChoice;
 use berti_traces::memory_intensive_suite;
 use berti_types::{SystemConfig, DDR3_1600, DDR4_3200, DDR5_6400};
 
@@ -17,32 +17,28 @@ fn main() {
         "{:<16} {:>10} {:>10} {:>10}",
         "config", "6400", "3200", "1600"
     );
-    let bands = [DDR5_6400, DDR4_3200, DDR3_1600];
-    let baselines: Vec<_> = bands
-        .iter()
-        .map(|&dram| {
-            let cfg = SystemConfig {
+    // One campaign per bandwidth: the IP-stride baseline, Berti alone,
+    // then the combinations.
+    let mut configs = vec![
+        (PrefetcherChoice::IpStride, None),
+        (PrefetcherChoice::Berti, None),
+    ];
+    configs.extend(multilevel_contenders());
+    let bands: Vec<_> = [DDR5_6400, DDR4_3200, DDR3_1600]
+        .into_iter()
+        .map(|dram| {
+            let system = SystemConfig {
                 dram,
                 ..SystemConfig::default()
             };
-            simulate_suite(&cfg, PrefetcherChoice::IpStride, None, &workloads, &opts)
+            run_grid("fig17", &system, &configs, &workloads, &opts)
         })
         .collect();
-    let mut combos = vec![(PrefetcherChoice::Berti, None)];
-    combos.extend(multilevel_contenders());
-    for (l1, l2) in combos {
-        let label = match l2 {
-            Some(c) => format!("{}+{}", l1.name(), c.name()),
-            None => l1.name().to_string(),
-        };
-        print!("{:<16}", label);
-        for (dram, base) in bands.iter().zip(&baselines) {
-            let cfg = SystemConfig {
-                dram: *dram,
-                ..SystemConfig::default()
-            };
-            let runs = simulate_suite(&cfg, l1.clone(), l2, &workloads, &opts);
-            print!(" {:>9.3}", geomean_speedup(&workloads, &runs, base, None));
+    for ci in 1..configs.len() {
+        print!("{:<16}", bands[0][ci].label);
+        for grid in &bands {
+            let speedup = geomean_speedup(&workloads, &grid[ci].runs, &grid[0].runs, None);
+            print!(" {speedup:>9.3}");
         }
         println!();
     }

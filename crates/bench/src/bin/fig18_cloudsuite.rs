@@ -3,6 +3,7 @@
 use berti_bench::*;
 use berti_sim::PrefetcherChoice;
 use berti_traces::cloud;
+use berti_types::SystemConfig;
 
 fn main() {
     header(
@@ -13,7 +14,8 @@ fn main() {
     let workloads = cloud::suite();
     let mut grid_configs = vec![(PrefetcherChoice::IpStride, None)];
     grid_configs.extend(l1d_contenders().into_iter().map(|p| (p, None)));
-    let mut grid = run_grid("fig18", &grid_configs, &workloads, &opts);
+    let system = SystemConfig::default();
+    let mut grid = run_grid("fig18", &system, &grid_configs, &workloads, &opts);
     let baseline = grid.remove(0).runs;
     let configs = grid;
     print!("{:<22}", "service");

@@ -6,12 +6,16 @@
 //! CloudSuite. Run lengths default to a laptop-scale budget and can be
 //! raised via `BERTI_WARMUP` and `BERTI_INSTR` (instructions).
 //!
-//! All simulations route through the `berti-harness` campaign engine,
-//! so figure binaries run their cells on a worker pool (`BERTI_JOBS`,
-//! default: available parallelism) and share one content-addressed
-//! result cache (`BERTI_CACHE_DIR`, default `results/cache`;
-//! `BERTI_NO_CACHE=1` disables it). Re-running a figure — or another
-//! figure that shares cells — is answered from cache.
+//! Every single-core simulation routes through the `berti-harness`
+//! campaign engine: a figure declares its cells with [`run_grid`]
+//! (configurations × workloads on one simulated system — Fig. 16/17
+//! declare one grid per DRAM bandwidth), so they run on a worker pool
+//! (`BERTI_JOBS`, default: available parallelism) and share one
+//! content-addressed result cache (`BERTI_CACHE_DIR`, default
+//! `results/cache`; `BERTI_NO_CACHE=1` disables it). Re-running a
+//! figure — or another figure that shares cells — is answered from
+//! cache. The one exception is Fig. 20: a campaign cell names one
+//! workload, so its 4-core mixes call `simulate_multicore` directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,6 +25,7 @@ use std::io::IsTerminal;
 use berti_harness::{Campaign, JobOutcome, RunOptions};
 use berti_sim::{L2PrefetcherChoice, PrefetcherChoice, Report, SimOptions};
 use berti_traces::{Suite, WorkloadDef};
+use berti_types::SystemConfig;
 
 /// Simulation options from the environment (`BERTI_WARMUP`,
 /// `BERTI_INSTR`), with defaults sized for minutes-scale full runs.
@@ -83,8 +88,9 @@ pub struct SuiteRuns {
 }
 
 /// Declares and executes a grid campaign: every configuration ×
-/// every workload, on the shared worker pool and result cache.
-/// Returns one [`SuiteRuns`] per configuration, in order.
+/// every workload on the simulated `system`, on the shared worker pool
+/// and result cache. Returns one [`SuiteRuns`] per configuration, in
+/// order.
 ///
 /// # Panics
 ///
@@ -92,6 +98,7 @@ pub struct SuiteRuns {
 /// need every report to print their tables).
 pub fn run_grid(
     name: &str,
+    system: &SystemConfig,
     configs: &[(PrefetcherChoice, Option<L2PrefetcherChoice>)],
     workloads: &[WorkloadDef],
     opts: &SimOptions,
@@ -100,6 +107,7 @@ pub fn run_grid(
         .workloads(workloads)
         .configs(configs.iter().cloned())
         .opts(*opts)
+        .system(*system)
         .build();
     let result = berti_harness::run_campaign(&campaign, &harness_options());
     // The builder lays cells out configuration-major, so job index
@@ -134,6 +142,7 @@ pub fn run_grid(
 pub fn run_baseline(workloads: &[WorkloadDef], opts: &SimOptions) -> Vec<Report> {
     run_grid(
         "baseline",
+        &SystemConfig::default(),
         &[(PrefetcherChoice::IpStride, None)],
         workloads,
         opts,
@@ -149,7 +158,14 @@ pub fn run_config(
     workloads: &[WorkloadDef],
     opts: &SimOptions,
 ) -> SuiteRuns {
-    run_grid("config", &[(l1, l2)], workloads, opts).remove(0)
+    run_grid(
+        "config",
+        &SystemConfig::default(),
+        &[(l1, l2)],
+        workloads,
+        opts,
+    )
+    .remove(0)
 }
 
 /// Geometric-mean speedup of `runs` over `baseline` restricted to one
@@ -225,6 +241,7 @@ mod tests {
         std::env::set_var("BERTI_NO_CACHE", "1");
         let grid = run_grid(
             "bench-test",
+            &SystemConfig::default(),
             &[
                 (PrefetcherChoice::IpStride, None),
                 (PrefetcherChoice::Berti, None),

@@ -15,7 +15,8 @@
 use berti_core::BertiConfig;
 use berti_harness::{run_campaign, Campaign, JobOutcome, RunOptions};
 use berti_sim::{
-    simulate_multicore, simulate_with_l2, L2PrefetcherChoice, PrefetcherChoice, Report, SimOptions,
+    simulate_multicore, simulate_with_engine, Engine, L2PrefetcherChoice, PrefetcherChoice, Report,
+    SimOptions,
 };
 use berti_traces::WorkloadDef;
 use berti_types::SystemConfig;
@@ -221,7 +222,8 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            let r = simulate_with_l2(&cfg, l1.clone(), l2, &mut trace, &opts);
+            let r =
+                simulate_with_engine(&cfg, l1.clone(), l2, &mut trace, &opts, Engine::default());
             print_report(&r);
         }
     }

@@ -185,7 +185,14 @@ mod tests {
         let mut t = berti_traces::workload_by_name(&spec.workload)
             .expect("workload exists")
             .trace();
-        berti_sim::simulate_with_l2(&spec.config, spec.l1.clone(), spec.l2, &mut t, &spec.opts)
+        berti_sim::simulate_with_engine(
+            &spec.config,
+            spec.l1.clone(),
+            spec.l2,
+            &mut t,
+            &spec.opts,
+            berti_sim::Engine::default(),
+        )
     }
 
     #[test]

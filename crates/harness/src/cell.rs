@@ -240,9 +240,9 @@ pub fn check_workload(registry: &TraceRegistry, name: &str) -> Result<(), String
 }
 
 /// Executes one cell with the real simulator: resolves the workload
-/// against `registry`, runs the simulation (instrumented when
-/// `interval` is set, forwarding each window as an
-/// [`Event::JobInterval`] through `emit`), and returns the report.
+/// against `registry`, runs the simulation (sampled when `interval` is
+/// set, forwarding each window as an [`Event::JobInterval`] through
+/// `emit`), and returns the report.
 ///
 /// This is the single execution path shared by every attempt — the
 /// in-process worker pool and `berti-serve`'s worker processes — so a
@@ -262,44 +262,35 @@ pub fn execute_spec_in(
     let mut trace = workload
         .try_trace()
         .map_err(|e| format!("workload `{}`: {e}", spec.workload))?;
-    Ok(match interval {
-        None => berti_sim::simulate_with_l2(
-            &spec.config,
-            spec.l1.clone(),
-            spec.l2,
-            &mut trace,
-            &spec.opts,
-        ),
-        Some(n) => {
-            let key = spec.key();
-            let label = spec.label();
-            let mut sink = |s: berti_sim::IntervalSample| {
-                emit(Event::JobInterval {
-                    key: key.clone(),
-                    workload: spec.workload.clone(),
-                    label: label.clone(),
-                    instructions: s.instructions,
-                    ipc: s.ipc,
-                    l1d_mpki: s.l1d_mpki,
-                    l2_mpki: s.l2_mpki,
-                    llc_mpki: s.llc_mpki,
-                    l1d_accuracy: s.l1d_accuracy,
-                });
-            };
-            berti_sim::simulate_instrumented(
-                &spec.config,
-                spec.l1.clone(),
-                spec.l2,
-                &mut trace,
-                &spec.opts,
-                berti_sim::Engine::default(),
-                Some(berti_sim::Sampling {
-                    interval: n,
-                    sink: &mut sink,
-                }),
-            )
-        }
-    })
+    // Computed at the first window: an unsampled cell never pays for
+    // hashing its own spec.
+    let mut ids = None;
+    let mut sink = |s: berti_sim::IntervalSample| {
+        let (key, label) = ids.get_or_insert_with(|| (spec.key(), spec.label()));
+        emit(Event::JobInterval {
+            key: key.clone(),
+            workload: spec.workload.clone(),
+            label: label.clone(),
+            instructions: s.instructions,
+            ipc: s.ipc,
+            l1d_mpki: s.l1d_mpki,
+            l2_mpki: s.l2_mpki,
+            llc_mpki: s.llc_mpki,
+            l1d_accuracy: s.l1d_accuracy,
+        });
+    };
+    Ok(berti_sim::simulate_instrumented(
+        &spec.config,
+        spec.l1.clone(),
+        spec.l2,
+        &mut trace,
+        &spec.opts,
+        berti_sim::Engine::default(),
+        interval.map(|n| berti_sim::Sampling {
+            interval: n,
+            sink: &mut sink,
+        }),
+    ))
 }
 
 /// One-shot variant of [`execute_spec_in`]: builds the registry for

@@ -9,7 +9,7 @@
 //! the core is stalled on an outstanding miss and no queued prefetch
 //! is due, performing the same counter bookkeeping in bulk. The two
 //! engines produce byte-identical reports (see
-//! `tests/engine_equivalence.rs`); the event-scheduled one is just
+//! `tests/driver_matrix.rs`); the event-scheduled one is just
 //! faster on stall-heavy workloads.
 
 /// The time-advancement strategy of the simulation loop.

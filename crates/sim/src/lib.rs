@@ -6,6 +6,13 @@
 //! reports IPC, MPKIs, prefetch accuracy/timeliness, traffic, and
 //! dynamic energy.
 //!
+//! There is one driver (`runner.rs`, DESIGN.md §6): a single-core run
+//! is a one-slot multi-core mix, and the five `simulate*` functions
+//! are each one call of it — [`simulate`] and [`simulate_multicore`]
+//! with the default [`Engine`], the `_with_engine` forms with an
+//! explicit one, and [`simulate_instrumented`] with the interval
+//! sampler attached to the measurement phase.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -41,7 +48,6 @@ pub use engine::Engine;
 pub use report::{geometric_mean, MultiCoreReport, Report, ReportMeta, SuiteSummary};
 pub use runner::{
     simulate, simulate_instrumented, simulate_multicore, simulate_multicore_with_engine,
-    simulate_suite, simulate_with_engine, simulate_with_l2, simulate_with_phase_probes, PhaseProbe,
-    SimOptions,
+    simulate_with_engine, SimOptions,
 };
 pub use sampler::{IntervalSample, Sampling};

@@ -1,4 +1,5 @@
-//! The simulation loops: warm-up + measurement, single- and multi-core.
+//! The simulation driver: one warm-up + measurement procedure, with
+//! single-core as a one-slot mix.
 
 use berti_cpu::{Core, DataPort, MemOpKind, PortResponse};
 use berti_mem::{DemandAccess, DemandOutcome, Hierarchy, SharedMemory};
@@ -91,9 +92,11 @@ struct CoreSlot {
     core: Core,
     hier: Hierarchy,
     trace: Trace,
+    /// The run-identifying half of this slot's reports.
+    meta: ReportMeta,
     retired: u64,
-    /// Snapshot taken when this core crossed the instruction budget
-    /// (multi-core replay keeps it running afterwards).
+    /// Report as of the cycle this core crossed the instruction budget
+    /// (in a mix it keeps replaying afterwards).
     snapshot: Option<Report>,
     /// Partial-quiescence bound: strictly before this cycle the slot is
     /// provably inert (core quiescent, no private-hierarchy event due),
@@ -116,10 +119,19 @@ impl CoreSlot {
         l2: Option<L2PrefetcherChoice>,
         trace: Trace,
     ) -> Self {
+        let hier = Hierarchy::new(cfg, l1.build(), l2.map(|c| c.build()));
+        let meta = ReportMeta {
+            workload: trace.name().to_string(),
+            l1_prefetcher: l1.name().to_string(),
+            l2_prefetcher: l2.map(|c| c.name().to_string()),
+            prefetcher_storage_bits: hier.l1_prefetcher().storage_bits()
+                + hier.l2_prefetcher().map_or(0, |p| p.storage_bits()),
+        };
         Self {
             core: Core::new(cfg.core),
-            hier: Hierarchy::new(cfg, l1.build(), l2.map(|c| c.build())),
+            hier,
             trace,
+            meta,
             retired: 0,
             snapshot: None,
             idle_until: Cycle::new(0),
@@ -200,23 +212,8 @@ impl CoreSlot {
 
     /// Builds a report from the current counters, generically through
     /// the stats registry.
-    fn report(
-        &self,
-        shared: &SharedMemory,
-        l1: &PrefetcherChoice,
-        l2: Option<L2PrefetcherChoice>,
-    ) -> Report {
-        let storage = self.hier.l1_prefetcher().storage_bits()
-            + self.hier.l2_prefetcher().map_or(0, |p| p.storage_bits());
-        Report::from_registry(
-            ReportMeta {
-                workload: self.trace.name().to_string(),
-                l1_prefetcher: l1.name().to_string(),
-                l2_prefetcher: l2.map(|c| c.name().to_string()),
-                prefetcher_storage_bits: storage,
-            },
-            &self.registry(shared),
-        )
+    fn report(&self, shared: &SharedMemory) -> Report {
+        Report::from_registry(self.meta.clone(), &self.registry(shared))
     }
 }
 
@@ -278,7 +275,7 @@ fn drive_phase(
     engine: Engine,
     instructions: u64,
     max_cpi: u64,
-    mut on_slot_cycled: impl FnMut(usize, &mut CoreSlot, &SharedMemory),
+    mut on_slot_cycled: impl FnMut(&mut CoreSlot, &SharedMemory),
 ) {
     if slots.is_empty() {
         return;
@@ -338,13 +335,83 @@ fn drive_phase(
                 continue;
             }
         }
-        for (i, s) in slots.iter_mut().enumerate() {
+        for s in slots.iter_mut() {
             if !(partial_quiescence && s.try_idle_cycle(now)) {
                 s.cycle(shared);
             }
-            on_slot_cycled(i, s, shared);
+            on_slot_cycled(s, shared);
         }
     }
+}
+
+/// The one measurement procedure (Sec. IV-A, and Sec. IV-I for mixes):
+/// one [`CoreSlot`] per trace over one [`SharedMemory`], warm up, reset
+/// every counter, measure, and report each slot as of the cycle it
+/// crossed the instruction budget. Slots that finish early keep
+/// replaying — and keep contending for the LLC and DRAM — until every
+/// slot has finished.
+///
+/// A single-core run is a one-slot mix: the lone slot crosses the
+/// budget on the very cycle the measurement loop exits on, so its
+/// budget snapshot *is* the end-of-phase report.
+///
+/// `sampling` attaches the interval sampler to the measurement phase
+/// (warm-up is never sampled). It only reads counters, so reports are
+/// identical with and without it. It follows a lone slot: no entry
+/// point samples a mix.
+fn run(
+    cfg: &SystemConfig,
+    l1: &PrefetcherChoice,
+    l2: Option<L2PrefetcherChoice>,
+    traces: Vec<Trace>,
+    opts: &SimOptions,
+    engine: Engine,
+    sampling: Option<Sampling<'_>>,
+) -> Vec<Report> {
+    debug_assert!(
+        sampling.is_none() || traces.len() == 1,
+        "the interval sampler follows a lone slot"
+    );
+    let mut shared = SharedMemory::new(cfg, traces.len());
+    let mut slots: Vec<CoreSlot> = traces
+        .into_iter()
+        .map(|t| CoreSlot::new(cfg, l1, l2, t))
+        .collect();
+    drive_phase(
+        &mut slots,
+        &mut shared,
+        engine,
+        opts.warmup_instructions,
+        opts.max_cpi,
+        |_, _| {},
+    );
+    for s in slots.iter_mut() {
+        s.reset_stats();
+    }
+    shared.reset_stats();
+    let budget = opts.sim_instructions;
+    let mut sampler = sampling.map(IntervalSampler::new);
+    drive_phase(
+        &mut slots,
+        &mut shared,
+        engine,
+        budget,
+        opts.max_cpi,
+        |slot, shared| {
+            if let Some(sampler) = &mut sampler {
+                sampler.observe(slot.retired, || slot.registry(shared));
+            }
+            if slot.retired >= budget && slot.snapshot.is_none() {
+                slot.snapshot = Some(slot.report(shared));
+            }
+        },
+    );
+    // A slot the cycle ceiling stopped short of the budget reports
+    // what it reached.
+    slots
+        .iter_mut()
+        .map(|s| s.snapshot.take().unwrap_or_else(|| s.report(&shared)))
+        .collect()
 }
 
 /// Runs one workload on a single core with an L1D prefetcher only.
@@ -354,22 +421,14 @@ pub fn simulate(
     trace: &mut Trace,
     opts: &SimOptions,
 ) -> Report {
-    simulate_with_l2(cfg, l1, None, trace, opts)
+    let traces = vec![trace.restarted()];
+    run(cfg, &l1, None, traces, opts, Engine::default(), None)
+        .pop()
+        .expect("one slot, one report")
 }
 
-/// Runs one workload on a single core with L1D and optional L2
-/// prefetchers.
-pub fn simulate_with_l2(
-    cfg: &SystemConfig,
-    l1: PrefetcherChoice,
-    l2: Option<L2PrefetcherChoice>,
-    trace: &mut Trace,
-    opts: &SimOptions,
-) -> Report {
-    simulate_with_engine(cfg, l1, l2, trace, opts, Engine::default())
-}
-
-/// Runs one workload single-core under an explicit [`Engine`].
+/// Runs one workload single-core with L1D and optional L2 prefetchers
+/// under an explicit [`Engine`].
 pub fn simulate_with_engine(
     cfg: &SystemConfig,
     l1: PrefetcherChoice,
@@ -378,63 +437,10 @@ pub fn simulate_with_engine(
     opts: &SimOptions,
     engine: Engine,
 ) -> Report {
-    simulate_instrumented(cfg, l1, l2, trace, opts, engine, None)
-}
-
-/// Measurement-phase boundary reported to the probe of
-/// [`simulate_with_phase_probes`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PhaseProbe {
-    /// Warm-up finished and statistics were reset; the next cycle
-    /// starts the measured window.
-    MeasurementStart,
-    /// The measured window completed (before report assembly).
-    MeasurementEnd,
-}
-
-/// Runs one workload single-core with a probe bracketing the
-/// measurement phase: it fires with [`PhaseProbe::MeasurementStart`]
-/// after warm-up and the statistics reset, and with
-/// [`PhaseProbe::MeasurementEnd`] when the measurement phase completes
-/// but before the report is built. The probe only observes — the
-/// simulation is identical to [`simulate_with_engine`].
-///
-/// This is the seam for instrumentation that must bracket exactly the
-/// steady-state window, e.g. the counting-allocator audit proving the
-/// hot loop performs zero heap allocations per miss (report
-/// construction, which does allocate, stays outside the bracket).
-pub fn simulate_with_phase_probes(
-    cfg: &SystemConfig,
-    l1: PrefetcherChoice,
-    l2: Option<L2PrefetcherChoice>,
-    trace: &mut Trace,
-    opts: &SimOptions,
-    engine: Engine,
-    mut probe: impl FnMut(PhaseProbe),
-) -> Report {
-    let mut shared = SharedMemory::new(cfg, 1);
-    let mut slot = CoreSlot::new(cfg, &l1, l2, trace.restarted());
-    drive_phase(
-        std::slice::from_mut(&mut slot),
-        &mut shared,
-        engine,
-        opts.warmup_instructions,
-        opts.max_cpi,
-        |_, _, _| {},
-    );
-    slot.reset_stats();
-    shared.reset_stats();
-    probe(PhaseProbe::MeasurementStart);
-    drive_phase(
-        std::slice::from_mut(&mut slot),
-        &mut shared,
-        engine,
-        opts.sim_instructions,
-        opts.max_cpi,
-        |_, _, _| {},
-    );
-    probe(PhaseProbe::MeasurementEnd);
-    slot.report(&shared, &l1, l2)
+    let traces = vec![trace.restarted()];
+    run(cfg, &l1, l2, traces, opts, engine, None)
+        .pop()
+        .expect("one slot, one report")
 }
 
 /// Runs one workload single-core, optionally sampling an
@@ -451,40 +457,10 @@ pub fn simulate_instrumented(
     engine: Engine,
     sampling: Option<Sampling<'_>>,
 ) -> Report {
-    let mut shared = SharedMemory::new(cfg, 1);
-    let mut slot = CoreSlot::new(cfg, &l1, l2, trace.restarted());
-    drive_phase(
-        std::slice::from_mut(&mut slot),
-        &mut shared,
-        engine,
-        opts.warmup_instructions,
-        opts.max_cpi,
-        |_, _, _| {},
-    );
-    slot.reset_stats();
-    shared.reset_stats();
-    match sampling {
-        None => drive_phase(
-            std::slice::from_mut(&mut slot),
-            &mut shared,
-            engine,
-            opts.sim_instructions,
-            opts.max_cpi,
-            |_, _, _| {},
-        ),
-        Some(s) => {
-            let mut sampler = IntervalSampler::new(s);
-            drive_phase(
-                std::slice::from_mut(&mut slot),
-                &mut shared,
-                engine,
-                opts.sim_instructions,
-                opts.max_cpi,
-                |_, slot, shared| sampler.observe(slot.retired, || slot.registry(shared)),
-            );
-        }
-    }
-    slot.report(&shared, &l1, l2)
+    let traces = vec![trace.restarted()];
+    run(cfg, &l1, l2, traces, opts, engine, sampling)
+        .pop()
+        .expect("one slot, one report")
 }
 
 /// Runs a heterogeneous mix on `mix.len()` cores sharing the LLC and
@@ -497,7 +473,9 @@ pub fn simulate_multicore(
     mix: &[WorkloadDef],
     opts: &SimOptions,
 ) -> MultiCoreReport {
-    simulate_multicore_with_engine(cfg, l1, l2, mix, opts, Engine::default())
+    let traces = mix.iter().map(WorkloadDef::trace).collect();
+    let cores = run(cfg, &l1, l2, traces, opts, Engine::default(), None);
+    MultiCoreReport { cores }
 }
 
 /// [`simulate_multicore`] under an explicit [`Engine`]. Skip-ahead
@@ -511,91 +489,9 @@ pub fn simulate_multicore_with_engine(
     opts: &SimOptions,
     engine: Engine,
 ) -> MultiCoreReport {
-    let cores = mix.len();
-    let mut shared = SharedMemory::new(cfg, cores);
-    let mut slots: Vec<CoreSlot> = mix
-        .iter()
-        .map(|w| CoreSlot::new(cfg, &l1, l2, w.trace()))
-        .collect();
-    drive_phase(
-        &mut slots,
-        &mut shared,
-        engine,
-        opts.warmup_instructions,
-        opts.max_cpi,
-        |_, _, _| {},
-    );
-    for s in slots.iter_mut() {
-        s.reset_stats();
-    }
-    shared.reset_stats();
-    // Measurement with replay-until-all-finish.
-    let budget = opts.sim_instructions;
-    drive_phase(
-        &mut slots,
-        &mut shared,
-        engine,
-        budget,
-        opts.max_cpi,
-        |_, slot, shared| {
-            if slot.snapshot.is_none() && slot.retired >= budget {
-                slot.snapshot = Some(slot.report(shared, &l1, l2));
-            }
-        },
-    );
-    let cores = slots
-        .into_iter()
-        .map(|mut s| {
-            s.snapshot
-                .take()
-                .unwrap_or_else(|| s.report(&shared, &l1, l2))
-        })
-        .collect();
+    let traces = mix.iter().map(WorkloadDef::trace).collect();
+    let cores = run(cfg, &l1, l2, traces, opts, engine, None);
     MultiCoreReport { cores }
-}
-
-/// Runs every workload in `suite` under the given prefetcher
-/// configuration, in parallel across OS threads.
-pub fn simulate_suite(
-    cfg: &SystemConfig,
-    l1: PrefetcherChoice,
-    l2: Option<L2PrefetcherChoice>,
-    suite: &[WorkloadDef],
-    opts: &SimOptions,
-) -> Vec<Report> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(suite.len().max(1));
-    // One result cell per workload: a worker locks only the cell it
-    // just finished, never the whole result set.
-    let cells: Vec<std::sync::Mutex<Option<Report>>> =
-        suite.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let l1 = l1.clone();
-            let next = &next;
-            let cells = &cells;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= suite.len() {
-                    break;
-                }
-                let mut trace = suite[i].trace();
-                let r = simulate_with_l2(cfg, l1.clone(), l2, &mut trace, opts);
-                *cells[i].lock().expect("no poisoned runs") = Some(r);
-            });
-        }
-    });
-    cells
-        .into_iter()
-        .map(|c| {
-            c.into_inner()
-                .expect("no poisoned runs")
-                .expect("every workload simulated")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -678,112 +574,5 @@ mod tests {
             berti.ipc(),
             stride.ipc()
         );
-    }
-
-    #[test]
-    fn multicore_reports_every_core() {
-        let cfg = SystemConfig::default();
-        let opts = SimOptions {
-            warmup_instructions: 5_000,
-            sim_instructions: 30_000,
-            ..SimOptions::default()
-        };
-        let mix: Vec<_> = spec::suite().into_iter().take(2).collect();
-        let r = simulate_multicore(&cfg, PrefetcherChoice::IpStride, None, &mix, &opts);
-        assert_eq!(r.cores.len(), 2);
-        for c in &r.cores {
-            assert!(c.instructions >= 30_000);
-        }
-    }
-
-    #[test]
-    fn multicore_engines_agree_byte_for_byte() {
-        let cfg = SystemConfig::default();
-        let opts = SimOptions {
-            warmup_instructions: 5_000,
-            sim_instructions: 30_000,
-            ..SimOptions::default()
-        };
-        let mix: Vec<_> = spec::suite().into_iter().take(2).collect();
-        let naive = simulate_multicore_with_engine(
-            &cfg,
-            PrefetcherChoice::Berti,
-            None,
-            &mix,
-            &opts,
-            Engine::Naive,
-        );
-        let skip = simulate_multicore_with_engine(
-            &cfg,
-            PrefetcherChoice::Berti,
-            None,
-            &mix,
-            &opts,
-            Engine::SkipAhead,
-        );
-        for (n, s) in naive.cores.iter().zip(&skip.cores) {
-            assert_eq!(
-                serde::json::to_string(n),
-                serde::json::to_string(s),
-                "multi-core skip-ahead diverged on {}",
-                n.workload
-            );
-        }
-    }
-
-    #[test]
-    fn sampling_leaves_the_report_unchanged() {
-        let cfg = SystemConfig::default();
-        let opts = SimOptions {
-            warmup_instructions: 5_000,
-            sim_instructions: 40_000,
-            ..SimOptions::default()
-        };
-        let w = &spec::suite()[0];
-        let plain = simulate(&cfg, PrefetcherChoice::Berti, &mut w.trace(), &opts);
-        let mut samples = Vec::new();
-        let mut sink = |s: crate::sampler::IntervalSample| samples.push(s);
-        let sampled = simulate_instrumented(
-            &cfg,
-            PrefetcherChoice::Berti,
-            None,
-            &mut w.trace(),
-            &opts,
-            Engine::default(),
-            Some(Sampling {
-                interval: 10_000,
-                sink: &mut sink,
-            }),
-        );
-        assert_eq!(
-            serde::json::to_string(&plain),
-            serde::json::to_string(&sampled),
-            "sampling must be observation-only"
-        );
-        assert!(samples.len() >= 3, "got {} samples", samples.len());
-        let last = samples.last().unwrap();
-        assert!(last.instructions <= sampled.instructions);
-        assert!(last.ipc > 0.0);
-        // Cumulative columns are monotone.
-        for pair in samples.windows(2) {
-            assert!(pair[1].instructions > pair[0].instructions);
-            assert!(pair[1].cycles >= pair[0].cycles);
-        }
-    }
-
-    #[test]
-    fn suite_runner_preserves_order() {
-        let cfg = SystemConfig::default();
-        let opts = SimOptions {
-            warmup_instructions: 2_000,
-            sim_instructions: 10_000,
-            ..SimOptions::default()
-        };
-        let suite: Vec<_> = spec::suite().into_iter().take(3).collect();
-        let rs = simulate_suite(&cfg, PrefetcherChoice::None, None, &suite, &opts);
-        assert_eq!(rs.len(), 3);
-        for (r, w) in rs.iter().zip(&suite) {
-            assert_eq!(r.workload, w.name);
-        }
     }
 }

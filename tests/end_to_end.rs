@@ -2,7 +2,9 @@
 //! the synthetic workloads at small scale, and the simulator's
 //! accounting is self-consistent.
 
-use berti::sim::{simulate, simulate_with_l2, L2PrefetcherChoice, PrefetcherChoice, SimOptions};
+use berti::sim::{
+    simulate, simulate_with_engine, Engine, L2PrefetcherChoice, PrefetcherChoice, SimOptions,
+};
 use berti::traces::spec;
 use berti::types::SystemConfig;
 
@@ -175,12 +177,13 @@ fn multilevel_combination_runs_and_helps_l2() {
         &mut workload("bwaves-like"),
         &opts(),
     );
-    let with_l2 = simulate_with_l2(
+    let with_l2 = simulate_with_engine(
         &cfg,
         PrefetcherChoice::Berti,
         Some(L2PrefetcherChoice::SppPpf),
         &mut workload("bwaves-like"),
         &opts(),
+        Engine::default(),
     );
     assert_eq!(with_l2.l2_prefetcher.as_deref(), Some("spp-ppf"));
     // The combination must not be catastrophically worse.

@@ -5,8 +5,13 @@
 //! scratch buffers exist so that once warm-up has sized every buffer
 //! (trace chunks, prefetcher scratch, first-touch page-table entries),
 //! the measurement phase never touches the allocator. This test proves
-//! it with a `#[global_allocator]` wrapper armed exactly around the
-//! measurement phase via `simulate_with_phase_probes`.
+//! it through the product's own entry point, with a
+//! `#[global_allocator]` wrapper counting over whole
+//! `simulate_with_engine` calls: set-up, warm-up and report assembly
+//! allocate the same number of times however long the measurement
+//! runs, so a run that measures two passes of the trace must allocate
+//! exactly as often as a run that measures one. Any allocation in the
+//! measured loop shows as a difference.
 //!
 //! The warm-up spans two full passes of the (cyclic) trace, so the
 //! measurement phase replays addresses whose pages are all allocated
@@ -19,7 +24,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use berti::sim::{simulate_with_phase_probes, Engine, PhaseProbe, PrefetcherChoice, SimOptions};
+use berti::sim::{simulate_with_engine, Engine, PrefetcherChoice, SimOptions};
 use berti::traces::Trace;
 use berti::types::{Instr, Ip, SystemConfig, VAddr};
 
@@ -82,32 +87,33 @@ fn dense_loop_trace() -> Trace {
     Trace::new("dense-loop", instrs)
 }
 
-fn measured_allocs(engine: Engine) -> u64 {
+/// Allocations of one whole run that warms up for two passes of the
+/// trace and measures `measured_passes` more.
+fn run_allocs(engine: Engine, measured_passes: u64) -> u64 {
     let mut trace = dense_loop_trace();
-    let passes = trace.len() as u64;
+    let pass = trace.len() as u64;
     let opts = SimOptions {
-        warmup_instructions: 2 * passes,
-        sim_instructions: passes,
+        warmup_instructions: 2 * pass,
+        sim_instructions: measured_passes * pass,
         ..SimOptions::default()
     };
-    let report = simulate_with_phase_probes(
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let report = simulate_with_engine(
         &SystemConfig::default(),
         PrefetcherChoice::Berti,
         None,
         &mut trace,
         &opts,
         engine,
-        |p| match p {
-            PhaseProbe::MeasurementStart => {
-                ALLOCS.store(0, Ordering::SeqCst);
-                ARMED.store(true, Ordering::SeqCst);
-            }
-            PhaseProbe::MeasurementEnd => ARMED.store(false, Ordering::SeqCst),
-        },
     );
+    ARMED.store(false, Ordering::SeqCst);
     // Sanity: the measured window did real work (misses and DRAM
-    // traffic), so a zero count means alloc-free work, not no work.
-    assert!(report.instructions >= passes, "ran the measured phase");
+    // traffic), so equal counts mean alloc-free work, not no work.
+    assert!(
+        report.instructions >= opts.sim_instructions,
+        "ran the measured phase"
+    );
     assert!(report.dram.reads > 0, "the loop must spill to DRAM");
     ALLOCS.load(Ordering::SeqCst)
 }
@@ -115,11 +121,13 @@ fn measured_allocs(engine: Engine) -> u64 {
 #[test]
 fn steady_state_simulation_never_allocates() {
     for engine in [Engine::Naive, Engine::SkipAhead] {
-        let n = measured_allocs(engine);
+        let one = run_allocs(engine, 1);
+        let two = run_allocs(engine, 2);
+        assert!(one > 0, "set-up and report assembly do allocate");
         assert_eq!(
-            n, 0,
-            "{engine:?}: measurement phase performed {n} heap allocations; \
-             the hot loop must not touch the allocator"
+            one, two,
+            "{engine:?}: measuring a second pass changed the allocation count \
+             ({one} -> {two}); the hot loop must not touch the allocator"
         );
     }
 }
