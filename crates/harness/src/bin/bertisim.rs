@@ -42,7 +42,7 @@ OPTIONS:
     -h, --help               this help
 
 Multi-workload runs honor BERTI_CACHE_DIR (default results/cache),
-BERTI_NO_CACHE=1, and BERTI_EVENTS like the figure binaries."
+BERTI_NO_CACHE=1, and BERTI_EVENTS like the figure runner."
     );
     std::process::exit(2);
 }
@@ -182,19 +182,14 @@ fn main() {
                 })
                 .collect(),
         };
-        let no_cache = no_cache || std::env::var("BERTI_NO_CACHE").is_ok_and(|v| v == "1");
-        let cache_dir = std::env::var("BERTI_CACHE_DIR")
-            .map(Into::into)
-            .unwrap_or_else(|_| std::path::PathBuf::from("results/cache"));
+        // Flags win over the environment; no progress line, the
+        // reports are the output.
+        let (_, env) = berti_harness::env_options();
         let run_opts = RunOptions {
             jobs,
-            cache_dir: (!no_cache).then_some(cache_dir),
-            events_path: std::env::var("BERTI_EVENTS").ok().map(Into::into),
+            cache_dir: env.cache_dir.filter(|_| !no_cache),
             progress: false,
-            interval: std::env::var("BERTI_INTERVAL")
-                .ok()
-                .and_then(|v| v.parse().ok()),
-            trace_dir: None,
+            ..env
         };
         let result = run_campaign(&campaign, &run_opts);
         let mut failed = false;

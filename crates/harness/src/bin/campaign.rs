@@ -129,20 +129,11 @@ fn parse_args() -> Args {
 }
 
 fn sim_options(args: &Args) -> SimOptions {
-    let env_num = |k: &str, default: u64| {
-        std::env::var(k)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
+    let (env, _) = berti_harness::env_options();
     SimOptions {
-        warmup_instructions: args
-            .warmup
-            .unwrap_or_else(|| env_num("BERTI_WARMUP", 100_000)),
-        sim_instructions: args
-            .instr
-            .unwrap_or_else(|| env_num("BERTI_INSTR", 400_000)),
-        ..SimOptions::default()
+        warmup_instructions: args.warmup.unwrap_or(env.warmup_instructions),
+        sim_instructions: args.instr.unwrap_or(env.sim_instructions),
+        ..env
     }
 }
 

@@ -38,8 +38,8 @@
 //!
 //! The `campaign` binary exposes the built-in grids
 //! ([`registry::builtin_campaigns`]) on the command line; the
-//! `berti-bench` figure binaries declare their grids through the same
-//! engine.
+//! `berti-bench` figure runner (`--bin fig -- <id>`) declares its grids
+//! through the same engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,5 +60,5 @@ pub use cell::{
     JobResult, MAX_ATTEMPTS,
 };
 pub use events::{Event, EventSink, EVENT_SCHEMA_VERSION};
-pub use pool::{run_campaign, run_campaign_with, CampaignResult, RunOptions};
+pub use pool::{env_options, run_campaign, run_campaign_with, CampaignResult, RunOptions};
 pub use store::ResultStore;

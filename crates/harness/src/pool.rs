@@ -3,12 +3,13 @@
 //! lifecycle ([`run_cell`]) with an in-process attempt: the executor
 //! under `catch_unwind`.
 
+use std::io::IsTerminal;
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use berti_sim::Report;
+use berti_sim::{Report, SimOptions};
 use berti_traces::TraceRegistry;
 use serde::Value;
 
@@ -66,6 +67,36 @@ impl RunOptions {
                 .unwrap_or(1)
         }
     }
+}
+
+/// Phase lengths and execution options as the environment sets them:
+/// `BERTI_WARMUP` / `BERTI_INSTR` (default 100 000 / 400 000
+/// instructions), `BERTI_JOBS` (default 0), `BERTI_CACHE_DIR` (default
+/// `results/cache`; `BERTI_NO_CACHE=1` disables the cache),
+/// `BERTI_EVENTS` and `BERTI_INTERVAL`; the progress line is on when
+/// stderr is a terminal. The one place these variables are read: the
+/// figure runner takes both halves, `campaign` and `bertisim` the half
+/// their flags do not already set.
+pub fn env_options() -> (SimOptions, RunOptions) {
+    fn var<T: std::str::FromStr>(key: &str) -> Option<T> {
+        std::env::var(key).ok().and_then(|v| v.parse().ok())
+    }
+    let sim = SimOptions {
+        warmup_instructions: var("BERTI_WARMUP").unwrap_or(100_000),
+        sim_instructions: var("BERTI_INSTR").unwrap_or(400_000),
+        ..SimOptions::default()
+    };
+    let no_cache = std::env::var("BERTI_NO_CACHE").is_ok_and(|v| v == "1");
+    let run = RunOptions {
+        jobs: var("BERTI_JOBS").unwrap_or(0),
+        cache_dir: (!no_cache)
+            .then(|| var("BERTI_CACHE_DIR").unwrap_or_else(|| PathBuf::from("results/cache"))),
+        events_path: var("BERTI_EVENTS"),
+        progress: std::io::stderr().is_terminal(),
+        interval: var("BERTI_INTERVAL"),
+        trace_dir: None,
+    };
+    (sim, run)
 }
 
 /// All results of one campaign run, in campaign (declaration) order.

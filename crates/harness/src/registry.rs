@@ -1,8 +1,8 @@
 //! Built-in campaigns: the paper's evaluation grids, by name.
 //!
 //! The contender lists here are the single source of truth — the
-//! `berti-bench` figure binaries and the `campaign` CLI both build
-//! their grids from them.
+//! `berti-bench` figure runner (`--bin fig -- <id>`) and the `campaign`
+//! CLI both build their grids from them.
 
 use berti_sim::{L2PrefetcherChoice, PrefetcherChoice, SimOptions};
 use berti_traces::TraceRegistry;

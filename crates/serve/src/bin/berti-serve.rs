@@ -16,6 +16,7 @@
 //! in-flight cells finish and publish to the result store, and the
 //! process exits 0.
 
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,16 +74,18 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    // The integration suite parses this exact line for the port.
-    println!("berti-serve listening on http://{addr}");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    // The integration suite parses this exact line for the port. A
+    // closed stdout must not stop the daemon (`println!` would panic),
+    // so both status lines ignore write errors.
+    let mut stdout = std::io::stdout();
+    let _ = writeln!(stdout, "berti-serve listening on http://{addr}");
+    let _ = stdout.flush();
 
     if let Err(e) = server.run(&SHUTDOWN) {
         eprintln!("berti-serve: serving: {e}");
         return ExitCode::from(1);
     }
-    println!("berti-serve: drained, shutting down");
+    let _ = writeln!(stdout, "berti-serve: drained, shutting down");
     ExitCode::SUCCESS
 }
 

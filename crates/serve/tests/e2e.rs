@@ -11,7 +11,8 @@
 //!   (replay-from-offset covers the late joiner),
 //! - a dying worker process fails exactly one cell, which succeeds on
 //!   retry,
-//! - SIGTERM drains in-flight cells into the store and exits 0.
+//! - SIGTERM drains in-flight cells into the store and exits 0, with
+//!   or without a reader on the daemon's stdout.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -38,7 +39,8 @@ fn tiny_opts() -> SimOptions {
 struct DaemonProc {
     child: Child,
     addr: String,
-    stdout: BufReader<ChildStdout>,
+    /// The read end of the daemon's stdout; `None` once a test closed it.
+    stdout: Option<BufReader<ChildStdout>>,
 }
 
 impl DaemonProc {
@@ -74,7 +76,7 @@ impl DaemonProc {
         DaemonProc {
             child,
             addr,
-            stdout,
+            stdout: Some(stdout),
         }
     }
 
@@ -399,10 +401,25 @@ fn worker_crash_fails_exactly_one_cell_which_succeeds_on_retry() {
 
 #[test]
 fn sigterm_drains_in_flight_cells_and_flushes_the_store() {
-    let store = fresh_dir("sigterm");
+    sigterm_drains("sigterm", false);
+}
+
+/// Nobody reads the daemon's stdout any more (a supervisor that went
+/// away): the drained line hits EPIPE, which must not turn the
+/// graceful exit into a panic (exit 101).
+#[test]
+fn sigterm_drains_with_stdout_closed() {
+    sigterm_drains("sigterm-closed-stdout", true);
+}
+
+fn sigterm_drains(tag: &str, close_stdout: bool) {
+    let store = fresh_dir(tag);
     let cache = store.join("cache");
     let mut daemon = DaemonProc::start(&cache, &[], &[]);
     let addr = daemon.addr.clone();
+    if close_stdout {
+        daemon.stdout = None;
+    }
 
     // Enough work per cell that SIGTERM lands mid-campaign.
     let (status, body) = http(
@@ -427,15 +444,14 @@ fn sigterm_drains_in_flight_cells_and_flushes_the_store() {
     let exit = daemon.child.wait().expect("daemon exits");
     assert!(exit.success(), "graceful shutdown exits 0 (got {exit:?})");
 
-    let mut rest = String::new();
-    daemon
-        .stdout
-        .read_to_string(&mut rest)
-        .expect("drained stdout");
-    assert!(
-        rest.contains("drained, shutting down"),
-        "daemon reported a drained shutdown, got {rest:?}"
-    );
+    if let Some(stdout) = &mut daemon.stdout {
+        let mut rest = String::new();
+        stdout.read_to_string(&mut rest).expect("drained stdout");
+        assert!(
+            rest.contains("drained, shutting down"),
+            "daemon reported a drained shutdown, got {rest:?}"
+        );
+    }
 
     let published = std::fs::read_dir(&cache)
         .expect("cache dir")

@@ -14,9 +14,8 @@
 //!   verifies once per process;
 //! - **other traces** (ChampSim, anything compressed) materialize into
 //!   a shared `Arc<[Instr]>` when the file is at most the materialize
-//!   threshold (64 MiB, tunable via `BERTI_TRACE_CACHE_BYTES`); larger
-//!   files are never pinned — each open streams them in bounded memory
-//!   instead;
+//!   threshold (64 MiB); larger files are never pinned — each open
+//!   streams them in bounded memory instead;
 //! - **builtin generators** are keyed by function pointer and generated
 //!   once per process.
 //!
@@ -38,19 +37,9 @@ use crate::ingest::{
 };
 use crate::stream::{InstrStream, MemStream};
 
-/// Default materialize threshold: files up to this many bytes are
-/// decoded once and pinned; larger ones stream.
-const DEFAULT_MATERIALIZE_BYTES: u64 = 64 << 20;
-
-fn materialize_threshold() -> u64 {
-    static T: OnceLock<u64> = OnceLock::new();
-    *T.get_or_init(|| {
-        std::env::var("BERTI_TRACE_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_MATERIALIZE_BYTES)
-    })
-}
+/// Materialize threshold: files up to this many bytes are decoded once
+/// and pinned; larger ones stream.
+const MATERIALIZE_BYTES: u64 = 64 << 20;
 
 /// What the cache holds for one file.
 enum Payload {
@@ -193,7 +182,7 @@ pub fn open_file(path: &Path) -> Result<Box<dyn InstrStream>, IngestError> {
     }
     let payload = if is_plain_btrc(path)? {
         Payload::Btrc(Arc::new(MmapBtrc::open(path)?))
-    } else if len <= materialize_threshold() {
+    } else if len <= MATERIALIZE_BYTES {
         Payload::Instrs(read_trace_file(path)?.into())
     } else {
         // Too big to pin decoded: stream it, and count the open as a
@@ -233,7 +222,7 @@ pub fn file_instrs(path: &Path) -> Result<Arc<[Instr]>, IngestError> {
     }
     let payload = if is_plain_btrc(path)? {
         Payload::Btrc(Arc::new(MmapBtrc::open(path)?))
-    } else if len <= materialize_threshold() {
+    } else if len <= MATERIALIZE_BYTES {
         Payload::Instrs(read_trace_file(path)?.into())
     } else {
         // Materializing an over-threshold trace is the caller's

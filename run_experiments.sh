@@ -1,15 +1,11 @@
 #!/bin/bash
-# Regenerates every table and figure of the paper (DESIGN.md section 4).
-# Output goes to results/<name>.txt. Raise BERTI_INSTR for longer runs.
+# Regenerates every table and figure of the paper (DESIGN.md section 4):
+# one `fig all`, logged to results/full_log.txt and split on its
+# `== <id> ==` lines into results/<id>.txt. Raise BERTI_INSTR for longer
+# runs.
 set -u
 cd "$(dirname "$0")"
-BINS="tab01_storage tab02_config tab03_prefetcher_configs fig01_accuracy_energy \
-fig03_local_vs_global fig07_speedup_storage fig08_l1d_speedup fig09_per_trace \
-fig10_accuracy fig11_mpki fig12_multilevel fig13_multilevel_mpki fig14_traffic \
-fig15_energy fig16_bandwidth_l1d fig17_bandwidth_multilevel fig18_cloudsuite \
-fig19_misb fig20_multicore fig21_watermarks fig22_table_sizes \
-sens_latency_bits sens_cross_page sens_local_context"
-for b in $BINS; do
-  echo "== $b =="
-  cargo run -q --release -p berti-bench --bin "$b" 2>/dev/null | tee "results/$b.txt"
-done
+mkdir -p results
+cargo run -q --release -p berti-bench --bin fig -- all 2>/dev/null | tee results/full_log.txt
+awk '/^== .* ==$/ { out = "results/" $2 ".txt"; printf "" > out; next } { print > out }' \
+  results/full_log.txt

@@ -11,7 +11,13 @@
 //!   so the two must not be able to tell each other apart), and a
 //!   2-core mix, compared engine against engine;
 //! - sampling {off, on} — the interval sampler only reads counters. It
-//!   follows a lone slot, so the sampled cells are single-core.
+//!   follows a lone slot, so the sampled cells are single-core;
+//! - replay path {materialized, streamed} — a slice of the workload
+//!   replayed from memory and through the mmap'd `.btrc` cursor, which
+//!   is pure replay plumbing (DESIGN.md, "Streaming trace replay"). The
+//!   slice is shorter than the run, so the cursor wraps several times;
+//!   these two cells are compared with each other, not with the cells
+//!   over the whole trace.
 //!
 //! `tests/soa_layout_golden.rs` pins a handful of these cells to
 //! checked-in fixtures; this file pins all of them to each other.
@@ -20,7 +26,8 @@ use berti::sim::{
     simulate_instrumented, simulate_multicore_with_engine, simulate_with_engine, Engine,
     IntervalSample, PrefetcherChoice, Sampling, SimOptions,
 };
-use berti::traces::WorkloadDef;
+use berti::traces::ingest::{open_streaming, write_btrc};
+use berti::traces::{Trace, WorkloadDef};
 use berti::types::SystemConfig;
 
 const WORKLOADS: [&str; 3] = ["mcf-1554-like", "lbm-like", "pr-kron"];
@@ -99,6 +106,39 @@ fn assert_single_core_cells_agree(name: &str, l1: &PrefetcherChoice) {
     }
 }
 
+/// The replay-path cells of one row: the first `SLICE` instructions of
+/// `name`, materialized against streamed from a `.btrc` file.
+fn assert_replay_paths_agree(name: &str, l1: &PrefetcherChoice) {
+    const SLICE: usize = 30_000;
+    let cfg = SystemConfig::default();
+    let opts = opts();
+    assert!(SLICE as u64 * 3 <= opts.warmup_instructions + opts.sim_instructions);
+    let instrs = workload(name).instrs().expect("generates");
+    let slice = &instrs[..SLICE.min(instrs.len())];
+
+    // One file per row: the tests of this binary run in parallel.
+    let dir = std::env::temp_dir().join(format!("berti-driver-matrix-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join(format!("{name}-{}.btrc", l1.name()));
+    write_btrc(&path, slice).expect("writes");
+
+    for engine in ENGINES {
+        let mut materialized = Trace::new(name.to_string(), slice.to_vec());
+        let mut streamed =
+            Trace::from_stream(name.to_string(), open_streaming(&path).expect("opens"))
+                .expect("primes");
+        let [mat, str_] = [&mut materialized, &mut streamed]
+            .map(|trace| simulate_with_engine(&cfg, l1.clone(), None, trace, &opts, engine));
+        assert!(mat.instructions > 0 && mat.cycles > 0);
+        assert_eq!(
+            serde::json::to_string(&mat),
+            serde::json::to_string(&str_),
+            "replay paths diverge on {name} with {l1:?} under {engine:?}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The 2-core cells of one row: `name` sharing the LLC and DRAM with
 /// `partner`, naive against skip-ahead.
 fn assert_two_core_cells_agree(name: &str, partner: &str, l1: &PrefetcherChoice) {
@@ -127,6 +167,7 @@ fn assert_two_core_cells_agree(name: &str, partner: &str, l1: &PrefetcherChoice)
 fn assert_rows_agree(l1: PrefetcherChoice) {
     for (i, name) in WORKLOADS.into_iter().enumerate() {
         assert_single_core_cells_agree(name, &l1);
+        assert_replay_paths_agree(name, &l1);
         // Each workload is mixed with the next of the list.
         assert_two_core_cells_agree(name, WORKLOADS[(i + 1) % WORKLOADS.len()], &l1);
     }
