@@ -1,20 +1,25 @@
-//! An append-only MSHR occupancy reference model.
+//! A by-value MSHR occupancy reference model.
 //!
-//! [`berti_mem::Mshr`] reclaims expired entries lazily, and only inside
-//! `allocate`, so its backing vector is a moving window over the
-//! allocation history. The oracle never deletes anything: it logs every
-//! allocation forever and answers each query by scanning the whole log
-//! for entries still in flight. Any disagreement means the real MSHR's
-//! reclamation dropped or resurrected an entry.
+//! [`berti_mem::Mshr`] keeps its in-flight entries in a structure built
+//! for speed and reclaims expired ones lazily, only inside `allocate`.
+//! Event times reach the MSHR out of order (demand times carry variable
+//! translation latency; prefetch issue times trail them), so *when* an
+//! entry is reclaimed is observable: an `allocate` at cycle 100 forgets
+//! every entry resolved by then, and a later query at cycle 50 must not
+//! see them again. The oracle keeps the same rule in its plainest form
+//! — one `Vec` in admission order, `retain` at `allocate`, a full scan
+//! per query — so any disagreement means the real MSHR's ordering,
+//! search or reclamation dropped or resurrected an entry.
 
 use berti_types::Cycle;
 
-/// The reference model: the full allocation log.
+/// The reference model: live allocations in admission order.
 #[derive(Clone, Debug, Default)]
 pub struct MshrOracle {
     capacity: usize,
-    /// Every allocation ever admitted, in order: `(line, ready_at)`.
-    log: Vec<(u64, Cycle)>,
+    /// Every allocation admitted and not yet reclaimed, oldest first:
+    /// `(line, ready_at)`.
+    live: Vec<(u64, Cycle)>,
 }
 
 impl MshrOracle {
@@ -23,13 +28,13 @@ impl MshrOracle {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            log: Vec::new(),
+            live: Vec::new(),
         }
     }
 
     /// Entries still in flight at `now`.
     pub fn occupancy(&self, now: Cycle) -> usize {
-        self.log.iter().filter(|(_, r)| *r > now).count()
+        self.live.iter().filter(|(_, r)| *r > now).count()
     }
 
     /// Occupancy as a fraction of capacity (1.0 when capacity is zero).
@@ -45,19 +50,22 @@ impl MshrOracle {
         self.occupancy(now) < self.capacity
     }
 
-    /// Admits a miss on `line` resolving at `ready_at` if a slot is
-    /// free. Returns whether it was admitted.
+    /// Forgets every entry resolved by `now` (whether or not the new
+    /// miss is admitted), then admits a miss on `line` resolving at
+    /// `ready_at` if a slot is free. Returns whether it was admitted.
     pub fn allocate(&mut self, line: u64, now: Cycle, ready_at: Cycle) -> bool {
-        if !self.has_free_entry(now) {
+        self.live.retain(|(_, r)| *r > now);
+        if self.live.len() >= self.capacity {
             return false;
         }
-        self.log.push((line, ready_at));
+        self.live.push((line, ready_at));
         true
     }
 
-    /// Fill time of the oldest in-flight allocation for `line`, if any.
+    /// Fill time of the first-admitted in-flight allocation for `line`,
+    /// if any.
     pub fn pending(&self, line: u64, now: Cycle) -> Option<Cycle> {
-        self.log
+        self.live
             .iter()
             .find(|(l, r)| *l == line && *r > now)
             .map(|(_, r)| *r)
@@ -79,6 +87,18 @@ mod tests {
         assert_eq!(o.occupancy(Cycle::new(60)), 2);
         assert_eq!(o.pending(2, Cycle::new(60)), None, "resolved");
         assert_eq!(o.pending(3, Cycle::new(60)), Some(Cycle::new(200)));
+    }
+
+    #[test]
+    fn allocate_forgets_what_it_reclaimed_even_for_earlier_queries() {
+        let mut o = MshrOracle::new(2);
+        assert!(o.allocate(1, Cycle::new(0), Cycle::new(40)));
+        assert_eq!(o.occupancy(Cycle::new(10)), 1);
+        // Full or not, an allocate at 100 reclaims the entry that
+        // resolved at 40; a query stamped earlier no longer sees it.
+        assert!(o.allocate(2, Cycle::new(100), Cycle::new(300)));
+        assert_eq!(o.pending(1, Cycle::new(10)), None);
+        assert_eq!(o.occupancy(Cycle::new(10)), 1, "only line 2");
     }
 
     #[test]

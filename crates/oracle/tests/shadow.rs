@@ -84,21 +84,32 @@ proptest! {
     }
 
     /// Mshr vs MshrOracle: admission decisions, occupancy, and pending
-    /// lookups agree under arbitrary allocate/expiry interleavings.
+    /// lookups agree under arbitrary allocate/expiry interleavings —
+    /// with event times in **no** order (a query may be stamped earlier
+    /// than a previous `allocate`, which has already reclaimed what was
+    /// resolved by *its* time), zero latencies, equal fill times,
+    /// repeated lines, and capacities from permanently-full to ample.
     #[test]
     fn mshr_agrees_with_oracle(
-        ops in prop::collection::vec((0u64..12, 1u64..200, 0u64..9), 1..300)
+        capacity in prop::sample::select(vec![0usize, 1, 4, 64]),
+        ops in prop::collection::vec((0u64..12, 0u64..25, 0u64..300, 0u64..300), 1..300)
     ) {
-        let mut real = Mshr::new(4);
-        let mut oracle = MshrOracle::new(4);
-        let mut now = Cycle::ZERO;
-        for (step, &(line, lat, advance)) in ops.iter().enumerate() {
-            now += advance;
-            prop_assert_eq!(real.occupancy(now), oracle.occupancy(now), "occupancy diverged at step {}", step);
-            prop_assert_eq!(real.has_free_entry(now), oracle.has_free_entry(now));
-            prop_assert_eq!(real.pending(line, now), oracle.pending(line, now), "pending({}) diverged at step {}", line, step);
-            let admitted = real.allocate(line, now, now + lat);
-            let expected = oracle.allocate(line, now, now + lat);
+        let mut real = Mshr::new(capacity);
+        let mut oracle = MshrOracle::new(capacity);
+        for (step, &(line, lat, query_at, alloc_at)) in ops.iter().enumerate() {
+            let (query_at, now) = (Cycle::new(query_at), Cycle::new(alloc_at));
+            for at in [query_at, now] {
+                prop_assert_eq!(real.occupancy(at), oracle.occupancy(at), "occupancy diverged at step {}", step);
+                prop_assert_eq!(real.occupancy_fraction(at), oracle.occupancy_fraction(at));
+                prop_assert_eq!(real.has_free_entry(at), oracle.has_free_entry(at), "has_free_entry diverged at step {}", step);
+                for l in 0..12 {
+                    prop_assert_eq!(real.pending(l, at), oracle.pending(l, at), "pending({}) diverged at step {}", l, step);
+                }
+            }
+            // Latencies are multiples of 8 so distinct entries often
+            // share a fill time.
+            let admitted = real.allocate(line, now, now + lat * 8);
+            let expected = oracle.allocate(line, now, now + lat * 8);
             prop_assert_eq!(admitted, expected, "admission diverged on line {} at step {}", line, step);
         }
     }
