@@ -9,6 +9,7 @@
 //! the same IP whose timestamp is early enough that a prefetch issued
 //! then would have been timely.
 
+use berti_mem::SetIndex;
 use berti_types::{Cycle, Delta, Ip, VLine};
 
 /// Bits of the stored line address (Table I: 24).
@@ -59,7 +60,7 @@ pub struct HistoryHit {
 /// The history table.
 #[derive(Clone, Debug)]
 pub struct HistoryTable {
-    sets: usize,
+    index: SetIndex,
     ways: usize,
     timestamp_window: u64,
     entries: Vec<Entry>,
@@ -80,7 +81,7 @@ impl HistoryTable {
     pub fn new(sets: usize, ways: usize, timestamp_bits: u32) -> Self {
         assert!(sets > 0 && ways > 0);
         Self {
-            sets,
+            index: SetIndex::new(sets),
             ways,
             timestamp_window: if timestamp_bits >= 64 {
                 u64::MAX
@@ -98,12 +99,12 @@ impl HistoryTable {
     fn set_of(&self, ip: Ip) -> usize {
         // Skip the low 2 bits: neighbouring memory instructions are a
         // few bytes apart and would otherwise pile into one set.
-        ((ip.raw() >> 2) % self.sets as u64) as usize
+        self.index.set_of(ip.raw() >> 2)
     }
 
     #[inline]
     fn tag_of(&self, ip: Ip) -> u16 {
-        (((ip.raw() >> 2) / self.sets as u64) & ((1 << IP_TAG_BITS) - 1)) as u16
+        (self.index.tag_of(ip.raw() >> 2) & ((1 << IP_TAG_BITS) - 1)) as u16
     }
 
     /// Records a demand access by `ip` to `line` at `now` (FIFO within
@@ -226,7 +227,7 @@ impl HistoryTable {
 
     /// Total entries (diagnostics).
     pub fn capacity(&self) -> usize {
-        self.sets * self.ways
+        self.entries.len()
     }
 }
 

@@ -1,180 +1,13 @@
-//! Fixed-capacity storage for the hot-loop queues.
+//! Fixed-capacity storage for the hot-loop FIFO queues.
 //!
 //! Steady-state simulation must perform **zero allocations per miss**:
-//! every MSHR entry, prefetch-queue slot and DRAM queue slot lives in
-//! storage sized once at construction and recycled through a free list.
-//! Two shapes cover every queue in the hierarchy:
-//!
-//! - [`OrderedSlab`]: a slab with an intrusive doubly-linked *live*
-//!   list that preserves insertion order. The MSHR needs order-stable
-//!   iteration (`pending` returns the first matching in-flight entry)
-//!   *and* arbitrary mid-list removal (`retain` reclaims expired
-//!   entries), which a ring cannot do without compaction.
-//! - [`FixedRing`]: a capacity-capped circular buffer whose storage is
-//!   reserved once up front, for strictly FIFO queues (prefetch queues,
-//!   DRAM read/write queues).
-//!
-//! Both structures never touch the heap after construction.
+//! every prefetch-queue slot and DRAM queue slot lives in storage sized
+//! once at construction. [`FixedRing`] is that storage for the strictly
+//! FIFO queues (prefetch queues, DRAM read/write queues); the MSHR,
+//! which reclaims by fill time rather than by age, keeps its own
+//! time-ordered deque (see `mshr.rs`).
 
 use std::collections::VecDeque;
-
-/// Sentinel for "no slot" in the intrusive links.
-const NIL: u32 = u32::MAX;
-
-/// A fixed-capacity slab whose live entries form a doubly-linked list
-/// in insertion order, with freed slots recycled through a free list.
-#[derive(Clone, Debug)]
-pub struct OrderedSlab<T> {
-    slots: Box<[Option<T>]>,
-    /// Next slot in the live list (or free list, for free slots).
-    next: Box<[u32]>,
-    /// Previous slot in the live list; unused for free slots.
-    prev: Box<[u32]>,
-    head: u32,
-    tail: u32,
-    free: u32,
-    len: usize,
-}
-
-impl<T> OrderedSlab<T> {
-    /// Creates a slab with room for `capacity` live entries. A
-    /// zero-capacity slab is valid and permanently full.
-    pub fn new(capacity: usize) -> Self {
-        assert!(
-            capacity < NIL as usize,
-            "slab capacity must fit the intrusive link width"
-        );
-        let mut next: Vec<u32> = (1..=capacity as u32).collect();
-        if let Some(last) = next.last_mut() {
-            *last = NIL;
-        }
-        Self {
-            slots: (0..capacity).map(|_| None).collect(),
-            next: next.into_boxed_slice(),
-            prev: vec![NIL; capacity].into_boxed_slice(),
-            head: NIL,
-            tail: NIL,
-            free: if capacity == 0 { NIL } else { 0 },
-            len: 0,
-        }
-    }
-
-    /// Slot count.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no entries are live.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether every slot is live.
-    pub fn is_full(&self) -> bool {
-        self.free == NIL
-    }
-
-    /// Appends `value` at the back of the live list, recycling a free
-    /// slot. Returns the slot id, or `None` when full.
-    pub fn push_back(&mut self, value: T) -> Option<usize> {
-        let id = self.free;
-        if id == NIL {
-            return None;
-        }
-        self.free = self.next[id as usize];
-        debug_assert!(self.slots[id as usize].is_none(), "free slot held a value");
-        self.slots[id as usize] = Some(value);
-        self.next[id as usize] = NIL;
-        self.prev[id as usize] = self.tail;
-        if self.tail == NIL {
-            self.head = id;
-        } else {
-            self.next[self.tail as usize] = id;
-        }
-        self.tail = id;
-        self.len += 1;
-        Some(id as usize)
-    }
-
-    /// Unlinks the live slot `id` and returns it to the free list.
-    fn release(&mut self, id: u32) -> T {
-        let value = self.slots[id as usize]
-            .take()
-            .expect("release of a non-live slot");
-        let (p, n) = (self.prev[id as usize], self.next[id as usize]);
-        if p == NIL {
-            self.head = n;
-        } else {
-            self.next[p as usize] = n;
-        }
-        if n == NIL {
-            self.tail = p;
-        } else {
-            self.prev[n as usize] = p;
-        }
-        self.next[id as usize] = self.free;
-        self.prev[id as usize] = NIL;
-        self.free = id;
-        self.len -= 1;
-        value
-    }
-
-    /// Drops every live entry for which `keep` is false, preserving the
-    /// insertion order of the survivors. No heap traffic.
-    pub fn retain<F: FnMut(&T) -> bool>(&mut self, mut keep: F) {
-        self.retain_with_slot(|_, v| keep(v));
-    }
-
-    /// [`OrderedSlab::retain`] with the slot id passed to `keep`, so
-    /// owners that mirror per-slot state densely (the MSHR's expiry
-    /// array) can clear the mirror exactly when a slot is released.
-    pub fn retain_with_slot<F: FnMut(usize, &T) -> bool>(&mut self, mut keep: F) {
-        let mut cur = self.head;
-        while cur != NIL {
-            let nxt = self.next[cur as usize];
-            let stays = keep(
-                cur as usize,
-                self.slots[cur as usize].as_ref().expect("live slot"),
-            );
-            if !stays {
-                drop(self.release(cur));
-            }
-            cur = nxt;
-        }
-    }
-
-    /// Iterates live entries in insertion order.
-    pub fn iter(&self) -> OrderedIter<'_, T> {
-        OrderedIter {
-            slab: self,
-            cur: self.head,
-        }
-    }
-}
-
-/// In-order iterator over an [`OrderedSlab`]'s live entries.
-pub struct OrderedIter<'a, T> {
-    slab: &'a OrderedSlab<T>,
-    cur: u32,
-}
-
-impl<'a, T> Iterator for OrderedIter<'a, T> {
-    type Item = &'a T;
-
-    fn next(&mut self) -> Option<&'a T> {
-        if self.cur == NIL {
-            return None;
-        }
-        let id = self.cur as usize;
-        self.cur = self.slab.next[id];
-        self.slab.slots[id].as_ref()
-    }
-}
 
 /// A fixed-capacity FIFO ring: a [`VecDeque`] whose storage is
 /// reserved once at construction and whose length is capped at
@@ -257,49 +90,6 @@ impl<T> FixedRing<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slab_preserves_insertion_order_across_recycling() {
-        let mut s = OrderedSlab::new(3);
-        assert_eq!(s.push_back(10), Some(0));
-        assert_eq!(s.push_back(20), Some(1));
-        assert_eq!(s.push_back(30), Some(2));
-        assert!(s.is_full());
-        assert_eq!(s.push_back(40), None, "full slab rejects");
-        // Remove the middle entry; order of survivors holds.
-        s.retain(|&v| v != 20);
-        assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![10, 30]);
-        // The freed slot is recycled, and the new entry lands last.
-        assert_eq!(s.push_back(50), Some(1), "slot 1 recycled");
-        assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![10, 30, 50]);
-    }
-
-    #[test]
-    fn slab_retain_all_and_none() {
-        let mut s = OrderedSlab::new(4);
-        for v in [1, 2, 3, 4] {
-            s.push_back(v);
-        }
-        s.retain(|_| true);
-        assert_eq!(s.len(), 4);
-        s.retain(|_| false);
-        assert!(s.is_empty());
-        assert_eq!(s.iter().next(), None);
-        // Everything recycles: four pushes succeed again.
-        for v in [5, 6, 7, 8] {
-            assert!(s.push_back(v).is_some());
-        }
-        assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![5, 6, 7, 8]);
-    }
-
-    #[test]
-    fn zero_capacity_slab_is_permanently_full() {
-        let mut s = OrderedSlab::new(0);
-        assert!(s.is_full());
-        assert_eq!(s.push_back(1), None);
-        assert_eq!(s.len(), 0);
-        s.retain(|_: &i32| true);
-    }
 
     #[test]
     fn ring_is_fifo_and_wraps() {

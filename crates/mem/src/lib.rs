@@ -30,6 +30,7 @@ mod hierarchy;
 mod mshr;
 mod prefetch;
 mod replacement;
+mod set_index;
 mod tlb;
 mod vmem;
 
@@ -39,5 +40,6 @@ pub use hierarchy::{DemandAccess, DemandOutcome, FlowStats, Hierarchy, SharedMem
 pub use mshr::Mshr;
 pub use prefetch::{AccessEvent, FillEvent, NullPrefetcher, PrefetchDecision, Prefetcher};
 pub use replacement::ReplacementPolicy;
+pub use set_index::SetIndex;
 pub use tlb::Tlb;
 pub use vmem::PageTable;

@@ -15,38 +15,39 @@
 //! take `&self` and filter expired entries *by value*: repeated queries
 //! at the same cycle are idempotent and never mutate the structure.
 //! Expired entries are physically reclaimed only inside
-//! [`allocate`](Mshr::allocate), which is sufficient to keep the backing
-//! slab bounded by `capacity`.
+//! [`allocate`](Mshr::allocate). Event times arrive out of order, so
+//! that rule is observable — a query stamped earlier than a previous
+//! `allocate` must not see what that `allocate` reclaimed — and it keeps
+//! the live set bounded by `capacity`.
 //!
-//! Entries live in a fixed-capacity [`OrderedSlab`]: slots are sized
-//! once at construction and recycled through a free list, so the MSHR
-//! performs zero heap allocations per miss in steady state while
-//! preserving insertion order ([`pending`](Mshr::pending) returns the
-//! *first* matching in-flight entry).
+//! Entries live in one [`VecDeque`] sized once at construction and kept
+//! sorted by fill time: everything an `allocate` reclaims is a prefix,
+//! occupancy at any cycle is a binary search, and the MSHR performs
+//! zero heap allocations per miss in steady state.
+
+use std::collections::VecDeque;
 
 use berti_types::Cycle;
 
-use crate::arena::OrderedSlab;
-
 #[derive(Clone, Copy, Debug)]
 struct Entry {
-    line: u64,
     ready_at: Cycle,
+    line: u64,
+    /// Admission order: [`Mshr::pending`] answers with the
+    /// first-admitted in-flight miss on a line, and fill-time order
+    /// does not keep that.
+    seq: u64,
 }
 
 /// A fixed-capacity MSHR modelled as a set of in-flight (line, ready)
 /// pairs; entries free themselves once simulated time passes `ready_at`.
 #[derive(Clone, Debug)]
 pub struct Mshr {
-    entries: OrderedSlab<Entry>,
-    /// Dense mirror of each slot's expiry cycle (`0` for free slots).
-    /// Occupancy is sampled on *every* access (Berti's watermark, the
-    /// admission check, the per-event occupancy field), and chasing the
-    /// slab's insertion-order links for a count that does not care
-    /// about order measurably slows the whole simulation; counting is a
-    /// contiguous scan of this array instead. `allocate` keeps the
-    /// mirror exact: cleared on release, written on admission.
-    ready: Box<[u64]>,
+    /// In-flight entries, earliest fill first. Never grows past
+    /// `capacity`, so the deque never reallocates.
+    entries: VecDeque<Entry>,
+    capacity: usize,
+    next_seq: u64,
 }
 
 impl Mshr {
@@ -60,105 +61,113 @@ impl Mshr {
     /// of tripping the worker pool's panic-isolation path.
     pub fn new(capacity: usize) -> Self {
         Self {
-            entries: OrderedSlab::new(capacity),
-            ready: vec![0; capacity].into_boxed_slice(),
+            entries: VecDeque::with_capacity(capacity),
+            capacity,
+            next_seq: 0,
         }
     }
 
     /// Entry count.
     pub fn capacity(&self) -> usize {
-        self.entries.capacity()
+        self.capacity
     }
 
     /// Number of misses outstanding at `now`. Pure: same-cycle repeats
     /// return the same answer and leave the MSHR untouched.
     ///
-    /// Counting is order-independent, so this scans the dense expiry
-    /// mirror (free slots hold `0`, which never exceeds `now`) instead
-    /// of chasing the slab's insertion-order links — Berti samples this
-    /// watermark on every access.
+    /// Berti samples this watermark on every access; with the entries
+    /// in fill-time order it is everything past the last entry resolved
+    /// by `now`.
     pub fn occupancy(&self, now: Cycle) -> usize {
-        let cutoff = now.raw();
-        self.ready.iter().filter(|&&r| r > cutoff).count()
+        self.entries.len() - self.entries.partition_point(|e| e.ready_at <= now)
     }
 
     /// Occupancy as a fraction of capacity (Berti's watermark input).
     /// A zero-capacity MSHR reports fully occupied.
     pub fn occupancy_fraction(&self, now: Cycle) -> f64 {
-        if self.capacity() == 0 {
+        if self.capacity == 0 {
             return 1.0;
         }
-        self.occupancy(now) as f64 / self.capacity() as f64
+        self.occupancy(now) as f64 / self.capacity as f64
     }
 
-    /// Whether a new miss can be accepted at `now`.
+    /// Whether a new miss can be accepted at `now`: a slot is unused,
+    /// or the earliest fill (the front) has resolved by `now`.
     pub fn has_free_entry(&self, now: Cycle) -> bool {
-        self.occupancy(now) < self.capacity()
+        self.entries.len() < self.capacity
+            || self.entries.front().is_some_and(|e| e.ready_at <= now)
     }
 
     /// Allocates an entry for a miss on `line` that will fill at
     /// `ready_at`. Returns `false` (and allocates nothing) if full.
     ///
     /// This is the only operation that physically reclaims expired
-    /// entries (returning their slots to the slab's free list), so the
+    /// entries — the prefix resolved by `now`, admitted or not — so the
     /// live set never exceeds `capacity` and no heap traffic occurs.
     pub fn allocate(&mut self, line: u64, now: Cycle, ready_at: Cycle) -> bool {
-        let ready = &mut self.ready;
-        self.entries.retain_with_slot(|slot, e| {
-            let stays = e.ready_at > now;
-            if !stays {
-                ready[slot] = 0;
+        while self.entries.front().is_some_and(|e| e.ready_at <= now) {
+            self.entries.pop_front();
+        }
+        let admitted = self.entries.len() < self.capacity;
+        if admitted {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            // Fills mostly complete in the order they were requested.
+            if self.entries.back().is_none_or(|e| e.ready_at <= ready_at) {
+                self.entries.push_back(Entry {
+                    ready_at,
+                    line,
+                    seq,
+                });
+            } else {
+                let at = self.entries.partition_point(|e| e.ready_at <= ready_at);
+                self.entries.insert(
+                    at,
+                    Entry {
+                        ready_at,
+                        line,
+                        seq,
+                    },
+                );
             }
-            stays
-        });
-        let allocated = match self.entries.push_back(Entry { line, ready_at }) {
-            Some(slot) => {
-                self.ready[slot] = ready_at.raw();
-                true
-            }
-            None => false,
-        };
-        self.check_capacity_invariant();
-        allocated
+        }
+        self.check_invariants();
+        admitted
     }
 
-    /// The fill time of an in-flight miss on `line`, if any. Pure.
+    /// The fill time of the first-admitted in-flight miss on `line`, if
+    /// any. Pure.
     pub fn pending(&self, line: u64, now: Cycle) -> Option<Cycle> {
         self.entries
             .iter()
-            .find(|e| e.line == line && e.ready_at > now)
+            .filter(|e| e.line == line && e.ready_at > now)
+            .min_by_key(|e| e.seq)
             .map(|e| e.ready_at)
     }
 
     /// `check-invariants`: the MSHR may never hold more entries than its
-    /// capacity (ISSUE 5 "MSHR never over capacity"), and the dense
-    /// expiry mirror must count exactly what a by-value walk of the
-    /// slab counts — a drifted mirror would silently skew Berti's
-    /// occupancy watermark.
+    /// capacity (ISSUE 5 "MSHR never over capacity"), and the entries
+    /// must be in fill-time order — the binary search behind
+    /// [`Mshr::occupancy`] and the front-only reclaim would otherwise
+    /// silently skew Berti's occupancy watermark.
     #[cfg(feature = "check-invariants")]
-    fn check_capacity_invariant(&self) {
+    fn check_invariants(&self) {
         assert!(
-            self.entries.len() <= self.capacity(),
+            self.entries.len() <= self.capacity,
             "MSHR over capacity: {} entries > {} capacity",
             self.entries.len(),
-            self.capacity()
+            self.capacity
         );
-        let by_value = |cutoff: Cycle| self.entries.iter().filter(|e| e.ready_at > cutoff).count();
-        for probe in [Cycle::ZERO]
-            .into_iter()
-            .chain(self.entries.iter().map(|e| e.ready_at))
-        {
-            assert_eq!(
-                self.occupancy(probe),
-                by_value(probe),
-                "expiry mirror drifted from the slab at probe {probe:?}"
-            );
-        }
+        let fills = || self.entries.iter().map(|e| e.ready_at);
+        assert!(
+            fills().zip(fills().skip(1)).all(|(a, b)| a <= b),
+            "MSHR entries out of fill-time order"
+        );
     }
 
     #[cfg(not(feature = "check-invariants"))]
     #[inline(always)]
-    fn check_capacity_invariant(&self) {}
+    fn check_invariants(&self) {}
 }
 
 #[cfg(test)]
@@ -218,6 +227,29 @@ mod tests {
         // present until the next allocate.
         assert_eq!(m.pending(2, t), Some(Cycle::new(20)));
         assert_eq!(m.pending(1, t), None, "expired entry is logically gone");
+    }
+
+    #[test]
+    fn pending_is_first_admitted_not_first_to_fill() {
+        let mut m = Mshr::new(4);
+        m.allocate(7, Cycle::new(0), Cycle::new(90));
+        m.allocate(7, Cycle::new(1), Cycle::new(40));
+        assert_eq!(m.pending(7, Cycle::new(10)), Some(Cycle::new(90)));
+        assert_eq!(m.pending(7, Cycle::new(95)), None);
+    }
+
+    #[test]
+    fn earlier_queries_do_not_see_what_allocate_reclaimed() {
+        let mut m = Mshr::new(2);
+        m.allocate(1, Cycle::new(0), Cycle::new(40));
+        assert!(m.allocate(2, Cycle::new(100), Cycle::new(300)));
+        assert_eq!(m.pending(1, Cycle::new(10)), None, "reclaimed at 100");
+        assert_eq!(m.occupancy(Cycle::new(10)), 1);
+        // An entry admitted behind the reclaim horizon stays visible.
+        assert!(m.allocate(3, Cycle::new(20), Cycle::new(60)));
+        assert_eq!(m.occupancy(Cycle::new(30)), 2);
+        assert!(!m.has_free_entry(Cycle::new(30)));
+        assert!(m.has_free_entry(Cycle::new(60)));
     }
 
     #[test]

@@ -7,6 +7,8 @@
 
 use berti_types::{Cycle, Ppn, Vpn};
 
+use crate::set_index::SetIndex;
+
 #[derive(Clone, Copy, Debug)]
 struct TlbLine {
     vpn: Vpn,
@@ -17,7 +19,7 @@ struct TlbLine {
 /// A set-associative TLB with LRU replacement.
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    sets: usize,
+    index: SetIndex,
     ways: usize,
     latency: u64,
     lines: Vec<Option<TlbLine>>,
@@ -36,7 +38,7 @@ impl Tlb {
     pub fn new(entries: usize, ways: usize, latency: u64) -> Self {
         assert!(ways > 0 && entries > 0 && entries.is_multiple_of(ways));
         Self {
-            sets: entries / ways,
+            index: SetIndex::new(entries / ways),
             ways,
             latency,
             lines: vec![None; entries],
@@ -69,7 +71,7 @@ impl Tlb {
 
     #[inline]
     fn set_of(&self, vpn: Vpn) -> usize {
-        (vpn.raw() % self.sets as u64) as usize
+        self.index.set_of(vpn.raw())
     }
 
     /// Translates `vpn`, returning the frame if present.
@@ -177,6 +179,20 @@ mod tests {
         t.insert(Vpn::new(1), Ppn::new(10));
         t.insert(Vpn::new(1), Ppn::new(99));
         assert_eq!(t.probe(Vpn::new(1)), Some(Ppn::new(99)));
+    }
+
+    #[test]
+    fn non_power_of_two_set_count_indexes_by_modulo() {
+        // 3 sets x 2 ways: pages 0, 3, 6 share set 0; 1 and 4 set 1.
+        let mut t = Tlb::new(6, 2, 1);
+        for v in [0, 3, 1, 4] {
+            t.insert(Vpn::new(v), Ppn::new(100 + v));
+        }
+        t.insert(Vpn::new(6), Ppn::new(106)); // evicts page 0, set 0's LRU
+        assert_eq!(t.probe(Vpn::new(0)), None);
+        for v in [3, 6, 1, 4] {
+            assert_eq!(t.lookup(Vpn::new(v), Cycle::ZERO), Some(Ppn::new(100 + v)));
+        }
     }
 
     #[test]

@@ -43,17 +43,15 @@ pub fn cross_page_walks(n: usize, stride: i64, len: usize, gap: u64) -> Vec<Vec<
         .collect()
 }
 
-/// History-table geometry the aliasing generators target (Table I).
-const HISTORY_SETS: u64 = 8;
 /// IP-tag width above the set index (Table I).
 const IP_TAG_BITS: u32 = 7;
 
-/// `n` distinct IPs that all collide on the *same* history-table set
-/// **and** tag as `base`: indistinguishable to the table, distinct to
-/// any per-IP map. The table treats their accesses as one interleaved
-/// stream.
-pub fn fully_aliasing_ips(base: Ip, n: usize) -> Vec<Ip> {
-    let step = HISTORY_SETS << (IP_TAG_BITS + 2); // preserves set and tag
+/// `n` distinct IPs that all collide on the *same* set **and** tag of
+/// a `sets`-set history table (Table I: 8) as `base`:
+/// indistinguishable to the table, distinct to any per-IP map. The
+/// table treats their accesses as one interleaved stream.
+pub fn fully_aliasing_ips(base: Ip, n: usize, sets: usize) -> Vec<Ip> {
+    let step = (sets as u64) << (IP_TAG_BITS + 2); // preserves set and tag
     (0..n as u64)
         .map(|k| Ip::new(base.raw() + k * step))
         .collect()
@@ -62,8 +60,8 @@ pub fn fully_aliasing_ips(base: Ip, n: usize) -> Vec<Ip> {
 /// `n` distinct IPs that share `base`'s set but differ in tag: they
 /// compete for the same FIFO ways while remaining distinguishable, the
 /// eviction-pressure corner of the set/tag split.
-pub fn set_colliding_ips(base: Ip, n: usize) -> Vec<Ip> {
-    let step = HISTORY_SETS << 2; // preserves set, advances tag
+pub fn set_colliding_ips(base: Ip, n: usize, sets: usize) -> Vec<Ip> {
+    let step = (sets as u64) << 2; // preserves set, advances tag
     (1..=n as u64)
         .map(|k| Ip::new(base.raw() + k * step))
         .collect()
@@ -112,7 +110,7 @@ mod tests {
 
     #[test]
     fn aliasing_ips_are_distinct() {
-        let ips = fully_aliasing_ips(Ip::new(0x401cb0), 8);
+        let ips = fully_aliasing_ips(Ip::new(0x401cb0), 8, 8);
         let unique: std::collections::BTreeSet<u64> = ips.iter().map(|i| i.raw()).collect();
         assert_eq!(unique.len(), 8);
     }

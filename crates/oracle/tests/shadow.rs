@@ -27,9 +27,20 @@ fn lru_cache(sets: usize, ways: usize) -> Cache {
     )
 }
 
-/// Compares residency of every set of the two LRU models.
-fn assert_same_residency(cache: &Cache, oracle: &LruOracle, sets: usize, step: usize) {
-    for set in 0..sets {
+/// Set counts the indexing sweeps cover: powers of two take the mask
+/// path of `berti_mem::SetIndex` (1 is its degenerate case, 64 and 2048
+/// the default L1D and LLC), the others the modulo path (6144 is the
+/// LLC of a 3-core system). The oracles only ever divide.
+const SET_COUNTS: [usize; 6] = [1, 3, 6, 64, 2048, 6144];
+
+/// Compares residency of the given sets of the two LRU models.
+fn assert_same_residency(
+    cache: &Cache,
+    oracle: &LruOracle,
+    sets: impl IntoIterator<Item = usize>,
+    step: usize,
+) {
+    for set in sets {
         assert_eq!(
             cache.resident_in_set(set),
             oracle.resident_in_set(set),
@@ -52,35 +63,41 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
     /// Cache vs LruOracle: arbitrary interleavings of demand touches,
-    /// prefetch probes, and fills agree on hits, victims, and the full
-    /// residency map after every operation.
+    /// prefetch probes, and fills agree on the set every address maps
+    /// to, on hits, on victims, and on the residency map — over every
+    /// set count of [`SET_COUNTS`], with addresses aimed at the first,
+    /// second, middle and last set, near zero and above 2^40.
     #[test]
     fn cache_agrees_with_lru_oracle(
-        ops in prop::collection::vec((0u64..48, 0u8..4), 1..400)
+        sets in prop::sample::select(SET_COUNTS.to_vec()),
+        ops in prop::collection::vec((0u64..12, 0usize..4, any::<bool>(), 0u8..4), 1..400)
     ) {
-        const SETS: usize = 4;
-        let mut cache = lru_cache(SETS, 4);
-        let mut oracle = LruOracle::new(SETS, 4);
-        for (step, &(addr, op)) in ops.iter().enumerate() {
+        let mut cache = lru_cache(sets, 4);
+        let mut oracle = LruOracle::new(sets, 4);
+        let lanes = [0, 1 % sets, sets / 2, sets - 1].map(|s| s as u64);
+        for (step, &(tag, lane, far, op)) in ops.iter().enumerate() {
+            let addr = (u64::from(far) << 40) + tag * sets as u64 + lanes[lane];
             let now = Cycle::new(step as u64 * 7);
+            prop_assert_eq!(cache.set_index(addr), oracle.set_of(addr), "set of {:#x} at step {}", addr, step);
             match op {
                 // Demand touch: hit-ness and recency must agree.
                 0 | 1 => {
                     let kind = if op == 0 { AccessKind::Load } else { AccessKind::Prefetch };
                     let real_hit = matches!(cache.access(addr, kind, now), AccessOutcome::Hit(_));
                     let oracle_hit = oracle.touch(addr);
-                    prop_assert_eq!(real_hit, oracle_hit, "hit-ness diverged on {} at step {}", addr, step);
+                    prop_assert_eq!(real_hit, oracle_hit, "hit-ness diverged on {:#x} at step {}", addr, step);
                 }
                 // Fill: the evicted victim must be the same line.
                 _ => {
                     let kind = if op == 2 { AccessKind::Load } else { AccessKind::Prefetch };
                     let evicted = cache.fill(addr, kind, now, now + 1, 10, Ip::new(1), addr);
                     let expect = oracle.fill(addr);
-                    prop_assert_eq!(evicted.map(|e| e.addr), expect, "victim diverged filling {} at step {}", addr, step);
+                    prop_assert_eq!(evicted.map(|e| e.addr), expect, "victim diverged filling {:#x} at step {}", addr, step);
                 }
             }
-            assert_same_residency(&cache, &oracle, SETS, step);
+            assert_same_residency(&cache, &oracle, [oracle.set_of(addr)], step);
         }
+        assert_same_residency(&cache, &oracle, 0..sets, ops.len());
     }
 
     /// Mshr vs MshrOracle: admission decisions, occupancy, and pending
@@ -117,9 +134,12 @@ proptest! {
     /// HistoryTable vs HistoryOracle: identical inserts (strictly
     /// increasing timestamps, so result order is unique) produce
     /// identical timely-delta searches, including FIFO eviction, tag
-    /// aliasing, the wrap window, and max-hits truncation.
+    /// aliasing, the wrap window, and max-hits truncation — over every
+    /// set count of [`SET_COUNTS`] (Table I's 8 sets take the same mask
+    /// path as 64).
     #[test]
     fn history_agrees_with_oracle(
+        sets in prop::sample::select(SET_COUNTS.to_vec()),
         inserts in prop::collection::vec((0u64..6, 1u64..2_000), 1..200),
         latency in 1u64..5_000,
         target in 0u64..2_000,
@@ -129,10 +149,10 @@ proptest! {
         // the table cannot tell pool[0], pool[1], pool[2] apart, while
         // pool[3..] fight them for ways.
         let base = Ip::new(0x401cb0);
-        let mut pool = streams::fully_aliasing_ips(base, 3);
-        pool.extend(streams::set_colliding_ips(base, 3));
-        let mut real = HistoryTable::new(8, 16, 16);
-        let mut oracle = HistoryOracle::new(8, 16, 16);
+        let mut pool = streams::fully_aliasing_ips(base, 3, sets);
+        pool.extend(streams::set_colliding_ips(base, 3, sets));
+        let mut real = HistoryTable::new(sets, 16, 16);
+        let mut oracle = HistoryOracle::new(sets, 16, 16);
         for (step, &(who, line)) in inserts.iter().enumerate() {
             let ip = pool[who as usize % pool.len()];
             let at = Cycle::new(step as u64 * 3); // strictly increasing
@@ -178,7 +198,7 @@ fn mshr_saturation_bursts_agree_with_oracle() {
 /// search results.
 #[test]
 fn aliasing_ip_streams_agree_with_oracle() {
-    let ips = streams::fully_aliasing_ips(Ip::new(0x77_1cb0), 3);
+    let ips = streams::fully_aliasing_ips(Ip::new(0x77_1cb0), 3, 8);
     let mut real = HistoryTable::new(8, 16, 16);
     let mut oracle = HistoryOracle::new(8, 16, 16);
     let mut t = 0u64;
@@ -227,96 +247,8 @@ fn cross_page_walks_keep_cache_and_oracle_agreeing() {
             }
             oracle.touch(addr);
             oracle.fill(addr);
-            assert_same_residency(&cache, &oracle, SETS, step);
+            assert_same_residency(&cache, &oracle, 0..SETS, step);
             step += 1;
         }
     }
-}
-
-/// Reference model for [`berti_mem::arena::OrderedSlab`]: live entries
-/// as `(slot id, value)` in insertion order.
-fn check_slab_against_model(slab: &berti_mem::arena::OrderedSlab<u64>, model: &[(usize, u64)]) {
-    assert_eq!(slab.len(), model.len());
-    assert!(slab.is_empty() == model.is_empty());
-    // Insertion order is preserved and values are intact.
-    let got: Vec<u64> = slab.iter().copied().collect();
-    let want: Vec<u64> = model.iter().map(|&(_, v)| v).collect();
-    assert_eq!(got, want, "live values or their order diverged");
-    // No aliasing: every live entry holds a distinct slot.
-    let mut ids: Vec<usize> = model.iter().map(|&(id, _)| id).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    assert_eq!(ids.len(), model.len(), "two live entries share a slot");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
-
-    /// OrderedSlab vs a Vec model: arbitrary interleavings of
-    /// push/retain recycle slots without ever aliasing live entries,
-    /// losing a value, or reordering survivors.
-    #[test]
-    fn slab_recycling_never_aliases_live_entries(
-        capacity in 1usize..24,
-        ops in prop::collection::vec((0u64..1_000, 0u64..1_000), 1..300)
-    ) {
-        let mut slab = berti_mem::arena::OrderedSlab::new(capacity);
-        let mut model: Vec<(usize, u64)> = Vec::new();
-        for (step, &(value, cutoff)) in ops.iter().enumerate() {
-            // Expire "ready" entries, as the MSHR's allocate does.
-            slab.retain(|&v| v > cutoff);
-            model.retain(|&(_, v)| v > cutoff);
-            let id = slab.push_back(value);
-            prop_assert_eq!(id.is_some(), model.len() < capacity,
-                "admission diverged at step {}", step);
-            if let Some(id) = id {
-                prop_assert!(!model.iter().any(|&(live, _)| live == id),
-                    "slot {} recycled while live at step {}", id, step);
-                model.push((id, value));
-            }
-            check_slab_against_model(&slab, &model);
-        }
-    }
-}
-
-/// Deterministic replay: the MSHR-saturation burst stream (bursts that
-/// overcommit a small slab, then drain) drives the exact
-/// retain-then-push pattern `Mshr::allocate` uses. Every admitted
-/// entry must land in a slot no live entry occupies, and survivors
-/// must stay in insertion order across thousands of recycles.
-#[test]
-fn slab_survives_mshr_saturation_bursts() {
-    const CAPACITY: usize = 4;
-    const LATENCY: u64 = 180;
-    let mut slab = berti_mem::arena::OrderedSlab::new(CAPACITY);
-    let mut model: Vec<(usize, u64)> = Vec::new();
-    let mut admitted = 0u64;
-    let mut rejected = 0u64;
-    for (_line, at) in streams::mshr_saturation_bursts(4_000, 24, 4, 20, 600) {
-        let now = at.raw();
-        let ready = now + LATENCY;
-        slab.retain(|&r| r > now);
-        model.retain(|&(_, r)| r > now);
-        match slab.push_back(ready) {
-            Some(id) => {
-                assert!(
-                    !model.iter().any(|&(live, _)| live == id),
-                    "slot {id} recycled while live at cycle {now}"
-                );
-                model.push((id, ready));
-                admitted += 1;
-            }
-            None => {
-                assert_eq!(model.len(), CAPACITY, "rejected while slots were free");
-                rejected += 1;
-            }
-        }
-        check_slab_against_model(&slab, &model);
-    }
-    // The stream really did both overcommit and drain.
-    assert!(admitted >= CAPACITY as u64, "admitted {admitted}");
-    assert!(
-        rejected > 0,
-        "the bursts must saturate a {CAPACITY}-entry slab"
-    );
 }

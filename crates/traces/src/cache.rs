@@ -10,8 +10,10 @@
 //!   replaced trace re-decodes, an unchanged one is a hit;
 //! - **plain `.btrc` files** cache the validated [`MmapBtrc`] handle
 //!   (zero-copy regardless of size — the page cache, not the heap,
-//!   holds the bytes) and every cursor shares it, so the checksum also
-//!   verifies once per process;
+//!   holds the bytes) and every cursor shares it. Checksum progress
+//!   lives in that handle, not in the cursors, so each body byte is
+//!   hashed at most once per process and cells that stop short of a
+//!   full pass still add up to one verdict (see [`MmapBtrc`]);
 //! - **other traces** (ChampSim, anything compressed) materialize into
 //!   a shared `Arc<[Instr]>` when the file is at most the materialize
 //!   threshold (64 MiB); larger files are never pinned — each open

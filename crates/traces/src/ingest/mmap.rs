@@ -2,8 +2,22 @@
 //! is validated eagerly (including that the file really holds the body
 //! the header promises — a shorter file is a typed error at open, not
 //! a fault at replay), and 40-byte records decode lazily per chunk.
-//! The FNV body checksum is verified once per shared handle, on the
-//! first full pass any cursor completes.
+//!
+//! ## When the checksum is verified
+//!
+//! The FNV body checksum belongs to the shared handle, not to a cursor:
+//! the handle keeps the length of the body prefix hashed so far and the
+//! running FNV over it, and the one cursor whose chunk covers that
+//! frontier extends it. Each body byte is therefore hashed at most once
+//! per handle per process however many cursors, threads and partial
+//! passes replay it, short cells that never finish a pass still
+//! accumulate towards the verdict, and the verdict falls when the
+//! prefix reaches the end of the body: a mismatch is a typed
+//! [`IngestError::ChecksumMismatch`] from the `next_chunk` that
+//! completes the coverage (the frontier stays put, so every later
+//! cursor to reach the end gets the same error and no record of the
+//! last chunk is handed out). [`MmapBtrc::materialize`] hashes whatever
+//! is still unhashed before decoding anything.
 //!
 //! ## Mapping lifetime and safety
 //!
@@ -19,8 +33,8 @@
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use berti_types::{decode_record_chunk, Instr, RECORD_BYTES};
 
@@ -168,10 +182,13 @@ pub struct MmapBtrc {
     path: PathBuf,
     map: map::Mmap,
     header: BtrcHeader,
-    /// Set by the first cursor that completes a full pass with a
-    /// matching body checksum; later passes (and sibling cursors) skip
-    /// re-hashing the body.
-    verified: AtomicBool,
+    /// Bytes of the body prefix hashed so far; the body is verified
+    /// once this equals its length. Written only while holding `hash`
+    /// (`Release`), read lock-free by every chunk (`Acquire`).
+    hashed: AtomicUsize,
+    /// Running FNV-1a over `body()[..hashed]`; holding the lock is the
+    /// right to extend the prefix.
+    hash: Mutex<u64>,
 }
 
 impl std::fmt::Debug for MmapBtrc {
@@ -217,12 +234,21 @@ impl MmapBtrc {
                 extra: (body_len - header.body_bytes()) as usize,
             });
         }
-        Ok(Self {
+        let btrc = Self {
             path: path.to_path_buf(),
             map,
             header,
-            verified: AtomicBool::new(false),
-        })
+            hashed: AtomicUsize::new(0),
+            hash: Mutex::new(FNV_OFFSET_BASIS),
+        };
+        // An empty body has no chunk to carry its verdict.
+        if btrc.body().is_empty() && btrc.header.checksum != FNV_OFFSET_BASIS {
+            return Err(IngestError::ChecksumMismatch {
+                expected: btrc.header.checksum,
+                got: FNV_OFFSET_BASIS,
+            });
+        }
+        Ok(btrc)
     }
 
     /// The mapped file.
@@ -240,20 +266,50 @@ impl MmapBtrc {
         &self.map.bytes()[BTRC_HEADER_BYTES..]
     }
 
+    /// Body bytes hashed so far by this handle (diagnostics, in the
+    /// spirit of `cache::decode_count`): never more than the body
+    /// length, and equal to it exactly when the checksum is verified.
+    pub fn hashed_bytes(&self) -> usize {
+        self.hashed.load(Ordering::Acquire)
+    }
+
+    /// Extends the hashed prefix to `end` if it currently ends inside
+    /// `body()[start..end]` — the caller is about to hand out (or
+    /// decode) those bytes. A frontier outside the range means another
+    /// cursor already hashed them, or has yet to hash what precedes
+    /// them; either way this call hashes nothing. Reaching the end of
+    /// the body with the wrong sum is the checksum verdict.
+    fn hash_through(&self, start: usize, end: usize) -> Result<(), IngestError> {
+        let covers = |frontier: usize| (start..end).contains(&frontier);
+        if !covers(self.hashed.load(Ordering::Acquire)) {
+            return Ok(());
+        }
+        let mut hash = self
+            .hash
+            .lock()
+            .expect("nothing panics while extending the hashed prefix");
+        let frontier = self.hashed.load(Ordering::Acquire);
+        if !covers(frontier) {
+            return Ok(()); // a sibling cursor got here first
+        }
+        let body = self.body();
+        let got = fnv1a64_update(*hash, &body[frontier..end]);
+        if end == body.len() && got != self.header.checksum {
+            return Err(IngestError::ChecksumMismatch {
+                expected: self.header.checksum,
+                got,
+            });
+        }
+        *hash = got;
+        self.hashed.store(end, Ordering::Release);
+        Ok(())
+    }
+
     /// Decodes the whole body into a materialized sequence (the
     /// `instrs()` compatibility path; verifies the checksum eagerly).
     pub fn materialize(&self) -> Result<Arc<[Instr]>, IngestError> {
         let body = self.body();
-        if !self.verified.load(Ordering::Acquire) {
-            let got = super::fnv1a64(body);
-            if got != self.header.checksum {
-                return Err(IngestError::ChecksumMismatch {
-                    expected: self.header.checksum,
-                    got,
-                });
-            }
-            self.verified.store(true, Ordering::Release);
-        }
+        self.hash_through(0, body.len())?;
         let mut out = vec![Instr::default(); self.record_count()];
         decode_record_chunk(body, &mut out)
             .map_err(|(index, error)| IngestError::BadRecord { index, error })?;
@@ -262,29 +318,18 @@ impl MmapBtrc {
 }
 
 /// A zero-copy cursor over a shared [`MmapBtrc`]: decodes 40-byte
-/// records lazily per chunk straight out of the mapping, hashing the
-/// body as it goes until the handle's checksum has been verified once.
+/// records lazily per chunk straight out of the mapping. The cursor is
+/// only a position; checksum progress lives in the handle.
 pub struct MmapStream {
     btrc: Arc<MmapBtrc>,
     /// Next record index of the current pass.
     rec: usize,
-    /// Running FNV over the body bytes of this pass.
-    hash: u64,
-    /// Whether this pass is hashing (false once the handle, or this
-    /// stream's own earlier pass, verified the checksum).
-    hashing: bool,
 }
 
 impl MmapStream {
     /// A cursor at record zero over `btrc`.
     pub fn new(btrc: Arc<MmapBtrc>) -> Self {
-        let hashing = !btrc.verified.load(Ordering::Acquire);
-        Self {
-            btrc,
-            rec: 0,
-            hash: FNV_OFFSET_BASIS,
-            hashing,
-        }
+        Self { btrc, rec: 0 }
     }
 }
 
@@ -294,43 +339,24 @@ impl InstrStream for MmapStream {
     }
 
     fn next_chunk(&mut self, buf: &mut [Instr]) -> Result<usize, IngestError> {
-        let remaining = self.btrc.record_count() - self.rec;
-        if remaining == 0 || buf.is_empty() {
-            if remaining == 0 && self.hashing {
-                // First full pass complete: verify the body checksum
-                // once for the shared handle.
-                self.hashing = false;
-                if !self.btrc.verified.load(Ordering::Acquire) {
-                    if self.hash != self.btrc.header.checksum {
-                        return Err(IngestError::ChecksumMismatch {
-                            expected: self.btrc.header.checksum,
-                            got: self.hash,
-                        });
-                    }
-                    self.btrc.verified.store(true, Ordering::Release);
-                }
-            }
+        let n = buf.len().min(self.btrc.record_count() - self.rec);
+        if n == 0 {
             return Ok(0);
         }
-        let n = buf.len().min(remaining);
-        let bytes = &self.btrc.body()[self.rec * RECORD_BYTES..(self.rec + n) * RECORD_BYTES];
-        if self.hashing {
-            self.hash = fnv1a64_update(self.hash, bytes);
-        }
-        decode_record_chunk(bytes, &mut buf[..n]).map_err(|(index, error)| {
-            IngestError::BadRecord {
+        let (start, end) = (self.rec * RECORD_BYTES, (self.rec + n) * RECORD_BYTES);
+        self.btrc.hash_through(start, end)?;
+        decode_record_chunk(&self.btrc.body()[start..end], &mut buf[..n]).map_err(
+            |(index, error)| IngestError::BadRecord {
                 index: self.rec as u64 + index,
                 error,
-            }
-        })?;
+            },
+        )?;
         self.rec += n;
         Ok(n)
     }
 
     fn rewind(&mut self) -> Result<(), IngestError> {
         self.rec = 0;
-        self.hash = FNV_OFFSET_BASIS;
-        self.hashing = !self.btrc.verified.load(Ordering::Acquire);
         Ok(())
     }
 
@@ -363,6 +389,7 @@ mod tests {
         let path = tmpfile("ok", &encode_btrc(&instrs));
         let btrc = Arc::new(MmapBtrc::open(&path).expect("opens"));
         assert_eq!(btrc.record_count(), 100);
+        assert_eq!(btrc.hashed_bytes(), 0, "open hashes nothing");
         let mut s = MmapStream::new(Arc::clone(&btrc));
         let mut got = Vec::new();
         let mut buf = [Instr::default(); 7];
@@ -372,14 +399,29 @@ mod tests {
                 break;
             }
             got.extend_from_slice(&buf[..n]);
+            assert_eq!(btrc.hashed_bytes(), got.len() * RECORD_BYTES);
         }
         assert_eq!(got, instrs);
-        assert!(btrc.verified.load(Ordering::Acquire), "first pass verified");
-        // A fork after verification skips hashing entirely.
+        // Verified: a fork and a materialize hash nothing more.
         let mut f = s.fork().expect("forks");
         assert_eq!(f.len(), 100);
         assert_eq!(f.next_chunk(&mut buf).expect("decodes"), 7);
         assert_eq!(btrc.materialize().expect("materializes").len(), 100);
+        assert_eq!(btrc.hashed_bytes(), 100 * RECORD_BYTES);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn materialize_finishes_a_partial_prefix() {
+        let instrs = sample(40);
+        let path = tmpfile("mat", &encode_btrc(&instrs));
+        let btrc = Arc::new(MmapBtrc::open(&path).expect("opens"));
+        let mut buf = [Instr::default(); 14];
+        let mut s = MmapStream::new(Arc::clone(&btrc));
+        assert_eq!(s.next_chunk(&mut buf).expect("decodes"), 14);
+        assert_eq!(btrc.hashed_bytes(), 14 * RECORD_BYTES);
+        assert_eq!(&*btrc.materialize().expect("materializes"), &instrs[..]);
+        assert_eq!(btrc.hashed_bytes(), 40 * RECORD_BYTES);
         std::fs::remove_file(&path).ok();
     }
 
@@ -408,20 +450,39 @@ mod tests {
     }
 
     #[test]
-    fn checksum_mismatch_surfaces_at_end_of_first_pass() {
+    fn checksum_mismatch_surfaces_when_coverage_completes() {
         let mut bytes = encode_btrc(&sample(10));
         // Flip a load-address byte of the last record: still canonical,
         // but the body no longer hashes to the header checksum.
         bytes[BTRC_HEADER_BYTES + 9 * RECORD_BYTES + 8] ^= 0x01;
         let path = tmpfile("sum", &bytes);
         let btrc = Arc::new(MmapBtrc::open(&path).expect("header is fine"));
-        let mut s = MmapStream::new(btrc);
-        let mut buf = [Instr::default(); 64];
-        assert_eq!(s.next_chunk(&mut buf).expect("body decodes"), 10);
+        let mut s = MmapStream::new(Arc::clone(&btrc));
+        let mut buf = [Instr::default(); 6];
+        assert_eq!(s.next_chunk(&mut buf).expect("body decodes"), 6);
+        // The chunk that completes the coverage fails, every time.
+        for _ in 0..2 {
+            assert!(matches!(
+                s.next_chunk(&mut buf),
+                Err(IngestError::ChecksumMismatch { .. })
+            ));
+        }
+        assert_eq!(btrc.hashed_bytes(), 6 * RECORD_BYTES, "never verified");
         assert!(matches!(
-            s.next_chunk(&mut buf),
+            btrc.materialize(),
             Err(IngestError::ChecksumMismatch { .. })
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn empty_body_with_a_wrong_checksum_fails_at_open() {
+        let mut bytes = encode_btrc(&[]);
+        assert!(MmapBtrc::open(&tmpfile("empty-ok", &bytes)).is_ok());
+        bytes[16] ^= 0x01; // first byte of the header's checksum field
+        assert!(matches!(
+            MmapBtrc::open(&tmpfile("empty-bad", &bytes)),
+            Err(IngestError::ChecksumMismatch { .. })
+        ));
     }
 }

@@ -280,12 +280,15 @@ impl Trace {
     /// # Panics
     ///
     /// Mid-replay stream corruption (e.g. a `.btrc` body failing its
-    /// lazy checksum at the end of the first pass) panics with the
+    /// lazy checksum when the chunk that completes the file's first
+    /// full coverage is pulled — by this cursor or, the progress being
+    /// shared, after other cursors hashed the rest) panics with the
     /// typed error's message: `next_instr` is the simulator's
     /// infallible hot path, and the harness already converts worker
-    /// panics into failed cells. Everything detectable at open time
-    /// surfaces as a typed error from [`WorkloadDef::try_trace`]
-    /// instead.
+    /// panics into failed cells. Everything detectable at open time —
+    /// which includes the checksum of a file no longer than the first
+    /// chunk — surfaces as a typed error from
+    /// [`WorkloadDef::try_trace`] instead.
     #[cold]
     fn refill(&mut self) {
         std::mem::swap(&mut self.cur, &mut self.spare);

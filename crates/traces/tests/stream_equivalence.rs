@@ -12,8 +12,11 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use std::sync::{Arc, Barrier};
+
 use berti_traces::ingest::{
-    decode_btrc, encode_btrc, open_streaming, write_btrc, IngestError, BTRC_HEADER_BYTES,
+    decode_btrc, encode_btrc, open_streaming, write_btrc, IngestError, MmapBtrc, MmapStream,
+    BTRC_HEADER_BYTES,
 };
 use berti_traces::{InstrStream, Trace, STREAM_CHUNK_INSTRS};
 use berti_types::{Instr, Ip, VAddr, RECORD_BYTES};
@@ -157,30 +160,168 @@ proptest! {
     }
 }
 
+/// Pulls exactly `records` records through `stream` in 16-record reads.
+fn pull(stream: &mut dyn InstrStream, records: usize) -> Result<Vec<Instr>, IngestError> {
+    let mut out = Vec::with_capacity(records);
+    let mut buf = [Instr::alu(Ip::new(0)); 16];
+    while out.len() < records {
+        let want = buf.len().min(records - out.len());
+        let n = stream.next_chunk(&mut buf[..want])?;
+        assert!(n > 0, "stream ended {} records early", records - out.len());
+        out.extend_from_slice(&buf[..n]);
+    }
+    Ok(out)
+}
+
+/// Partial passes accumulate: cursor A reads three quarters of the body
+/// and is dropped, its fork B re-reads what A hashed (the frontier does
+/// not move) and then carries it to the end — verified, with every body
+/// byte hashed exactly once.
+#[test]
+fn partial_passes_of_two_cursors_hash_each_byte_once() {
+    let instrs = mixed_instrs(400);
+    let path = tmp("partial.btrc");
+    write_btrc(&path, &instrs).expect("writes");
+    let btrc = Arc::new(MmapBtrc::open(&path).expect("opens"));
+    let mut a = MmapStream::new(Arc::clone(&btrc));
+    assert_eq!(pull(&mut a, 300).expect("streams"), instrs[..300]);
+    assert_eq!(btrc.hashed_bytes(), 300 * RECORD_BYTES);
+    let mut b = a.fork().expect("forks");
+    drop(a);
+    assert_eq!(pull(b.as_mut(), 290).expect("streams"), instrs[..290]);
+    assert_eq!(btrc.hashed_bytes(), 300 * RECORD_BYTES, "nothing re-hashed");
+    assert_eq!(pull(b.as_mut(), 110).expect("streams"), instrs[290..]);
+    assert_eq!(btrc.hashed_bytes(), 400 * RECORD_BYTES, "verified");
+    std::fs::remove_file(&path).ok();
+}
+
 /// The lazy checksum catches body corruption the record decoder cannot:
 /// a flipped address byte still decodes as a canonical record, so the
-/// error surfaces as `ChecksumMismatch` exactly at the end of the first
-/// full pass — and only the first; a clean file's second pass skips the
-/// hash entirely (the shared verified latch).
+/// error surfaces as `ChecksumMismatch` when the first full coverage of
+/// the body completes — the end of the first pass for a lone cursor,
+/// and for two cursors sharing the work whichever of them gets there
+/// (then the other as well), wherever the flipped byte sits.
 #[test]
-fn flipped_body_byte_is_a_checksum_mismatch_at_end_of_first_pass() {
+fn flipped_body_byte_is_a_checksum_mismatch_when_coverage_completes() {
     let instrs = mixed_instrs(40);
-    let mut bytes = encode_btrc(&instrs);
-    // Flip a load-address byte of a record that has `loads[0]` (18 % 3
-    // == 0): still a canonical record, but the body no longer matches
-    // the header's FNV.
-    bytes[BTRC_HEADER_BYTES + 18 * RECORD_BYTES + 9] ^= 0x40;
-    let path = tmp("flip.btrc");
-    std::fs::write(&path, &bytes).expect("writes");
+    // Records with `loads[0]` (index % 3 != 2) in the first and in the
+    // last quarter: flipping an address byte keeps the record canonical
+    // but the body no longer matches the header's FNV.
+    for record in [3, 18, 36] {
+        let mut bytes = encode_btrc(&instrs);
+        bytes[BTRC_HEADER_BYTES + record * RECORD_BYTES + 9] ^= 0x40;
+        let path = tmp("flip.btrc");
+        std::fs::write(&path, &bytes).expect("writes");
 
-    let mut stream = open_streaming(&path).expect("header is intact, open succeeds");
-    let err = drain_pass(stream.as_mut(), 16).expect_err("first pass detects corruption");
-    assert!(
-        matches!(err, IngestError::ChecksumMismatch { .. }),
-        "expected ChecksumMismatch, got {err:?}"
+        let mut lone = open_streaming(&path).expect("header is intact, open succeeds");
+        let err = drain_pass(lone.as_mut(), 16).expect_err("first pass detects corruption");
+        assert!(
+            matches!(err, IngestError::ChecksumMismatch { .. }),
+            "expected ChecksumMismatch, got {err:?}"
+        );
+
+        let btrc = Arc::new(MmapBtrc::open(&path).expect("opens"));
+        let mut a = MmapStream::new(Arc::clone(&btrc));
+        pull(&mut a, 30).expect("three quarters stream");
+        let mut b = a.fork().expect("forks");
+        for cursor in [b.as_mut(), &mut a as &mut dyn InstrStream] {
+            assert!(matches!(
+                drain_pass(cursor, 16),
+                Err(IngestError::ChecksumMismatch { .. })
+            ));
+        }
+        assert!(btrc.hashed_bytes() < 40 * RECORD_BYTES, "never verified");
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// Many short cells over one file, each a fresh cursor that stops well
+/// short of a full pass (the shape of a campaign: 300 k-instruction
+/// cells on a 400 k-instruction trace): the first cell hashes what it
+/// reads, every later one hashes nothing, and a longer cell then only
+/// adds the tail — the handle ends verified with every body byte hashed
+/// exactly once.
+#[test]
+fn short_cells_over_one_handle_hash_nothing_after_the_first() {
+    let len = 3 * STREAM_CHUNK_INSTRS + 100;
+    let instrs = mixed_instrs(len);
+    let path = tmp("cells.btrc");
+    write_btrc(&path, &instrs).expect("writes");
+    let btrc = Arc::new(MmapBtrc::open(&path).expect("opens"));
+    let cell = |pulls: usize| {
+        let stream = Box::new(MmapStream::new(Arc::clone(&btrc)));
+        let mut trace = Trace::from_stream("cell".to_string(), stream).expect("primes");
+        for k in 0..pulls {
+            assert_eq!(trace.next_instr(), instrs[k % len], "pull {k}");
+        }
+        btrc.hashed_bytes()
+    };
+    let short = 2 * STREAM_CHUNK_INSTRS + 1; // pulls three chunks of the four
+    let after_first = cell(short);
+    assert_eq!(after_first, 3 * STREAM_CHUNK_INSTRS * RECORD_BYTES);
+    for _ in 0..5 {
+        assert_eq!(cell(short), after_first, "a repeat cell hashed bytes again");
+    }
+    assert_eq!(cell(len + 10), len * RECORD_BYTES, "the tail completes it");
+    assert_eq!(
+        cell(2 * len),
+        len * RECORD_BYTES,
+        "verified: wraps hash nothing"
     );
-
     std::fs::remove_file(&path).ok();
+}
+
+/// Two threads replay one handle with different chunkings, released
+/// together by a barrier so both race over the same frontier. The
+/// running FNV is order-sensitive: had any byte been hashed twice, out
+/// of order, or skipped, the sum could not match and one of the passes
+/// would fail — so two clean passes plus a verified handle prove every
+/// byte went through the hash exactly once. On a corrupt body neither
+/// thread may miss the verdict.
+#[test]
+fn two_threads_over_one_handle_hash_once_and_both_get_the_verdict() {
+    let instrs = mixed_instrs(5_000);
+    let mut corrupt = encode_btrc(&instrs);
+    corrupt[BTRC_HEADER_BYTES + 4_321 * RECORD_BYTES + 9] ^= 0x40;
+    for (tag, bytes, clean) in [
+        ("mt-ok.btrc", encode_btrc(&instrs), true),
+        ("mt-bad.btrc", corrupt, false),
+    ] {
+        let path = tmp(tag);
+        std::fs::write(&path, &bytes).expect("writes");
+        let btrc = Arc::new(MmapBtrc::open(&path).expect("opens"));
+        let barrier = Barrier::new(2);
+        let passes: Vec<Result<Vec<Instr>, IngestError>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = [7usize, 64]
+                .into_iter()
+                .map(|chunk| {
+                    let (btrc, barrier) = (Arc::clone(&btrc), &barrier);
+                    scope.spawn(move || {
+                        let mut stream = MmapStream::new(btrc);
+                        barrier.wait();
+                        drain_pass(&mut stream, chunk)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("replay thread panicked"))
+                .collect()
+        });
+        for pass in passes {
+            if clean {
+                assert_eq!(pass.expect("clean pass"), instrs);
+            } else {
+                assert!(matches!(pass, Err(IngestError::ChecksumMismatch { .. })));
+            }
+        }
+        assert_eq!(
+            btrc.hashed_bytes() == instrs.len() * RECORD_BYTES,
+            clean,
+            "verified exactly when the body is clean"
+        );
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 /// The checked-in ChampSim fixture streams to exactly the sequence the
