@@ -178,19 +178,16 @@ impl WorkloadDef {
 /// A replayable instruction trace. Replays cyclically, as ChampSim
 /// replays SimPoint traces when a core needs more instructions.
 ///
-/// Internally a double-buffered cursor over an [`InstrStream`]: the
-/// hot [`Trace::next_instr`] serves out of the active chunk, and the
-/// `#[cold]` refill swaps in the spare buffer, pulls the next chunk,
-/// and rewinds the stream at end-of-pass. Only two chunks
-/// ([`STREAM_CHUNK_INSTRS`] instructions each) are resident, whatever
-/// the trace's length.
+/// Internally a chunked cursor over an [`InstrStream`]: the hot
+/// [`Trace::next_instr`] serves out of the chunk buffer, and the
+/// `#[cold]` refill pulls the next chunk into it, rewinding the stream
+/// at end-of-pass. Only one chunk ([`STREAM_CHUNK_INSTRS`]
+/// instructions) is resident, whatever the trace's length.
 pub struct Trace {
     name: Arc<str>,
     stream: Box<dyn InstrStream>,
-    /// Active chunk; `cur[..filled]` is valid.
+    /// The chunk buffer; `cur[..filled]` is valid.
     cur: Vec<Instr>,
-    /// The spare buffer `refill` swaps in.
-    spare: Vec<Instr>,
     pos: usize,
     filled: usize,
     len: usize,
@@ -245,7 +242,6 @@ impl Trace {
         Ok(Self {
             name,
             stream,
-            spare: vec![Instr::default(); chunk],
             cur,
             pos: 0,
             filled,
@@ -274,8 +270,8 @@ impl Trace {
         i
     }
 
-    /// Swaps in the spare buffer and pulls the next chunk, rewinding
-    /// the stream at end-of-pass (cyclic replay).
+    /// Pulls the next chunk, rewinding the stream at end-of-pass
+    /// (cyclic replay).
     ///
     /// # Panics
     ///
@@ -291,7 +287,6 @@ impl Trace {
     /// [`WorkloadDef::try_trace`] instead.
     #[cold]
     fn refill(&mut self) {
-        std::mem::swap(&mut self.cur, &mut self.spare);
         let fill = |stream: &mut Box<dyn InstrStream>, buf: &mut [Instr]| {
             stream
                 .next_chunk(buf)
