@@ -14,7 +14,7 @@
 //! Connections are one-request (`Connection: close`); accepted streams
 //! fan out to a bounded pool of handler threads through a shared
 //! channel. The accept loop polls a shutdown flag (every 50 ms idle,
-//! every 5 ms while cells are in flight), so SIGTERM turns into: stop
+//! every 5 ms around running cells), so SIGTERM turns into: stop
 //! accepting → tell the scheduler to stop dispatching → wait for
 //! in-flight cells to publish to the store → exit.
 
@@ -37,13 +37,16 @@ use crate::stats::metrics_json;
 /// How often blocked loops (accept, SSE wait) re-check shutdown.
 const POLL: Duration = Duration::from_millis(50);
 
-/// The accept loop's poll period while cells are in flight. Whoever
-/// follows a campaign's stream to its end fetches the result straight
-/// away; at the idle period that fetch would wait anything up to
-/// [`POLL`] depending on which side of a poll boundary the last cell
-/// finished, so a few per cent more or less simulation time would move
-/// a short campaign's turnaround by a whole period. An idle daemon
-/// keeps the long period and its 20 wake-ups a second.
+/// The accept loop's poll period while cells are in flight or have
+/// finished since the previous poll. Whoever follows a campaign's
+/// stream to its end fetches the result straight away; at the idle
+/// period that fetch would wait anything up to [`POLL`] depending on
+/// which side of a poll boundary the last cell finished, so a few per
+/// cent more or less simulation time would move a short campaign's
+/// turnaround by a whole period. Counting finished cells covers a
+/// campaign that ran inside one idle period, and makes the poll after
+/// the last cell a short one: the one that accepts the fetch. An idle
+/// daemon keeps the long period and its 20 wake-ups a second.
 const POLL_BUSY: Duration = Duration::from_millis(5);
 
 /// Read/write timeout on accepted connections, so a stalled or
@@ -184,35 +187,35 @@ impl Server {
                 }));
             }
 
-            loop {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
+            // One poll: take every connection pending now, decide the
+            // nap, and only then wake handlers. A handler woken first
+            // can run, with the scheduler and the cells it starts,
+            // before this thread looks again; whether its client's next
+            // request and its cells fall to this poll or the next, a
+            // period apart, would be the thread scheduler's choice.
+            let mut pending = Vec::new();
+            let mut cells_done = 0;
+            while !shutdown.load(Ordering::SeqCst) {
+                // Until nothing is pending (or a transient accept error).
+                while let Ok((stream, _)) = self.listener.accept() {
+                    pending.push(stream);
                 }
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        // Blocking I/O per connection; the handler owns
-                        // pacing from here. Bounded I/O waits mean a
-                        // stalled client can't pin a handler forever.
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.set_read_timeout(Some(HTTP_IO_TIMEOUT));
-                        let _ = stream.set_write_timeout(Some(HTTP_IO_TIMEOUT));
-                        if conn_tx.send(stream).is_err() {
-                            break;
-                        }
-                    }
-                    Err(_) => {
-                        // Nothing pending (or a transient accept
-                        // error): nap, briefly while cells run.
-                        let busy = self
-                            .daemon
-                            .sched
-                            .lock()
-                            .expect("sched stats poisoned")
-                            .cells_in_flight
-                            > 0;
-                        std::thread::sleep(if busy { POLL_BUSY } else { POLL });
-                    }
+                let sched = *self.daemon.sched.lock().expect("sched stats poisoned");
+                let stats = *self.daemon.stats.lock().expect("stats poisoned");
+                let done = stats.cells_completed + stats.cells_cached + stats.cells_failed;
+                let busy = sched.cells_in_flight > 0 || done != cells_done;
+                cells_done = done;
+                for stream in pending.drain(..) {
+                    // Blocking I/O per connection; the handler owns
+                    // pacing from here. Bounded I/O waits mean a
+                    // stalled client can't pin a handler forever.
+                    let _ = stream.set_nonblocking(false);
+                    let _ = stream.set_read_timeout(Some(HTTP_IO_TIMEOUT));
+                    let _ = stream.set_write_timeout(Some(HTTP_IO_TIMEOUT));
+                    // Handlers only go away after this loop.
+                    let _ = conn_tx.send(stream);
                 }
+                std::thread::sleep(if busy { POLL_BUSY } else { POLL });
             }
 
             // Graceful drain: scheduler observes the flag, stops

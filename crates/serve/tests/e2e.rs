@@ -915,3 +915,44 @@ fn corrupt_trace_fails_once_and_aggregates_identically_through_every_front_end()
         );
     }
 }
+
+/// A client in lockstep with the daemon — submit, follow the stream to
+/// its end, fetch the result, submit again — meets the accept loop's
+/// long idle poll on its `POST` (nothing has run since the last poll)
+/// and a short one on its fetch (cells have), whichever way the
+/// threads happen to be scheduled. Resubmits are all store hits, so
+/// each campaign has run and gone inside the idle nap that follows its
+/// `POST`: the poll that accepts the stream no longer finds a cell in
+/// flight, and must go by the cells finished since the poll before.
+#[test]
+fn fetch_after_a_stream_ends_meets_a_short_poll_and_the_next_submit_a_long_one() {
+    let store = fresh_dir("polls");
+    let daemon = DaemonProc::start(&store, &[], &["--in-process"]);
+    let addr = daemon.addr.clone();
+    let campaign = Campaign::grid("polls")
+        .workload("lbm-like")
+        .l1(PrefetcherChoice::IpStride)
+        .l1(PrefetcherChoice::Berti)
+        .opts(tiny_opts())
+        .build();
+    // (POST → ack, stream end → result in hand) of one lockstep round.
+    let round = || {
+        let t = Instant::now();
+        let id = submit(&addr, &campaign);
+        let ack = t.elapsed();
+        let stream = sse_collect(&addr, &format!("/campaigns/{id}/events"), None);
+        assert_eq!(stream.end.as_deref(), Some("done"));
+        let t = Instant::now();
+        let (status, _) = http(&addr, "GET", &format!("/campaigns/{id}/result"), None);
+        assert_eq!(status, 200);
+        (ack, t.elapsed())
+    };
+    round(); // cold: fills the store
+    round(); // its `POST` came right behind a short poll
+    let rounds: Vec<_> = (0..12).map(|_| round()).collect();
+    let fetch_first = rounds.iter().filter(|(ack, fetch)| fetch < ack).count();
+    assert!(
+        fetch_first >= 10,
+        "the fetch should beat the submit's acknowledgement (5 ms poll against 50 ms): {rounds:?}"
+    );
+}
