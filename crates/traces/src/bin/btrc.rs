@@ -14,11 +14,13 @@
 //! btrc list                      list builtin workload names
 //! ```
 
+use std::fs::File;
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
 use berti_traces::ingest::{
-    encode_btrc, fnv1a64_update, open_streaming, read_trace_file, write_btrc, FNV_OFFSET_BASIS,
+    btrc_header, fnv1a64_update, open_streaming, read_trace_file, write_btrc, FNV_OFFSET_BASIS,
 };
 use berti_traces::{TraceRegistry, STREAM_CHUNK_INSTRS};
 use berti_types::Instr;
@@ -77,40 +79,32 @@ fn gen(workload: &str, output: &Path, tile: u64) -> Result<(), String> {
         }
         msg
     })?;
-    let instrs = w.instrs().map_err(|e| e.to_string())?;
-    if tile == 1 {
-        write_btrc(output, &instrs).map_err(|e| e.to_string())?;
-    } else {
-        // Tiling repeats the sequence to build arbitrarily large
-        // fixtures (e.g. for memory-ceiling CI runs) without holding
-        // more than one period plus its encoding in memory: encode the
-        // period once, then write the body again per tile and patch
-        // the header's count and checksum.
-        let one = encode_btrc(&instrs);
-        let (header, body) = one.split_at(32);
-        let mut header: Vec<u8> = header.to_vec();
-        let count = instrs.len() as u64 * tile;
-        header[8..16].copy_from_slice(&count.to_le_bytes());
-        let mut hash = FNV_OFFSET_BASIS;
-        for _ in 0..tile {
-            hash = fnv1a64_update(hash, body);
-        }
-        header[16..24].copy_from_slice(&hash.to_le_bytes());
-        use std::io::Write;
-        let f = std::fs::File::create(output).map_err(|e| e.to_string())?;
-        let mut f = std::io::BufWriter::new(f);
-        f.write_all(&header).map_err(|e| e.to_string())?;
-        for _ in 0..tile {
-            f.write_all(body).map_err(|e| e.to_string())?;
-        }
-        f.flush().map_err(|e| e.to_string())?;
-    }
-    println!(
-        "{workload} -> {} ({} records)",
-        output.display(),
-        instrs.len() as u64 * tile
-    );
+    let btrc = w
+        .builtin_body()
+        .expect("the builtin registry holds generators only");
+    let records = btrc.record_count() as u64 * tile;
+    write_tiled(output, btrc.body(), records, tile)
+        .map_err(|e| format!("{}: {e}", output.display()))?;
+    println!("{workload} -> {} ({records} records)", output.display());
     Ok(())
+}
+
+/// Writes a `.btrc` file of `tile` copies of the record body `body`,
+/// `records` records in all. Tiling builds arbitrarily large fixtures
+/// (e.g. for memory-ceiling CI runs) in the memory of one body. Each
+/// byte is hashed once, as it is written: the header goes out first
+/// with a zero checksum and is rewritten with the real one at the end.
+fn write_tiled(output: &Path, body: &[u8], records: u64, tile: u64) -> std::io::Result<()> {
+    let mut f = BufWriter::new(File::create(output)?);
+    f.write_all(&btrc_header(records, 0))?;
+    let mut hash = FNV_OFFSET_BASIS;
+    for _ in 0..tile {
+        hash = fnv1a64_update(hash, body);
+        f.write_all(body)?;
+    }
+    let mut f = f.into_inner().map_err(|e| e.into_error())?;
+    f.seek(SeekFrom::Start(0))?;
+    f.write_all(&btrc_header(records, hash))
 }
 
 fn info(path: &Path) -> Result<(), String> {

@@ -1,14 +1,21 @@
 //! A small helper for emitting instruction sequences with realistic
 //! padding (ALU work between memory operations) and branch behaviour.
+//!
+//! The builder writes each instruction straight into its canonical
+//! 40-byte `.btrc` record, so a generated trace exists only as the
+//! record body the trace cache holds and replays — never as an array of
+//! 64-byte [`Instr`]s.
 
-use berti_types::{Instr, Ip, VAddr, LINE_BYTES};
+use berti_types::{encode_record, Instr, Ip, VAddr, LINE_BYTES, RECORD_BYTES};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-/// Incrementally builds an instruction trace.
+use crate::ingest::decode_records;
+
+/// Incrementally builds an instruction trace as a `.btrc` record body.
 #[derive(Debug)]
 pub struct TraceBuilder {
-    instrs: Vec<Instr>,
+    body: Vec<u8>,
     rng: SmallRng,
     next_alu_ip: u64,
 }
@@ -17,7 +24,7 @@ impl TraceBuilder {
     /// Creates a builder with a deterministic seed.
     pub fn new(seed: u64) -> Self {
         Self {
-            instrs: Vec::new(),
+            body: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
             next_alu_ip: 0x10_0000,
         }
@@ -25,12 +32,12 @@ impl TraceBuilder {
 
     /// Instructions emitted so far.
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.body.len() / RECORD_BYTES
     }
 
     /// Whether nothing has been emitted yet.
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
+        self.body.is_empty()
     }
 
     /// Access to the builder's deterministic RNG.
@@ -42,14 +49,14 @@ impl TraceBuilder {
     pub fn alu(&mut self, n: usize) {
         for _ in 0..n {
             self.next_alu_ip = 0x10_0000 + (self.next_alu_ip + 4) % 0x400;
-            self.instrs.push(Instr::alu(Ip::new(self.next_alu_ip)));
+            self.push(Instr::alu(Ip::new(self.next_alu_ip)));
         }
     }
 
     /// Emits a load by `ip` of the line-aligned address `line_index`
     /// lines into the region starting at `base`.
     pub fn load_line(&mut self, ip: u64, base: u64, line_index: u64) {
-        self.instrs.push(Instr::load(
+        self.push(Instr::load(
             Ip::new(ip),
             VAddr::new(base + line_index * LINE_BYTES),
         ));
@@ -64,7 +71,7 @@ impl TraceBuilder {
     /// DRAM.
     pub fn stream_line(&mut self, ip: u64, base: u64, line_index: u64, loads: u32, pad: usize) {
         for e in 0..loads {
-            self.instrs.push(Instr::load(
+            self.push(Instr::load(
                 Ip::new(ip),
                 VAddr::new(base + line_index * LINE_BYTES + u64::from(e % 8) * 8),
             ));
@@ -86,14 +93,14 @@ impl TraceBuilder {
         pad: usize,
         chain: u8,
     ) {
-        self.instrs.push(Instr::dependent_load(
+        self.push(Instr::dependent_load(
             Ip::new(ip),
             VAddr::new(base + line_index * LINE_BYTES),
             chain,
         ));
         self.alu(pad);
         for e in 1..loads {
-            self.instrs.push(Instr::load(
+            self.push(Instr::load(
                 Ip::new(ip),
                 VAddr::new(base + line_index * LINE_BYTES + u64::from(e % 8) * 8),
             ));
@@ -103,7 +110,7 @@ impl TraceBuilder {
 
     /// Emits a dependent load (pointer chasing) in `chain`.
     pub fn dep_load_line(&mut self, ip: u64, base: u64, line_index: u64, chain: u8) {
-        self.instrs.push(Instr::dependent_load(
+        self.push(Instr::dependent_load(
             Ip::new(ip),
             VAddr::new(base + line_index * LINE_BYTES),
             chain,
@@ -112,7 +119,7 @@ impl TraceBuilder {
 
     /// Emits a store by `ip` to the given line of `base`.
     pub fn store_line(&mut self, ip: u64, base: u64, line_index: u64) {
-        self.instrs.push(Instr::store(
+        self.push(Instr::store(
             Ip::new(ip),
             VAddr::new(base + line_index * LINE_BYTES),
         ));
@@ -125,17 +132,23 @@ impl TraceBuilder {
         } else {
             Instr::alu(Ip::new(ip))
         };
-        self.instrs.push(instr);
+        self.push(instr);
     }
 
     /// Pushes a raw instruction.
     pub fn push(&mut self, i: Instr) {
-        self.instrs.push(i);
+        self.body.extend_from_slice(&encode_record(&i));
     }
 
-    /// Finishes the trace.
+    /// Finishes the trace as its record body (what the builtin
+    /// generators return).
+    pub fn into_body(self) -> Vec<u8> {
+        self.body
+    }
+
+    /// Finishes the trace as decoded instructions.
     pub fn build(self) -> Vec<Instr> {
-        self.instrs
+        decode_records(&self.body).expect("the builder writes canonical records")
     }
 }
 

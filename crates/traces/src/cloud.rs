@@ -8,7 +8,6 @@
 //! regular scans reward an *accurate* prefetcher (the paper: "all the
 //! prefetchers fail except Berti").
 
-use berti_types::Instr;
 use rand::RngExt;
 
 use crate::builder::TraceBuilder;
@@ -39,7 +38,7 @@ fn service(
     cold_every: u64,
     mp: f64,
     alu_pad: usize,
-) -> Vec<Instr> {
+) -> Vec<u8> {
     let mut b = TraceBuilder::new(seed);
     let mut i = 0u64;
     while b.len() < TRACE_INSTRS {
@@ -61,12 +60,12 @@ fn service(
         }
         i += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// Key-value store: hot memtable + repeating SSTable scan bursts
 /// (temporal streams MISB covers, Fig. 19).
-fn cassandra_like() -> Vec<Instr> {
+fn cassandra_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0xca55);
     // A fixed tour of "SSTable" lines replayed on every matching query:
     // a temporal (not spatial) pattern.
@@ -102,12 +101,12 @@ fn cassandra_like() -> Vec<Instr> {
         }
         q += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// ML classification: long regular scans over feature vectors — the
 /// CloudSuite benchmark where accurate prefetching pays (Sec. IV-G).
-fn classification_like() -> Vec<Instr> {
+fn classification_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0xc1a5);
     let mut i = 0u64;
     while b.len() < TRACE_INSTRS {
@@ -121,21 +120,21 @@ fn classification_like() -> Vec<Instr> {
         b.branch(0x432_0f0, 0.004);
         i += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// JavaScript server: tiny data footprint, branch-dominated.
-fn cloud9_like() -> Vec<Instr> {
+fn cloud9_like() -> Vec<u8> {
     service(0xc109, 1024, 500_000, 97, 0.02, 9)
 }
 
 /// Web crawler/indexer: small hot set, rare cold bursts.
-fn nutch_like() -> Vec<Instr> {
+fn nutch_like() -> Vec<u8> {
     service(0x9a7c, 2048, 1_000_000, 61, 0.018, 8)
 }
 
 /// Media streaming: one thin hot stream plus sequential chunk reads.
-fn streaming_like() -> Vec<Instr> {
+fn streaming_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0x57e4);
     let mut chunk = 0u64;
     while b.len() < TRACE_INSTRS {
@@ -150,17 +149,18 @@ fn streaming_like() -> Vec<Instr> {
         b.branch(0x433_0f0, 0.012);
         chunk += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// PHP web serving: hot code/data, modest cold misses.
-fn webserving_like() -> Vec<Instr> {
+fn webserving_like() -> Vec<u8> {
     service(0x3eb5, 4096, 2_000_000, 43, 0.016, 7)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::decode_records;
 
     #[test]
     fn suite_has_six_services() {
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn classification_is_stream_regular() {
-        let t = classification_like();
+        let t = decode_records(&classification_like()).expect("decodes");
         let lines: Vec<u64> = t
             .iter()
             .filter(|i| i.ip.raw() == 0x432_000)

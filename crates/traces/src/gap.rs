@@ -227,7 +227,7 @@ mod ips {
 }
 
 /// Emits the address stream of one kernel over one graph.
-fn kernel(k: Kernel, g: GraphKind) -> Vec<Instr> {
+fn kernel(k: Kernel, g: GraphKind) -> Vec<u8> {
     let seed = match g {
         GraphKind::Kron => 0x6b72,
         GraphKind::Urand => 0x7572,
@@ -242,7 +242,7 @@ fn kernel(k: Kernel, g: GraphKind) -> Vec<Instr> {
         Kernel::Bc => e.bc(),
         Kernel::Tc => e.tc(),
     }
-    e.b.build()
+    e.b.into_body()
 }
 
 /// Vertex-sweep flavours sharing one emission loop.
@@ -494,6 +494,7 @@ impl<'g> Emitter<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::decode_records;
     use std::collections::HashSet;
 
     #[test]
@@ -568,7 +569,7 @@ mod tests {
     fn kernels_emit_dependent_property_loads() {
         // Use a tiny generation to keep the test fast: the pr kernel on
         // the real graph but truncated via the shared budget.
-        let t = kernel(Kernel::Pr, GraphKind::Urand);
+        let t = decode_records(&kernel(Kernel::Pr, GraphKind::Urand)).expect("decodes");
         assert!(t.len() >= TRACE_INSTRS);
         let dep_loads = t.iter().filter(|i| i.dep_chain.is_some()).count();
         assert!(
@@ -588,13 +589,13 @@ mod tests {
 
     #[test]
     fn bfs_trace_reaches_budget_even_on_disconnected_graphs() {
-        let t = kernel(Kernel::Bfs, GraphKind::Kron);
+        let t = decode_records(&kernel(Kernel::Bfs, GraphKind::Kron)).expect("decodes");
         assert!(t.len() >= TRACE_INSTRS);
     }
 
     #[test]
     fn tc_streams_two_adjacency_cursors() {
-        let t = kernel(Kernel::Tc, GraphKind::Urand);
+        let t = decode_records(&kernel(Kernel::Tc, GraphKind::Urand)).expect("decodes");
         assert!(t.iter().any(|i| i.ip == Ip::new(ips::NEI2)));
     }
 }

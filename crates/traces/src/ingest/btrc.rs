@@ -23,7 +23,7 @@
 
 use std::path::Path;
 
-use berti_types::{decode_record, encode_record, Instr, RECORD_BYTES};
+use berti_types::{decode_record_chunk, encode_record, Instr, RECORD_BYTES};
 
 use super::IngestError;
 
@@ -104,19 +104,51 @@ pub fn parse_btrc_header(header: &[u8; BTRC_HEADER_BYTES]) -> Result<BtrcHeader,
     })
 }
 
-/// Encodes an instruction stream into `.btrc` bytes.
-pub fn encode_btrc(instrs: &[Instr]) -> Vec<u8> {
+/// The 32-byte `.btrc` header for a body of `record_count` records
+/// hashing to `checksum`. Every writer emits its header through here.
+pub fn btrc_header(record_count: u64, checksum: u64) -> [u8; BTRC_HEADER_BYTES] {
+    let mut h = [0u8; BTRC_HEADER_BYTES];
+    h[0..4].copy_from_slice(&BTRC_MAGIC);
+    h[4..6].copy_from_slice(&BTRC_VERSION.to_le_bytes());
+    h[6..8].copy_from_slice(&(RECORD_BYTES as u16).to_le_bytes());
+    h[8..16].copy_from_slice(&record_count.to_le_bytes());
+    h[16..24].copy_from_slice(&checksum.to_le_bytes());
+    h
+}
+
+/// Encodes instructions into a `.btrc` body: their canonical records,
+/// back to back, without a header.
+pub fn encode_records(instrs: &[Instr]) -> Vec<u8> {
     let mut body = Vec::with_capacity(instrs.len() * RECORD_BYTES);
     for i in instrs {
         body.extend_from_slice(&encode_record(i));
     }
+    body
+}
+
+/// Decodes a `.btrc` body (whole records, no header) back into
+/// instructions.
+///
+/// # Errors
+///
+/// [`IngestError::BadRecord`] for the first non-canonical record.
+///
+/// # Panics
+///
+/// Panics if `body` is not whole records (a caller bug: every reader
+/// checks the body length against the header first).
+pub fn decode_records(body: &[u8]) -> Result<Vec<Instr>, IngestError> {
+    let mut out = vec![Instr::default(); body.len() / RECORD_BYTES];
+    decode_record_chunk(body, &mut out)
+        .map_err(|(index, error)| IngestError::BadRecord { index, error })?;
+    Ok(out)
+}
+
+/// Encodes an instruction stream into `.btrc` bytes.
+pub fn encode_btrc(instrs: &[Instr]) -> Vec<u8> {
+    let body = encode_records(instrs);
     let mut out = Vec::with_capacity(BTRC_HEADER_BYTES + body.len());
-    out.extend_from_slice(&BTRC_MAGIC);
-    out.extend_from_slice(&BTRC_VERSION.to_le_bytes());
-    out.extend_from_slice(&(RECORD_BYTES as u16).to_le_bytes());
-    out.extend_from_slice(&(instrs.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(&body).to_le_bytes());
-    out.extend_from_slice(&0u64.to_le_bytes());
+    out.extend_from_slice(&btrc_header(instrs.len() as u64, fnv1a64(&body)));
     out.extend_from_slice(&body);
     out
 }
@@ -155,26 +187,12 @@ pub fn decode_btrc(bytes: &[u8]) -> Result<Vec<Instr>, IngestError> {
             got,
         });
     }
-    let mut out = Vec::with_capacity(count as usize);
-    for (index, rec) in body.chunks_exact(RECORD_BYTES).enumerate() {
-        let rec: &[u8; RECORD_BYTES] = rec.try_into().expect("exact chunk");
-        out.push(decode_record(rec).map_err(|error| IngestError::BadRecord {
-            index: index as u64,
-            error,
-        })?);
-    }
-    Ok(out)
+    decode_records(body)
 }
 
 /// Writes an instruction stream to `path` as `.btrc`.
 pub fn write_btrc(path: &Path, instrs: &[Instr]) -> Result<(), IngestError> {
     std::fs::write(path, encode_btrc(instrs)).map_err(|e| IngestError::io(path, &e))
-}
-
-/// Reads a `.btrc` file.
-pub fn read_btrc(path: &Path) -> Result<Vec<Instr>, IngestError> {
-    let bytes = std::fs::read(path).map_err(|e| IngestError::io(path, &e))?;
-    decode_btrc(&bytes)
 }
 
 #[cfg(test)]

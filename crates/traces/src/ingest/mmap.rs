@@ -1,7 +1,11 @@
-//! Zero-copy `.btrc` replay: the file is mapped read-only, the header
-//! is validated eagerly (including that the file really holds the body
-//! the header promises — a shorter file is a typed error at open, not
-//! a fault at replay), and 40-byte records decode lazily per chunk.
+//! The one record cursor: every trace replayed from memory is a `.btrc`
+//! body behind an [`MmapBtrc`] handle, and [`MmapStream`] decodes its
+//! 40-byte records lazily per chunk. A file is mapped read-only, its
+//! header validated eagerly (including that the file really holds the
+//! body the header promises — a shorter file is a typed error at open,
+//! not a fault at replay). A body built in this process (a generated
+//! builtin, a `Trace::new` sequence, a decoded small file) is owned by
+//! the handle instead, and has no checksum to verify.
 //!
 //! ## When the checksum is verified
 //!
@@ -32,13 +36,13 @@
 //! before the first access.
 
 use std::fs::File;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use berti_types::{decode_record_chunk, Instr, RECORD_BYTES};
 
-use super::btrc::{parse_btrc_header, BtrcHeader, FNV_OFFSET_BASIS};
+use super::btrc::{decode_records, parse_btrc_header, BtrcHeader, FNV_OFFSET_BASIS};
 use super::{fnv1a64_update, IngestError, BTRC_HEADER_BYTES};
 use crate::stream::InstrStream;
 
@@ -174,13 +178,22 @@ mod map {
     }
 }
 
-/// A validated, shareable mapping of one `.btrc` file. Cheap to clone
-/// behind an [`Arc`]; the stream cache hands the same handle to every
-/// cell replaying the trace, so the file is opened and validated once
+/// Where a handle's bytes live.
+enum Bytes {
+    /// The whole mapped file, header included.
+    Mapped(map::Mmap),
+    /// A record body built in this process, without a header.
+    Owned(Box<[u8]>),
+}
+
+/// A validated, shareable `.btrc` body: a mapping of one file, or a
+/// body built in this process (a generated builtin, an encoded
+/// [`crate::Trace::new`] sequence, a decoded small file). Cheap to
+/// clone behind an [`Arc`]; the stream cache hands the same handle to
+/// every cell replaying the trace, so the body is opened or built once
 /// per process no matter how many cursors replay it.
 pub struct MmapBtrc {
-    path: PathBuf,
-    map: map::Mmap,
+    bytes: Bytes,
     header: BtrcHeader,
     /// Bytes of the body prefix hashed so far; the body is verified
     /// once this equals its length. Written only while holding `hash`
@@ -194,7 +207,7 @@ pub struct MmapBtrc {
 impl std::fmt::Debug for MmapBtrc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MmapBtrc")
-            .field("path", &self.path)
+            .field("owned", &matches!(self.bytes, Bytes::Owned(_)))
             .field("record_count", &self.header.record_count)
             .finish_non_exhaustive()
     }
@@ -235,8 +248,7 @@ impl MmapBtrc {
             });
         }
         let btrc = Self {
-            path: path.to_path_buf(),
-            map,
+            bytes: Bytes::Mapped(map),
             header,
             hashed: AtomicUsize::new(0),
             hash: Mutex::new(FNV_OFFSET_BASIS),
@@ -251,9 +263,32 @@ impl MmapBtrc {
         Ok(btrc)
     }
 
-    /// The mapped file.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Takes ownership of a record body built in this process (by
+    /// [`crate::TraceBuilder`] or [`super::encode_records`]). The `Vec`
+    /// becomes the handle's boxed slice in place — no copy. Its bytes
+    /// never left the process, so there is no checksum to verify: the
+    /// handle starts with its whole body counted as hashed, and no
+    /// cursor ever runs FNV over it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `body` is not whole records.
+    pub fn from_body(body: Vec<u8>) -> Self {
+        assert!(
+            body.len().is_multiple_of(RECORD_BYTES),
+            "a body of {} bytes is not whole records",
+            body.len()
+        );
+        Self {
+            header: BtrcHeader {
+                record_count: (body.len() / RECORD_BYTES) as u64,
+                // Never compared: nothing is left to hash.
+                checksum: FNV_OFFSET_BASIS,
+            },
+            hashed: AtomicUsize::new(body.len()),
+            hash: Mutex::new(FNV_OFFSET_BASIS),
+            bytes: Bytes::Owned(body.into_boxed_slice()),
+        }
     }
 
     /// Records (= instructions) in the body.
@@ -261,14 +296,20 @@ impl MmapBtrc {
         self.header.record_count as usize
     }
 
-    /// The record bytes (everything after the header).
-    fn body(&self) -> &[u8] {
-        &self.map.bytes()[BTRC_HEADER_BYTES..]
+    /// The record bytes (everything after a file's header). For a
+    /// mapped file they are verified only once [`MmapBtrc::hashed_bytes`]
+    /// equals their length.
+    pub fn body(&self) -> &[u8] {
+        match &self.bytes {
+            Bytes::Mapped(map) => &map.bytes()[BTRC_HEADER_BYTES..],
+            Bytes::Owned(body) => body,
+        }
     }
 
     /// Body bytes hashed so far by this handle (diagnostics, in the
     /// spirit of `cache::decode_count`): never more than the body
-    /// length, and equal to it exactly when the checksum is verified.
+    /// length, and equal to it exactly when the checksum is verified —
+    /// from the start for an owned body.
     pub fn hashed_bytes(&self) -> usize {
         self.hashed.load(Ordering::Acquire)
     }
@@ -310,10 +351,7 @@ impl MmapBtrc {
     pub fn materialize(&self) -> Result<Arc<[Instr]>, IngestError> {
         let body = self.body();
         self.hash_through(0, body.len())?;
-        let mut out = vec![Instr::default(); self.record_count()];
-        decode_record_chunk(body, &mut out)
-            .map_err(|(index, error)| IngestError::BadRecord { index, error })?;
-        Ok(out.into())
+        Ok(decode_records(body)?.into())
     }
 }
 
@@ -368,14 +406,9 @@ impl InstrStream for MmapStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::TempPath;
     use crate::ingest::encode_btrc;
     use berti_types::{Ip, VAddr};
-
-    fn tmpfile(tag: &str, bytes: &[u8]) -> PathBuf {
-        let p = std::env::temp_dir().join(format!("berti-mmap-{tag}-{}.btrc", std::process::id()));
-        std::fs::write(&p, bytes).expect("writes");
-        p
-    }
 
     fn sample(n: usize) -> Vec<Instr> {
         (0..n)
@@ -386,7 +419,7 @@ mod tests {
     #[test]
     fn maps_streams_and_verifies_once() {
         let instrs = sample(100);
-        let path = tmpfile("ok", &encode_btrc(&instrs));
+        let path = TempPath::file("ok.btrc", &encode_btrc(&instrs));
         let btrc = Arc::new(MmapBtrc::open(&path).expect("opens"));
         assert_eq!(btrc.record_count(), 100);
         assert_eq!(btrc.hashed_bytes(), 0, "open hashes nothing");
@@ -408,13 +441,12 @@ mod tests {
         assert_eq!(f.next_chunk(&mut buf).expect("decodes"), 7);
         assert_eq!(btrc.materialize().expect("materializes").len(), 100);
         assert_eq!(btrc.hashed_bytes(), 100 * RECORD_BYTES);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn materialize_finishes_a_partial_prefix() {
         let instrs = sample(40);
-        let path = tmpfile("mat", &encode_btrc(&instrs));
+        let path = TempPath::file("mat.btrc", &encode_btrc(&instrs));
         let btrc = Arc::new(MmapBtrc::open(&path).expect("opens"));
         let mut buf = [Instr::default(); 14];
         let mut s = MmapStream::new(Arc::clone(&btrc));
@@ -422,7 +454,6 @@ mod tests {
         assert_eq!(btrc.hashed_bytes(), 14 * RECORD_BYTES);
         assert_eq!(&*btrc.materialize().expect("materializes"), &instrs[..]);
         assert_eq!(btrc.hashed_bytes(), 40 * RECORD_BYTES);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -431,7 +462,7 @@ mod tests {
         // File shorter than the header's record count promises: the
         // open must fail typed — mapping it and decoding would walk
         // off the end of the file.
-        let path = tmpfile("short", &good[..good.len() - 2 * RECORD_BYTES - 3]);
+        let path = TempPath::file("short.btrc", &good[..good.len() - 2 * RECORD_BYTES - 3]);
         match MmapBtrc::open(&path) {
             Err(IngestError::Truncated {
                 expected_records: 10,
@@ -439,14 +470,12 @@ mod tests {
             }) => {}
             other => panic!("expected Truncated, got {other:?}"),
         }
-        std::fs::remove_file(&path).ok();
 
-        let path = tmpfile("header", &good[..10]);
+        let path = TempPath::file("header.btrc", &good[..10]);
         assert_eq!(
             MmapBtrc::open(&path).err(),
             Some(IngestError::TruncatedHeader { got: 10 })
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -455,7 +484,7 @@ mod tests {
         // Flip a load-address byte of the last record: still canonical,
         // but the body no longer hashes to the header checksum.
         bytes[BTRC_HEADER_BYTES + 9 * RECORD_BYTES + 8] ^= 0x01;
-        let path = tmpfile("sum", &bytes);
+        let path = TempPath::file("sum.btrc", &bytes);
         let btrc = Arc::new(MmapBtrc::open(&path).expect("header is fine"));
         let mut s = MmapStream::new(Arc::clone(&btrc));
         let mut buf = [Instr::default(); 6];
@@ -472,16 +501,15 @@ mod tests {
             btrc.materialize(),
             Err(IngestError::ChecksumMismatch { .. })
         ));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn empty_body_with_a_wrong_checksum_fails_at_open() {
         let mut bytes = encode_btrc(&[]);
-        assert!(MmapBtrc::open(&tmpfile("empty-ok", &bytes)).is_ok());
+        assert!(MmapBtrc::open(&TempPath::file("empty-ok.btrc", &bytes)).is_ok());
         bytes[16] ^= 0x01; // first byte of the header's checksum field
         assert!(matches!(
-            MmapBtrc::open(&tmpfile("empty-bad", &bytes)),
+            MmapBtrc::open(&TempPath::file("empty-bad.btrc", &bytes)),
             Err(IngestError::ChecksumMismatch { .. })
         ));
     }

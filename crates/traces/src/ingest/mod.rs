@@ -2,7 +2,7 @@
 //! pre-decoded `.btrc` native format (ROADMAP items 4 and 5).
 //!
 //! The seam is deliberately one-way: files are decoded into the same
-//! `Vec<Instr>` the synthetic generators produce, so everything above
+//! `.btrc` records the synthetic generators produce, so everything above
 //! this module — the simulator, the harness, the daemon — is oblivious
 //! to where a trace came from. A [`FileSource`] plugs a file into a
 //! [`crate::WorkloadDef`]; format detection is by content (`.btrc`
@@ -16,8 +16,9 @@ mod mmap;
 mod streams;
 
 pub use btrc::{
-    decode_btrc, encode_btrc, fnv1a64, fnv1a64_update, parse_btrc_header, read_btrc, write_btrc,
-    BtrcHeader, BTRC_HEADER_BYTES, BTRC_MAGIC, BTRC_VERSION, FNV_OFFSET_BASIS,
+    btrc_header, decode_btrc, decode_records, encode_btrc, encode_records, fnv1a64, fnv1a64_update,
+    parse_btrc_header, write_btrc, BtrcHeader, BTRC_HEADER_BYTES, BTRC_MAGIC, BTRC_VERSION,
+    FNV_OFFSET_BASIS,
 };
 pub use champsim::{decode_champsim, read_trace_bytes, CHAMPSIM_RECORD_BYTES};
 pub use mmap::{MmapBtrc, MmapStream};

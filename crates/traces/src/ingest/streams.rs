@@ -471,6 +471,7 @@ pub fn open_streaming(path: &Path) -> Result<Box<dyn InstrStream>, IngestError> 
 mod tests {
     use super::super::{decode_champsim, encode_btrc};
     use super::*;
+    use crate::common::TempPath;
     use berti_types::{Ip, VAddr};
 
     fn drain(s: &mut dyn InstrStream, chunk: usize) -> Vec<Instr> {
@@ -483,14 +484,6 @@ mod tests {
             }
             out.extend_from_slice(&buf[..n]);
         }
-    }
-
-    fn tmp(tag: &str, bytes: &[u8]) -> PathBuf {
-        // PID before the tag: the tag's extension must survive intact,
-        // it is what the decompressor sniffing keys on.
-        let p = std::env::temp_dir().join(format!("berti-streams-{}-{tag}", std::process::id()));
-        std::fs::write(&p, bytes).expect("writes");
-        p
     }
 
     /// A ChampSim record with the given memory operands (wide ones
@@ -540,7 +533,7 @@ mod tests {
     fn champsim_stream_matches_one_shot_decode_across_chunk_sizes() {
         let body = champsim_body(200);
         let expect = decode_champsim(&body).expect("decodes");
-        let path = tmp("cs.trace", &body);
+        let path = TempPath::file("cs.trace", &body);
         for chunk in [1, 2, 3, 7, 64, 1024] {
             let mut s = ChampsimStream::open(&path).expect("opens");
             assert_eq!(s.len(), expect.len(), "counting pass is exact");
@@ -548,14 +541,13 @@ mod tests {
             s.rewind().expect("rewinds");
             assert_eq!(drain(&mut s, chunk), expect, "post-rewind chunk={chunk}");
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn champsim_stream_truncation_is_typed_at_open() {
         let mut body = champsim_body(5);
         body.truncate(body.len() - 10);
-        let path = tmp("cs-short.trace", &body);
+        let path = TempPath::file("cs-short.trace", &body);
         assert_eq!(
             ChampsimStream::open(&path).err(),
             Some(IngestError::Truncated {
@@ -563,7 +555,6 @@ mod tests {
                 got_records: 4
             })
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -571,11 +562,13 @@ mod tests {
         let instrs: Vec<Instr> = (0..300)
             .map(|i| Instr::load(Ip::new(i), VAddr::new(0x1000 + 64 * i)))
             .collect();
-        let plain = tmp("pipe.btrc", &encode_btrc(&instrs));
-        let gz = PathBuf::from(format!("{}.gz", plain.display()));
+        let plain = TempPath::file("pipe.btrc", &encode_btrc(&instrs));
+        let gz = TempPath::new("pipe.btrc.gz");
+        let out = std::fs::File::create(&gz).expect("creates");
         let status = Command::new("gzip")
-            .arg("-kf")
-            .arg(&plain)
+            .arg("-c")
+            .arg(&*plain)
+            .stdout(out)
             .status()
             .expect("gzip runs");
         assert!(status.success());
@@ -586,8 +579,6 @@ mod tests {
         assert_eq!(drain(&mut *s, 300), instrs);
         let mut f = s.fork().expect("forks");
         assert_eq!(drain(&mut *f, 8192), instrs);
-        std::fs::remove_file(&plain).ok();
-        std::fs::remove_file(&gz).ok();
     }
 
     #[test]
@@ -598,31 +589,28 @@ mod tests {
         }
         let body = champsim_body(50);
         let expect = decode_champsim(&body).expect("decodes");
-        let plain = tmp("z.trace", &body);
-        let zst = PathBuf::from(format!("{}.zst", plain.display()));
+        let plain = TempPath::file("z.trace", &body);
+        let zst = TempPath::new("z.trace.zst");
         let status = Command::new("zstd")
             .arg("-qf")
-            .arg(&plain)
+            .arg(&*plain)
             .arg("-o")
-            .arg(&zst)
+            .arg(&*zst)
             .status()
             .expect("zstd runs");
         assert!(status.success());
         let mut s = open_streaming(&zst).expect("opens");
         assert_eq!(drain(&mut *s, 33), expect);
-        std::fs::remove_file(&plain).ok();
-        std::fs::remove_file(&zst).ok();
     }
 
     #[test]
     fn corrupt_archive_is_tool_failed_not_a_short_trace() {
-        let path = tmp("bad.gz", b"this is not a gzip archive");
+        let path = TempPath::file("bad.gz", b"this is not a gzip archive");
         let e = ChampsimStream::open(&path).unwrap_err();
         assert!(
             matches!(e, IngestError::ToolFailed { tool: "gzip", .. }),
             "got {e:?}"
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -632,7 +620,7 @@ mod tests {
         // Flip an ip byte of the last record: still a canonical record,
         // but the body no longer hashes to the header checksum.
         bytes[BTRC_HEADER_BYTES + 19 * RECORD_BYTES] ^= 0x01;
-        let path = tmp("sum.raw", &bytes);
+        let path = TempPath::file("sum.raw", &bytes);
         // Not actually compressed: drive BtrcPipeStream directly over
         // the plain reader to exercise its lazy checksum.
         let mut s = BtrcPipeStream::open(&path).expect("header parses");
@@ -641,10 +629,9 @@ mod tests {
             s.next_chunk(&mut buf),
             Err(IngestError::ChecksumMismatch { .. })
         ));
-        std::fs::remove_file(&path).ok();
 
         let good = encode_btrc(&instrs);
-        let path = tmp("short.raw", &good[..good.len() - RECORD_BYTES]);
+        let path = TempPath::file("short.raw", &good[..good.len() - RECORD_BYTES]);
         let mut s = BtrcPipeStream::open(&path).expect("header parses");
         assert_eq!(
             s.next_chunk(&mut buf).err(),
@@ -653,6 +640,5 @@ mod tests {
                 got_records: 19
             })
         );
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -35,9 +35,13 @@ mod builder;
 mod registry;
 mod trace;
 
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
 pub use builder::TraceBuilder;
 pub use registry::TraceRegistry;
-pub use stream::{InstrStream, MemStream, STREAM_CHUNK_INSTRS};
+pub use stream::{InstrStream, STREAM_CHUNK_INSTRS};
 pub use trace::{GenSource, InstrSource, Suite, Trace, WorkloadDef};
 
 /// All memory-intensive workloads (SPEC-like + GAP-like), the set most

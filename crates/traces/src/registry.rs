@@ -166,15 +166,9 @@ fn edit_distance(a: &str, b: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::TempPath;
     use crate::ingest::{encode_btrc, write_btrc};
     use berti_types::{Instr, Ip, VAddr};
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("berti-registry-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).expect("mkdir");
-        d
-    }
 
     #[test]
     fn builtin_registry_resolves_known_names() {
@@ -199,7 +193,7 @@ mod tests {
 
     #[test]
     fn discovery_is_sorted_and_typed() {
-        let dir = tmpdir("discover");
+        let dir = TempPath::dir("discover");
         let instrs = vec![Instr::load(Ip::new(1), VAddr::new(64))];
         write_btrc(&dir.join("zeta.btrc"), &instrs).expect("writes");
         write_btrc(&dir.join("alpha.btrc"), &instrs).expect("writes");
@@ -213,12 +207,11 @@ mod tests {
         assert_eq!(w.suite, crate::Suite::Trace);
         assert!(w.source_desc().ends_with("alpha.btrc"));
         assert_eq!(w.try_trace().expect("reads").len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn duplicate_names_are_rejected() {
-        let dir = tmpdir("dup");
+        let dir = TempPath::dir("dup");
         let bytes = encode_btrc(&[Instr::alu(Ip::new(1))]);
         std::fs::write(dir.join("lbm-like.btrc"), &bytes).expect("writes");
         let mut reg = TraceRegistry::builtin();
@@ -226,7 +219,6 @@ mod tests {
             reg.discover(&dir),
             Err(IngestError::DuplicateWorkload { name, .. }) if name == "lbm-like"
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! - dense floating-point streams (bwaves/roms/fotonik/wrf-like) and
 //!   irregular integer codes (omnetpp/xalancbmk/gcc/xz-like).
 
-use berti_types::Instr;
 use rand::RngExt;
 
 use crate::builder::TraceBuilder;
@@ -61,7 +60,7 @@ impl StridedLoops {
 }
 
 /// Four long unit-stride streams, own IP each (bwaves-like).
-fn bwaves_like() -> Vec<Instr> {
+fn bwaves_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0xb1);
     let bases = [
         0x1_0000_0000u64,
@@ -77,12 +76,12 @@ fn bwaves_like() -> Vec<Instr> {
         b.branch(0x400_1f0, 0.002);
         i += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// Interleaved +1/+2 per-IP strides plus a store stream (lbm-like,
 /// Sec. II-B's IP 0x401cb0 example).
-fn lbm_like() -> Vec<Instr> {
+fn lbm_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0x1b);
     let bases = [0x1_0000_0000u64, 0x2_0000_0000, 0x3_0000_0000];
     let mut pos = [0u64; 3];
@@ -97,11 +96,11 @@ fn lbm_like() -> Vec<Instr> {
         b.alu(4);
         step += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// Medium strides (+4) over several arrays (roms-like).
-fn roms_like() -> Vec<Instr> {
+fn roms_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0x05);
     let mut i = 0u64;
     while b.len() < TRACE_INSTRS {
@@ -111,11 +110,11 @@ fn roms_like() -> Vec<Instr> {
         b.branch(0x402_0f0, 0.001);
         i += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// Six unit-stride streams (fotonik-like).
-fn fotonik_like() -> Vec<Instr> {
+fn fotonik_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0xf0);
     let mut i = 0u64;
     while b.len() < TRACE_INSTRS {
@@ -131,12 +130,12 @@ fn fotonik_like() -> Vec<Instr> {
         }
         i += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// A few dominant IPs with distinct local-delta patterns plus pointer
 /// chasing (mcf-1554-like, Fig. 3).
-fn mcf_1554_like() -> Vec<Instr> {
+fn mcf_1554_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0x3c);
     // IP A walks downward alternating -1 and -5 line deltas (the
     // paper's 0x402dc7 class): IP-stride never gains confidence, while
@@ -168,12 +167,12 @@ fn mcf_1554_like() -> Vec<Instr> {
         b.branch(0x402e00, 0.004);
         k += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// Three IPs produce 75 % of accesses, interleaved strides that break
 /// global-delta training (mcf-782-like, Sec. IV-C).
-fn mcf_782_like() -> Vec<Instr> {
+fn mcf_782_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0x78);
     let mut pos = [0u64, 0, 0];
     let strides = [3u64, 5, 7];
@@ -194,13 +193,13 @@ fn mcf_782_like() -> Vec<Instr> {
         b.load_line(0x404_a00, 0x8_0000_0000, r);
         b.alu(8);
     }
-    b.build()
+    b.into_body()
 }
 
 /// Hundreds of interleaved strided IPs in an array-of-structs layout:
 /// per-IP tables thrash while the *global* stream is a perfect +1
 /// (CactuBSSN-like, Sec. IV-C).
-fn cactu_like() -> Vec<Instr> {
+fn cactu_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0xca);
     const FIELDS: u64 = 256;
     let mut i = 0u64;
@@ -213,11 +212,11 @@ fn cactu_like() -> Vec<Instr> {
         b.alu(8);
         i += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// Mixed: one strided stream, hot-region reuse, branchy (gcc-like).
-fn gcc_like() -> Vec<Instr> {
+fn gcc_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0x9c);
     let mut i = 0u64;
     while b.len() < TRACE_INSTRS {
@@ -235,12 +234,12 @@ fn gcc_like() -> Vec<Instr> {
         b.alu(4);
         i += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// Pointer chasing over a large heap with several parallel chains
 /// (omnetpp-like event queues).
-fn omnetpp_like() -> Vec<Instr> {
+fn omnetpp_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0x00e);
     while b.len() < TRACE_INSTRS {
         for chain in 0..4u8 {
@@ -251,12 +250,12 @@ fn omnetpp_like() -> Vec<Instr> {
         b.branch(0x406_0f0, 0.008);
         b.alu(6);
     }
-    b.build()
+    b.into_body()
 }
 
 /// Irregular accesses with strong temporal reuse inside a 4 MB working
 /// set (xalancbmk-like DOM walks).
-fn xalanc_like() -> Vec<Instr> {
+fn xalanc_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0xa1);
     // A repeating tour of pseudo-random lines: irregular spatially but
     // temporally predictable.
@@ -278,11 +277,11 @@ fn xalanc_like() -> Vec<Instr> {
         b.branch(0x407_0a0, 0.006);
         i += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// Two medium-stride streams plus branches (wrf-like).
-fn wrf_like() -> Vec<Instr> {
+fn wrf_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0x3f);
     let mut i = 0u64;
     while b.len() < TRACE_INSTRS {
@@ -293,12 +292,12 @@ fn wrf_like() -> Vec<Instr> {
         b.branch(0x408_0c0, 0.003);
         i += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// Sliding-window random accesses plus one stream (xz-like match
 /// finding).
-fn xz_like() -> Vec<Instr> {
+fn xz_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0x22);
     let mut window_base = 0u64;
     let mut i = 0u64;
@@ -314,13 +313,13 @@ fn xz_like() -> Vec<Instr> {
         b.branch(0x409_0b0, 0.005);
         i += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// Sparse matrix-vector product (parest-like): streaming row pointers,
 /// column indices and values, plus data-dependent gathers `x[col]` —
 /// the canonical mixed regular/irregular kernel.
-fn parest_like() -> Vec<Instr> {
+fn parest_like() -> Vec<u8> {
     use berti_types::{Instr, Ip, VAddr};
     let mut b = TraceBuilder::new(0x9a7e);
     // Deterministic sparse structure: ~24 nonzeros per row, columns
@@ -361,12 +360,12 @@ fn parest_like() -> Vec<Instr> {
         b.branch(0x40a0f0, 0.002);
         row += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// Climate model physics (cam4-like): several medium-stride field
 /// sweeps with a hot lookup table.
-fn cam4_like() -> Vec<Instr> {
+fn cam4_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0xca34);
     let mut i = 0u64;
     while b.len() < TRACE_INSTRS {
@@ -378,11 +377,11 @@ fn cam4_like() -> Vec<Instr> {
         b.branch(0x40b0f0, 0.004);
         i += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// Ocean model (pop2-like): wide multi-stream stencil with stores.
-fn pop2_like() -> Vec<Instr> {
+fn pop2_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0x9092);
     let mut i = 0u64;
     while b.len() < TRACE_INSTRS {
@@ -400,12 +399,12 @@ fn pop2_like() -> Vec<Instr> {
         b.alu(4);
         i += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// Molecular dynamics (nab-like): strided coordinate reads with a
 /// neighbour-list indirection every few iterations.
-fn nab_like() -> Vec<Instr> {
+fn nab_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0x9ab0);
     let mut i = 0u64;
     while b.len() < TRACE_INSTRS {
@@ -418,12 +417,12 @@ fn nab_like() -> Vec<Instr> {
         b.branch(0x40d0f0, 0.003);
         i += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 /// Game-tree search (deepsjeng-like): hash-table probes over a large
 /// transposition table, heavy branches, little spatial structure.
-fn deepsjeng_like() -> Vec<Instr> {
+fn deepsjeng_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0xdeeb);
     while b.len() < TRACE_INSTRS {
         let probe = b.rng().random_range(0..6_000_000u64);
@@ -434,12 +433,12 @@ fn deepsjeng_like() -> Vec<Instr> {
         b.alu(7);
         b.branch(0x40e0f0, 0.02);
     }
-    b.build()
+    b.into_body()
 }
 
 /// Video encoding (x264-like): 2D block accesses — short unit-stride
 /// runs at a large row pitch, the classic "stride after N" pattern.
-fn x264_like() -> Vec<Instr> {
+fn x264_like() -> Vec<u8> {
     let mut b = TraceBuilder::new(0x4264);
     const ROW_PITCH: u64 = 120; // lines per frame row
     let mut block = 0u64;
@@ -455,12 +454,13 @@ fn x264_like() -> Vec<Instr> {
         b.branch(0x40f0f0, 0.006);
         block += 1;
     }
-    b.build()
+    b.into_body()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::decode_records;
     use berti_types::LINE_BYTES;
     use std::collections::HashSet;
 
@@ -486,7 +486,7 @@ mod tests {
 
     #[test]
     fn lbm_ips_see_alternating_strides() {
-        let t = lbm_like();
+        let t = decode_records(&lbm_like()).expect("decodes");
         let mut lines: Vec<u64> = t
             .iter()
             .filter(|i| i.ip.raw() == 0x401cb0)
@@ -505,7 +505,7 @@ mod tests {
 
     #[test]
     fn cactu_is_globally_sequential_but_per_ip_sparse() {
-        let t = cactu_like();
+        let t = decode_records(&cactu_like()).expect("decodes");
         let loads: Vec<(u64, u64)> = t
             .iter()
             .filter_map(|i| i.loads[0].map(|a| (i.ip.raw(), a.raw() / LINE_BYTES)))
@@ -530,7 +530,7 @@ mod tests {
 
     #[test]
     fn mcf_has_dependent_chains() {
-        let t = mcf_1554_like();
+        let t = decode_records(&mcf_1554_like()).expect("decodes");
         assert!(t.iter().any(|i| i.dep_chain.is_some()));
     }
 

@@ -1,14 +1,13 @@
 //! The streaming trace seam: pull cursors over instruction streams.
 //!
 //! [`InstrStream`] is the contract every trace backend implements —
-//! the memoized in-memory stream builtin generators use, the
-//! incremental ChampSim/compressed decoders, and the mmap-backed
-//! zero-copy `.btrc` stream (`crate::ingest`). A stream produces one
-//! *replay period* of instructions chunk by chunk; the consumer
-//! ([`crate::Trace`]) rewinds it to replay cyclically, so a multi-GB
-//! trace never has to materialise in memory.
-
-use std::sync::Arc;
+//! the one record cursor over a shared `.btrc` body (mapped from a
+//! file, or built in memory for builtins, `Trace::new` and small
+//! decoded files) and the incremental ChampSim/compressed decoders
+//! (`crate::ingest`). A stream produces one *replay period* of
+//! instructions chunk by chunk; the consumer ([`crate::Trace`]) rewinds
+//! it to replay cyclically, so a multi-GB trace never has to
+//! materialise in memory.
 
 use berti_types::Instr;
 
@@ -37,8 +36,8 @@ pub const STREAM_CHUNK_INSTRS: usize = 256;
 /// - [`rewind`](InstrStream::rewind) restarts the stream at position
 ///   zero; after it, the stream yields the identical sequence again.
 /// - [`fork`](InstrStream::fork) opens an independent cursor at
-///   position zero over the same underlying trace (cheap for shared
-///   in-memory/mmap backends; reopens the file for pipe decoders).
+///   position zero over the same underlying trace (cheap for the
+///   shared record cursor; reopens the file for pipe decoders).
 ///
 /// Errors are *typed*: body corruption that can only be detected
 /// mid-stream (a non-canonical record, a checksum mismatch at the end
@@ -65,78 +64,15 @@ pub trait InstrStream: Send {
     fn fork(&self) -> Result<Box<dyn InstrStream>, IngestError>;
 }
 
-/// An [`InstrStream`] over a shared in-memory instruction sequence —
-/// the backend for builtin generators (memoized once per process by
-/// the stream cache) and for file traces small enough to keep decoded.
-pub struct MemStream {
-    instrs: Arc<[Instr]>,
-    pos: usize,
-}
-
-impl MemStream {
-    /// A cursor at position zero over `instrs`. The allocation is
-    /// shared: forks and sibling cursors clone the [`Arc`], not the
-    /// data.
-    pub fn new(instrs: Arc<[Instr]>) -> Self {
-        Self { instrs, pos: 0 }
-    }
-}
-
-impl InstrStream for MemStream {
-    fn len(&self) -> usize {
-        self.instrs.len()
-    }
-
-    fn next_chunk(&mut self, buf: &mut [Instr]) -> Result<usize, IngestError> {
-        let n = buf.len().min(self.instrs.len() - self.pos);
-        buf[..n].copy_from_slice(&self.instrs[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-
-    fn rewind(&mut self) -> Result<(), IngestError> {
-        self.pos = 0;
-        Ok(())
-    }
-
-    fn fork(&self) -> Result<Box<dyn InstrStream>, IngestError> {
-        Ok(Box::new(MemStream::new(Arc::clone(&self.instrs))))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use berti_types::Ip;
-
-    fn seq(n: usize) -> Arc<[Instr]> {
-        (0..n)
-            .map(|i| Instr::alu(Ip::new(i as u64)))
-            .collect::<Vec<_>>()
-            .into()
-    }
-
-    #[test]
-    fn mem_stream_chunks_rewinds_and_forks() {
-        let mut s = MemStream::new(seq(5));
-        assert_eq!(s.len(), 5);
-        let mut buf = [Instr::default(); 3];
-        assert_eq!(s.next_chunk(&mut buf).unwrap(), 3);
-        assert_eq!(buf[2].ip, Ip::new(2));
-        let mut fork = s.fork().unwrap();
-        assert_eq!(s.next_chunk(&mut buf).unwrap(), 2, "tail of the pass");
-        assert_eq!(s.next_chunk(&mut buf).unwrap(), 0, "pass complete");
-        assert_eq!(s.next_chunk(&mut buf).unwrap(), 0, "end is repeatable");
-        s.rewind().unwrap();
-        assert_eq!(s.next_chunk(&mut buf).unwrap(), 3, "rewound to the top");
-        assert_eq!(buf[0].ip, Ip::new(0));
-        assert_eq!(fork.next_chunk(&mut buf).unwrap(), 3, "fork starts at 0");
-        assert_eq!(buf[0].ip, Ip::new(0));
-    }
+    use crate::ingest::{MmapBtrc, MmapStream};
+    use std::sync::Arc;
 
     #[test]
     fn empty_stream_reports_empty() {
-        let mut s = MemStream::new(seq(0));
+        let mut s = MmapStream::new(Arc::new(MmapBtrc::from_body(Vec::new())));
         assert!(s.is_empty());
         assert_eq!(s.next_chunk(&mut [Instr::default(); 2]).unwrap(), 0);
     }

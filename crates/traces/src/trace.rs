@@ -7,19 +7,21 @@
 //!
 //! Replay is *streamed*: a [`Trace`] is a chunked cursor over an
 //! [`InstrStream`] (DESIGN.md §9), not a materialized `Vec<Instr>`.
-//! Builtin generators and small files stream out of the process-wide
-//! decoded cache ([`crate::cache`]); plain `.btrc` files replay
-//! zero-copy out of an mmap; big ChampSim/compressed traces decode
-//! incrementally in bounded memory.
+//! Every source a cell can replay from memory — a builtin generator's
+//! output, a [`Trace::new`] sequence, a `.btrc` file, a small ChampSim
+//! or compressed file — is a `.btrc` record body (40 bytes an
+//! instruction) behind a shared [`MmapBtrc`] handle, replayed by the
+//! one record cursor, [`MmapStream`]; only big ChampSim/compressed
+//! traces decode incrementally in bounded memory instead.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use berti_types::Instr;
+use berti_types::{Instr, RecordError, MAX_DEP_CHAINS};
 
 use crate::cache;
-use crate::ingest::IngestError;
-use crate::stream::{InstrStream, MemStream, STREAM_CHUNK_INSTRS};
+use crate::ingest::{encode_records, IngestError, MmapBtrc, MmapStream};
+use crate::stream::{InstrStream, STREAM_CHUNK_INSTRS};
 
 /// Benchmark suite a workload belongs to (used for per-suite averages,
 /// matching the paper's SPEC/GAP/CloudSuite breakdowns).
@@ -49,35 +51,46 @@ impl std::fmt::Display for Suite {
 /// Something that can produce an instruction stream: a synthetic
 /// generator or a trace-file decoder.
 pub trait InstrSource: Send + Sync {
-    /// The full instruction sequence, shared (deterministic; safe to
+    /// The full instruction sequence, decoded (deterministic; safe to
     /// call repeatedly). This is the materializing path — tools that
     /// need the whole sequence at once (`btrc convert`, tests) use it;
-    /// replay should prefer [`InstrSource::open`].
+    /// replay uses [`InstrSource::open`].
     fn instrs(&self) -> Result<Arc<[Instr]>, IngestError>;
 
-    /// Opens a streaming cursor over the sequence. The default
-    /// materializes and streams from memory; file sources override
-    /// this with bounded-memory backends.
-    fn open(&self) -> Result<Box<dyn InstrStream>, IngestError> {
-        Ok(Box::new(MemStream::new(self.instrs()?)))
-    }
+    /// Opens a streaming cursor over the sequence.
+    fn open(&self) -> Result<Box<dyn InstrStream>, IngestError>;
 
     /// The backing file, when the source reads one (used by
     /// `campaign list` to show where a workload comes from).
     fn path(&self) -> Option<&Path> {
         None
     }
+
+    /// The generated record body, for a builtin generator (`btrc gen`
+    /// writes it out as is).
+    fn builtin_body(&self) -> Option<Arc<MmapBtrc>> {
+        None
+    }
 }
 
 /// An [`InstrSource`] wrapping a deterministic generator function — the
-/// form every builtin suite uses. Generation is memoized once per
-/// process (keyed by the function pointer), so the many cells of a
-/// campaign share one copy.
-pub struct GenSource(pub fn() -> Vec<Instr>);
+/// form every builtin suite uses. The function returns the trace's
+/// `.btrc` record body, as [`crate::TraceBuilder::into_body`] produces
+/// it. Generation is memoized once per process (keyed by the function
+/// pointer), so the many cells of a campaign share one body.
+pub struct GenSource(pub fn() -> Vec<u8>);
 
 impl InstrSource for GenSource {
     fn instrs(&self) -> Result<Arc<[Instr]>, IngestError> {
-        Ok(cache::gen_instrs(self.0))
+        cache::gen_btrc(self.0).materialize()
+    }
+
+    fn open(&self) -> Result<Box<dyn InstrStream>, IngestError> {
+        Ok(Box::new(MmapStream::new(cache::gen_btrc(self.0))))
+    }
+
+    fn builtin_body(&self) -> Option<Arc<MmapBtrc>> {
+        Some(cache::gen_btrc(self.0))
     }
 }
 
@@ -102,8 +115,9 @@ impl std::fmt::Debug for WorkloadDef {
 }
 
 impl WorkloadDef {
-    /// Defines a workload from a deterministic generator function.
-    pub fn new(name: impl Into<String>, suite: Suite, generate: fn() -> Vec<Instr>) -> Self {
+    /// Defines a workload from a deterministic generator function that
+    /// returns the trace's `.btrc` record body (see [`GenSource`]).
+    pub fn new(name: impl Into<String>, suite: Suite, generate: fn() -> Vec<u8>) -> Self {
         Self {
             name: name.into(),
             suite,
@@ -138,9 +152,15 @@ impl WorkloadDef {
         }
     }
 
-    /// The full instruction sequence, shared (materializing path).
+    /// The full instruction sequence, decoded (materializing path).
     pub fn instrs(&self) -> Result<Arc<[Instr]>, IngestError> {
         self.source.instrs()
+    }
+
+    /// The generated record body of a builtin workload, `None` for a
+    /// file-backed one.
+    pub fn builtin_body(&self) -> Option<Arc<MmapBtrc>> {
+        self.source.builtin_body()
     }
 
     /// Opens a streaming cursor over the workload's instructions.
@@ -207,14 +227,27 @@ impl std::fmt::Debug for Trace {
 // query.
 #[allow(clippy::len_without_is_empty)]
 impl Trace {
-    /// Wraps a generated instruction sequence.
+    /// Wraps an instruction sequence, encoded into an owned record body
+    /// and replayed by the same record cursor as every other source.
     ///
     /// # Panics
     ///
-    /// Panics if `instrs` is empty.
+    /// Panics if `instrs` is empty, or if an instruction has no `.btrc`
+    /// record (a `dep_chain` at or above [`MAX_DEP_CHAINS`], reachable
+    /// through the public fields) — naming its index, here rather than
+    /// mid-replay.
     pub fn new(name: impl Into<Arc<str>>, instrs: Vec<Instr>) -> Self {
         assert!(!instrs.is_empty(), "a trace needs instructions");
-        Self::from_stream(name, Box::new(MemStream::new(instrs.into())))
+        for (index, i) in instrs.iter().enumerate() {
+            if let Some(c) = i.dep_chain.filter(|&c| usize::from(c) >= MAX_DEP_CHAINS) {
+                panic!(
+                    "instruction {index}: {}",
+                    RecordError::DepChainOutOfRange(c)
+                );
+            }
+        }
+        let btrc = MmapBtrc::from_body(encode_records(&instrs));
+        Self::from_stream(name, Box::new(MmapStream::new(Arc::new(btrc))))
             .expect("in-memory streams cannot fail")
     }
 
@@ -325,6 +358,7 @@ impl Trace {
 mod tests {
     use super::*;
     use berti_types::Ip;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn trace_cycles() {
@@ -362,8 +396,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "instruction 1: dep_chain 8 >= MAX_DEP_CHAINS (8)")]
+    fn unencodable_instruction_rejected_at_construction() {
+        let mut chained = Instr::alu(Ip::new(2));
+        chained.dep_chain = Some(MAX_DEP_CHAINS as u8);
+        let _ = Trace::new("t", vec![Instr::alu(Ip::new(1)), chained]);
+    }
+
+    #[test]
     fn builtin_workloads_describe_their_origin() {
-        let w = WorkloadDef::new("t", Suite::Spec, || vec![Instr::alu(Ip::new(1))]);
+        let w = WorkloadDef::new("t", Suite::Spec, || {
+            encode_records(&[Instr::alu(Ip::new(1))])
+        });
         assert_eq!(w.source_desc(), "builtin (SPEC)");
         assert!(w.source_path().is_none());
         assert_eq!(w.try_trace().expect("generates").len(), 1);
@@ -377,12 +421,18 @@ mod tests {
 
     #[test]
     fn workload_instrs_are_shared_not_regenerated() {
-        fn gen() -> Vec<Instr> {
-            vec![Instr::alu(Ip::new(3)); 5]
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        fn gen() -> Vec<u8> {
+            CALLS.fetch_add(1, Ordering::SeqCst);
+            encode_records(&[Instr::alu(Ip::new(3)); 5])
         }
         let w = WorkloadDef::new("g", Suite::Spec, gen);
-        let a = w.instrs().expect("generates");
-        let b = w.instrs().expect("memoized");
-        assert!(Arc::ptr_eq(&a, &b));
+        let body = w.builtin_body().expect("a builtin");
+        assert!(Arc::ptr_eq(&body, &w.builtin_body().expect("memoized")));
+        let a = w.instrs().expect("decodes");
+        assert_eq!(a, w.instrs().expect("decodes again"));
+        assert_eq!(&*a, &[Instr::alu(Ip::new(3)); 5]);
+        assert_eq!(w.trace().len(), 5);
+        assert_eq!(CALLS.load(Ordering::SeqCst), 1, "generated once");
     }
 }

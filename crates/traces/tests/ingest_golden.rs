@@ -9,10 +9,13 @@
 //! branch predictor, dependence-chain tagging) shows up as a diff here,
 //! not as silently different simulation results.
 
+mod common;
+
 use std::path::PathBuf;
 
 use berti_traces::ingest::{encode_btrc, read_trace_file, write_btrc};
 use berti_types::{Instr, Ip, VAddr};
+use common::TempPath;
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -81,9 +84,7 @@ fn fixture_decodes_to_the_pinned_golden_sequence() {
 fn fixture_survives_btrc_round_trip_byte_identically() {
     let instrs = read_trace_file(&fixture("champsim_500.trace")).expect("fixture decodes");
 
-    let dir = std::env::temp_dir().join(format!("berti-golden-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = TempPath::dir("golden");
     let btrc = dir.join("champsim_500.btrc");
     write_btrc(&btrc, &instrs).expect("writes");
 
@@ -98,7 +99,6 @@ fn fixture_survives_btrc_round_trip_byte_identically() {
         on_disk,
         "re-encoding the replay is byte-identical"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

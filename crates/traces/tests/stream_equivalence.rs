@@ -4,31 +4,26 @@
 //! [`InstrStream`] cursor — at *any* chunk size, across rewinds and
 //! cyclic wrap-around — yields exactly the instruction sequence the
 //! one-shot materializing decoder produces. These property tests pin
-//! that promise for the mmap'd `.btrc` backend and the [`Trace`]
-//! double-buffered cursor, and check that mmap-time corruption
+//! that promise for the one record cursor ([`MmapStream`]) over both of
+//! its handle forms — an owned body built in the process (builtins,
+//! [`Trace::new`]) and the mmap'd file of the same bytes — and for the
+//! [`Trace`] chunked cursor, and check that mmap-time corruption
 //! (truncation below what the header claims, a flipped body byte) is a
 //! typed [`IngestError`] — never a panic, never a SIGBUS.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 
 use berti_traces::ingest::{
-    decode_btrc, encode_btrc, open_streaming, write_btrc, IngestError, MmapBtrc, MmapStream,
-    BTRC_HEADER_BYTES,
+    decode_btrc, encode_btrc, encode_records, open_streaming, write_btrc, IngestError, MmapBtrc,
+    MmapStream, BTRC_HEADER_BYTES,
 };
 use berti_traces::{InstrStream, Trace, STREAM_CHUNK_INSTRS};
 use berti_types::{Instr, Ip, VAddr, RECORD_BYTES};
+use common::TempPath;
 use proptest::prelude::*;
-
-/// A fresh temp path per call; the extension is last so backend
-/// sniffing sees a plain `.btrc` file.
-fn tmp(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("berti-stream-eq-{}-{n}-{tag}", std::process::id()))
-}
 
 /// A deterministic but shape-diverse instruction stream: strided loads,
 /// occasional second load, stores, and mispredicted branches.
@@ -80,7 +75,7 @@ proptest! {
         chunk_b in 1usize..512,
     ) {
         let instrs = mixed_instrs(len);
-        let path = tmp("eq.btrc");
+        let path = TempPath::new("eq.btrc");
         write_btrc(&path, &instrs).expect("writes");
 
         let materialized = decode_btrc(&std::fs::read(&path).expect("reads")).expect("decodes");
@@ -94,30 +89,69 @@ proptest! {
         stream.rewind().expect("rewinds");
         let second = drain_pass(stream.as_mut(), chunk_b).expect("second pass streams");
         prop_assert_eq!(&second, &instrs);
+    }
 
-        std::fs::remove_file(&path).ok();
+    /// The record cursor over an owned body and over the mmap'd file of
+    /// the same bytes are one replay: the same sequence at any chunk
+    /// size, again after a rewind, and from a fork taken mid-pass. The
+    /// owned handle never hashes (it starts verified); the mapped one
+    /// is verified by its first pass.
+    #[test]
+    fn owned_body_replays_like_the_mapped_file(
+        len in 1usize..400,
+        chunk_a in 1usize..512,
+        chunk_b in 1usize..512,
+        fork_at in 0usize..400,
+    ) {
+        let instrs = mixed_instrs(len);
+        let path = TempPath::new("owned.btrc");
+        write_btrc(&path, &instrs).expect("writes");
+        let owned = Arc::new(MmapBtrc::from_body(encode_records(&instrs)));
+        let mapped = Arc::new(MmapBtrc::open(&path).expect("maps"));
+        prop_assert!(owned.body() == mapped.body());
+        prop_assert_eq!(owned.hashed_bytes(), len * RECORD_BYTES);
+
+        let replays = [&owned, &mapped].map(|btrc| {
+            let mut s = MmapStream::new(Arc::clone(btrc));
+            let first = drain_pass(&mut s, chunk_a).expect("first pass");
+            s.rewind().expect("rewinds");
+            let second = drain_pass(&mut s, chunk_b).expect("second pass");
+            s.rewind().expect("rewinds");
+            let head = pull(&mut s, fork_at.min(len)).expect("streams");
+            let mut fork = s.fork().expect("forks");
+            let forked = drain_pass(fork.as_mut(), chunk_b).expect("forked pass");
+            let tail = drain_pass(&mut s, chunk_a).expect("rest of the pass");
+            [first, second, forked, [head, tail].concat()]
+        });
+        prop_assert_eq!(&replays[0], &replays[1]);
+        for pass in &replays[0] {
+            prop_assert_eq!(pass, &instrs);
+        }
+        prop_assert_eq!(owned.hashed_bytes(), len * RECORD_BYTES);
+        prop_assert_eq!(mapped.hashed_bytes(), len * RECORD_BYTES);
     }
 
     /// The `Trace` cursor replays cyclically: pulling more instructions
     /// than one pass wraps around to position zero, exactly like the
-    /// old materialized `Vec` replay did with index arithmetic.
+    /// old materialized `Vec` replay did with index arithmetic — over
+    /// the mapped file and over `Trace::new`'s owned body alike.
     #[test]
     fn trace_cursor_wraps_identically_to_materialized_replay(
         len in 1usize..200,
         extra in 0usize..150,
     ) {
         let instrs = mixed_instrs(len);
-        let path = tmp("wrap.btrc");
+        let path = TempPath::new("wrap.btrc");
         write_btrc(&path, &instrs).expect("writes");
 
         let stream = open_streaming(&path).expect("opens");
         let mut trace = Trace::from_stream("wrap".to_string(), stream).expect("primes");
+        let mut owned = Trace::new("wrap", instrs.clone());
         let pulls = 2 * len + extra;
         for k in 0..pulls {
             prop_assert_eq!(trace.next_instr(), instrs[k % len], "pull {}", k);
+            prop_assert_eq!(owned.next_instr(), instrs[k % len], "owned pull {}", k);
         }
-
-        std::fs::remove_file(&path).ok();
     }
 
     /// Truncating the file below what the header claims is a typed
@@ -135,8 +169,7 @@ proptest! {
         // Cut strictly inside the body: header intact, body short.
         let body_cut = BTRC_HEADER_BYTES
             + (cut as usize) % (instrs.len() * RECORD_BYTES);
-        let path = tmp("cut.btrc");
-        std::fs::write(&path, &bytes[..body_cut]).expect("writes");
+        let path = TempPath::file("cut.btrc", &bytes[..body_cut]);
         match open_streaming(&path) {
             Err(IngestError::Truncated { .. }) => {}
             other => prop_assert!(false, "expected Truncated, got {:?}", other.map(|_| "stream")),
@@ -155,8 +188,6 @@ proptest! {
                 other.map(|_| "stream")
             ),
         }
-
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -180,7 +211,7 @@ fn pull(stream: &mut dyn InstrStream, records: usize) -> Result<Vec<Instr>, Inge
 #[test]
 fn partial_passes_of_two_cursors_hash_each_byte_once() {
     let instrs = mixed_instrs(400);
-    let path = tmp("partial.btrc");
+    let path = TempPath::new("partial.btrc");
     write_btrc(&path, &instrs).expect("writes");
     let btrc = Arc::new(MmapBtrc::open(&path).expect("opens"));
     let mut a = MmapStream::new(Arc::clone(&btrc));
@@ -192,7 +223,6 @@ fn partial_passes_of_two_cursors_hash_each_byte_once() {
     assert_eq!(btrc.hashed_bytes(), 300 * RECORD_BYTES, "nothing re-hashed");
     assert_eq!(pull(b.as_mut(), 110).expect("streams"), instrs[290..]);
     assert_eq!(btrc.hashed_bytes(), 400 * RECORD_BYTES, "verified");
-    std::fs::remove_file(&path).ok();
 }
 
 /// The lazy checksum catches body corruption the record decoder cannot:
@@ -210,8 +240,7 @@ fn flipped_body_byte_is_a_checksum_mismatch_when_coverage_completes() {
     for record in [3, 18, 36] {
         let mut bytes = encode_btrc(&instrs);
         bytes[BTRC_HEADER_BYTES + record * RECORD_BYTES + 9] ^= 0x40;
-        let path = tmp("flip.btrc");
-        std::fs::write(&path, &bytes).expect("writes");
+        let path = TempPath::file("flip.btrc", &bytes);
 
         let mut lone = open_streaming(&path).expect("header is intact, open succeeds");
         let err = drain_pass(lone.as_mut(), 16).expect_err("first pass detects corruption");
@@ -231,7 +260,6 @@ fn flipped_body_byte_is_a_checksum_mismatch_when_coverage_completes() {
             ));
         }
         assert!(btrc.hashed_bytes() < 40 * RECORD_BYTES, "never verified");
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -245,7 +273,7 @@ fn flipped_body_byte_is_a_checksum_mismatch_when_coverage_completes() {
 fn short_cells_over_one_handle_hash_nothing_after_the_first() {
     let len = 3 * STREAM_CHUNK_INSTRS + 100;
     let instrs = mixed_instrs(len);
-    let path = tmp("cells.btrc");
+    let path = TempPath::new("cells.btrc");
     write_btrc(&path, &instrs).expect("writes");
     let btrc = Arc::new(MmapBtrc::open(&path).expect("opens"));
     let cell = |pulls: usize| {
@@ -268,7 +296,6 @@ fn short_cells_over_one_handle_hash_nothing_after_the_first() {
         len * RECORD_BYTES,
         "verified: wraps hash nothing"
     );
-    std::fs::remove_file(&path).ok();
 }
 
 /// Two threads replay one handle with different chunkings, released
@@ -287,8 +314,7 @@ fn two_threads_over_one_handle_hash_once_and_both_get_the_verdict() {
         ("mt-ok.btrc", encode_btrc(&instrs), true),
         ("mt-bad.btrc", corrupt, false),
     ] {
-        let path = tmp(tag);
-        std::fs::write(&path, &bytes).expect("writes");
+        let path = TempPath::file(tag, &bytes);
         let btrc = Arc::new(MmapBtrc::open(&path).expect("opens"));
         let barrier = Barrier::new(2);
         let passes: Vec<Result<Vec<Instr>, IngestError>> = std::thread::scope(|scope| {
@@ -320,7 +346,6 @@ fn two_threads_over_one_handle_hash_once_and_both_get_the_verdict() {
             clean,
             "verified exactly when the body is clean"
         );
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -355,13 +380,12 @@ fn production_chunk_size_boundaries_replay_exactly() {
         STREAM_CHUNK_INSTRS + 1,
     ] {
         let instrs = mixed_instrs(len);
-        let path = tmp("bound.btrc");
+        let path = TempPath::new("bound.btrc");
         write_btrc(&path, &instrs).expect("writes");
         let stream = open_streaming(&path).expect("opens");
         let mut trace = Trace::from_stream("bound".to_string(), stream).expect("primes");
         for k in 0..len + 3 {
             assert_eq!(trace.next_instr(), instrs[k % len], "len {len} pull {k}");
         }
-        std::fs::remove_file(&path).ok();
     }
 }
