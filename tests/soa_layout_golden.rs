@@ -5,6 +5,9 @@
 //! MSHR/queue storage. Every simulation here must keep producing the
 //! exact same serialized report — any divergence means the layout
 //! refactor changed simulated behaviour, not just its memory shape.
+//! The `berti-page` rows were added later, blessed from the standalone
+//! per-page prefetcher just before it became `Berti<PerPage>`, so they
+//! pin that merge the same way.
 //!
 //! Regenerate (only when a *semantic* change is intended and reviewed):
 //! `BLESS_SOA_GOLDEN=1 cargo test --test soa_layout_golden`.
@@ -50,6 +53,7 @@ fn single_core_reports_match_pre_soa_goldens() {
         let w = &spec::suite()[idx_suite];
         for (pf_name, pf) in [
             ("berti", PrefetcherChoice::Berti),
+            ("berti-page", PrefetcherChoice::BertiPage),
             ("ipstride", PrefetcherChoice::IpStride),
         ] {
             for (engine_name, engine) in [("naive", Engine::Naive), ("skip", Engine::SkipAhead)] {
