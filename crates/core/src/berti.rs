@@ -1,5 +1,8 @@
 //! The Berti prefetcher: training and prediction (Sec. III-A/B) wired
-//! to the [`berti_mem::Prefetcher`] interface.
+//! to the [`berti_mem::Prefetcher`] interface, generic over the *local
+//! context* its tables are keyed by.
+
+use std::marker::PhantomData;
 
 use berti_mem::{AccessEvent, FillEvent, PrefetchDecision, Prefetcher};
 use berti_types::{Cycle, Delta, FillLevel, Ip, VLine};
@@ -7,6 +10,65 @@ use berti_types::{Cycle, Delta, FillLevel, Ip, VLine};
 use crate::deltas::{DeltaStatus, DeltaTable, LearnedDelta};
 use crate::history::{HistoryHit, HistoryTable};
 use crate::storage::BertiConfig;
+
+/// The local context deltas are learned in (Sec. II): the key both the
+/// history table and the table of deltas are indexed by. It is the one
+/// thing that differs between [`Berti`] and [`BertiPage`].
+pub trait LocalContext {
+    /// The prefetcher's display name.
+    fn name() -> &'static str;
+
+    /// The table key for an access by `ip` to `line`.
+    fn key(ip: Ip, line: VLine) -> Ip;
+}
+
+/// Per-instruction-pointer deltas: the MICRO 2022 design.
+#[derive(Clone, Copy, Debug)]
+pub struct PerIp;
+
+impl LocalContext for PerIp {
+    fn name() -> &'static str {
+        "berti"
+    }
+
+    #[inline]
+    fn key(ip: Ip, _line: VLine) -> Ip {
+        ip
+    }
+}
+
+/// Per-page deltas: the DPC-3 predecessor of Berti ("Berti: a per-page
+/// best-request-time delta prefetcher", Ros, 3rd Data Prefetching
+/// Championship — the paper's reference \[46\]), keyed by the 4 KiB page
+/// of the access; see the `sens_local_context` experiment.
+#[derive(Clone, Copy, Debug)]
+pub struct PerPage;
+
+impl LocalContext for PerPage {
+    fn name() -> &'static str {
+        "berti-page"
+    }
+
+    /// The page of `line`, encoded as the tables' context key.
+    #[inline]
+    fn key(_ip: Ip, line: VLine) -> Ip {
+        Ip::new(line.page().raw() << 2)
+    }
+}
+
+/// The per-page Berti: identical training machinery and table geometry,
+/// keyed by the page of the access.
+///
+/// # Example
+///
+/// ```
+/// use berti_core::{BertiConfig, BertiPage};
+/// use berti_mem::Prefetcher;
+///
+/// let p = BertiPage::with_context(BertiConfig::default());
+/// assert_eq!(p.name(), "berti-page");
+/// ```
+pub type BertiPage = Berti<PerPage>;
 
 /// The Berti accurate local-delta L1D data prefetcher.
 ///
@@ -20,7 +82,7 @@ use crate::storage::BertiConfig;
 /// assert_eq!(berti.name(), "berti");
 /// ```
 #[derive(Clone, Debug)]
-pub struct Berti {
+pub struct Berti<C: LocalContext = PerIp> {
     cfg: BertiConfig,
     history: HistoryTable,
     deltas: DeltaTable,
@@ -35,11 +97,24 @@ pub struct Berti {
     /// (a negative delta larger than the trigger line); issuing them
     /// would wrap to a garbage address whose page check is meaningless.
     dropped_underflow_target: u64,
+    context: PhantomData<C>,
 }
 
 impl Berti {
     /// Creates a Berti prefetcher.
     pub fn new(cfg: BertiConfig) -> Self {
+        Self::with_context(cfg)
+    }
+
+    /// Current learning state for `ip` (Fig. 3 diagnostics).
+    pub fn learned_deltas(&self, ip: Ip) -> Vec<LearnedDelta> {
+        self.deltas.snapshot(ip)
+    }
+}
+
+impl<C: LocalContext> Berti<C> {
+    /// Creates a Berti prefetcher keyed by the local context `C`.
+    pub fn with_context(cfg: BertiConfig) -> Self {
         Self {
             history: HistoryTable::new(cfg.history_sets, cfg.history_ways, cfg.timestamp_bits),
             deltas: DeltaTable::new(&cfg),
@@ -49,6 +124,7 @@ impl Berti {
             cfg,
             dropped_inconsistent_latency: 0,
             dropped_underflow_target: 0,
+            context: PhantomData,
         }
     }
 
@@ -66,11 +142,6 @@ impl Berti {
         )
     }
 
-    /// Current learning state for `ip` (Fig. 3 diagnostics).
-    pub fn learned_deltas(&self, ip: Ip) -> Vec<LearnedDelta> {
-        self.deltas.snapshot(ip)
-    }
-
     /// Applies the configured latency-field width: values that do not
     /// fit are recorded as zero and skipped (Sec. III-C and the
     /// latency-counter sensitivity study of Sec. IV-J).
@@ -82,33 +153,30 @@ impl Berti {
         }
     }
 
-    /// One training step: search the history for timely deltas for a
-    /// demand of `line` at `demand_at` with fetch latency `latency`,
-    /// and account the search in the table of deltas.
-    fn train(&mut self, ip: Ip, line: VLine, demand_at: Cycle, latency: u64) {
-        let mut hits = std::mem::take(&mut self.scratch_hits);
+    /// One training step: search the history of context `key` for
+    /// timely deltas for a demand of `line` at `demand_at` with fetch
+    /// latency `latency`, and account the search in the table of deltas.
+    fn train(&mut self, key: Ip, line: VLine, demand_at: Cycle, latency: u64) {
         self.history.search_timely_into(
-            ip,
+            key,
             line,
             demand_at,
             latency,
             self.cfg.max_timely_deltas_per_search,
-            &mut hits,
+            &mut self.scratch_hits,
         );
         self.scratch_deltas.clear();
-        self.scratch_deltas.extend(hits.iter().map(|h| h.delta));
-        self.scratch_hits = hits;
-        let ds = std::mem::take(&mut self.scratch_deltas);
-        self.deltas.record_search(ip, &ds);
-        self.scratch_deltas = ds;
+        self.scratch_deltas
+            .extend(self.scratch_hits.iter().map(|h| h.delta));
+        self.deltas.record_search(key, &self.scratch_deltas);
     }
 
-    /// Prediction: emit one prefetch per selected delta for this access.
-    fn predict(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchDecision>) {
+    /// Prediction: emit one prefetch per selected delta of context `key`
+    /// for this access.
+    fn predict(&mut self, key: Ip, ev: &AccessEvent, out: &mut Vec<PrefetchDecision>) {
         self.scratch_pred.clear();
-        let mut preds = std::mem::take(&mut self.scratch_pred);
-        self.deltas.prefetch_deltas(ev.ip, &mut preds);
-        for &(delta, status) in &preds {
+        self.deltas.prefetch_deltas(key, &mut self.scratch_pred);
+        for &(delta, status) in &self.scratch_pred {
             // Compute the target in signed space: `VLine + Delta` wraps
             // on underflow, so a negative delta larger than the trigger
             // line would produce a garbage address whose page
@@ -135,13 +203,12 @@ impl Berti {
             };
             out.push(PrefetchDecision { target, fill_level });
         }
-        self.scratch_pred = preds;
     }
 }
 
-impl Prefetcher for Berti {
+impl<C: LocalContext> Prefetcher for Berti<C> {
     fn name(&self) -> &'static str {
-        "berti"
+        C::name()
     }
 
     fn storage_bits(&self) -> u64 {
@@ -152,23 +219,24 @@ impl Prefetcher for Berti {
         if !ev.kind.is_demand() {
             return;
         }
+        let key = C::key(ev.ip, ev.line);
         if !ev.hit {
             // Demand miss: record the access now; the timely-delta
             // search happens when the fill latency is known (on_fill).
-            self.history.insert(ev.ip, ev.line, ev.at);
+            self.history.insert(key, ev.line, ev.at);
         } else if ev.timely_prefetch_hit || ev.late_prefetch_hit {
             // First demand touch of a prefetched line — a miss the
             // baseline would have had. Record it and search immediately
             // using the latency stored alongside the line.
-            self.history.insert(ev.ip, ev.line, ev.at);
+            self.history.insert(key, ev.line, ev.at);
             let latency = self.truncate_latency(ev.stored_latency);
             if latency != 0 {
-                self.train(ev.ip, ev.line, ev.at, latency);
+                self.train(key, ev.line, ev.at, latency);
             }
         }
         // "On every L1D access, the table of deltas is searched" —
         // prediction runs for hits and misses alike (Sec. III-C).
-        self.predict(ev, out);
+        self.predict(key, ev, out);
     }
 
     fn on_fill(&mut self, ev: &FillEvent) {
@@ -190,7 +258,8 @@ impl Prefetcher for Berti {
             self.dropped_inconsistent_latency += 1;
             return;
         };
-        self.train(ev.ip, ev.line, Cycle::new(demand_at), latency);
+        let key = C::key(ev.ip, ev.line);
+        self.train(key, ev.line, Cycle::new(demand_at), latency);
     }
 }
 
@@ -223,6 +292,12 @@ mod tests {
             latency,
             was_prefetch: false,
         }
+    }
+
+    /// The learning state of the context an access by `IP` to `line`
+    /// falls in.
+    fn learned<C: LocalContext>(b: &Berti<C>, line: u64) -> Vec<LearnedDelta> {
+        b.deltas.snapshot(C::key(IP, VLine::new(line)))
     }
 
     /// Drives a steady +2 stride with fetch latency 100 and 300 cycles
@@ -403,22 +478,63 @@ mod tests {
         assert!(b.learned_deltas(IP).is_empty());
     }
 
+    /// A latency larger than the fill cycle must be dropped and counted
+    /// by context `C`, not clamped.
+    fn drops_inconsistent_fill_latency<C: LocalContext>() {
+        let mut b = Berti::<C>::with_context(BertiConfig::default());
+        let mut out = Vec::new();
+        b.on_access(&miss_event(100, 0), &mut out);
+        b.on_access(&miss_event(102, 10), &mut out);
+        // Fill at cycle 50 claiming 500 cycles of latency: impossible.
+        b.on_fill(&fill_event(102, 50, 500));
+        assert_eq!(b.drop_counters().0, 1, "{}", C::name());
+        assert!(
+            learned(&b, 102).is_empty(),
+            "{}: the inconsistent sample must not train",
+            C::name()
+        );
+    }
+
     #[test]
     fn inconsistent_fill_latency_is_dropped_not_clamped() {
         // Regression (ISSUE 5 satellite): a latency larger than the fill
         // cycle used to clamp the demand time to 0 via saturating_sub,
         // silently widening the timeliness window. It must be dropped
         // and counted.
-        let mut b = Berti::new(BertiConfig::default());
+        drops_inconsistent_fill_latency::<PerIp>();
+        drops_inconsistent_fill_latency::<PerPage>();
+    }
+
+    /// A learned negative delta applied at line 0 must be dropped and
+    /// counted by context `C`, never wrapped.
+    fn drops_underflowing_targets<C: LocalContext>() {
+        let mut b = Berti::<C>::with_context(BertiConfig::default());
         let mut out = Vec::new();
-        b.on_access(&miss_event(100, 0), &mut out);
-        b.on_access(&miss_event(102, 10), &mut out);
-        // Fill at cycle 50 claiming 500 cycles of latency: impossible.
-        b.on_fill(&fill_event(102, 50, 500));
-        assert_eq!(b.drop_counters().0, 1);
+        // Learn a -2 stride inside page 0, so the per-page context that
+        // predicts for line 0 is the one that learned it.
+        for i in 0..31u64 {
+            let line = 62 - 2 * i;
+            let t = 300 * i;
+            b.on_access(&miss_event(line, t), &mut out);
+            b.on_fill(&fill_event(line, t + 100, 100));
+        }
         assert!(
-            b.learned_deltas(IP).is_empty(),
-            "the inconsistent sample must not train"
+            learned(&b, 0).iter().any(|d| d.delta.raw() < 0),
+            "{}",
+            C::name()
+        );
+        out.clear();
+        // Trigger at line 0: every negative delta underflows.
+        b.on_access(&miss_event(0, 100_000), &mut out);
+        assert!(
+            out.iter().all(|d| d.target.raw() < (1 << 32)),
+            "{}: no wrapped targets may escape: {out:?}",
+            C::name()
+        );
+        assert!(
+            b.drop_counters().1 >= 1,
+            "{}: underflowing targets must be counted",
+            C::name()
         );
     }
 
@@ -428,27 +544,8 @@ mod tests {
         // underflow, so a learned negative delta applied near line 0
         // used to emit a garbage-address prefetch whose cross-page
         // check was meaningless.
-        let mut b = Berti::new(BertiConfig::default());
-        let mut out = Vec::new();
-        // Learn a -2 stride far from zero.
-        for i in 0..40u64 {
-            let line = 500_000 - 2 * i;
-            let t = 300 * i;
-            b.on_access(&miss_event(line, t), &mut out);
-            b.on_fill(&fill_event(line, t + 100, 100));
-        }
-        assert!(b.learned_deltas(IP).iter().any(|d| d.delta.raw() < 0));
-        out.clear();
-        // Trigger at line 0: every negative delta underflows.
-        b.on_access(&miss_event(0, 100_000), &mut out);
-        assert!(
-            out.iter().all(|d| d.target.raw() < (1 << 32)),
-            "no wrapped targets may escape: {out:?}"
-        );
-        assert!(
-            b.drop_counters().1 >= 1,
-            "underflowing targets must be counted"
-        );
+        drops_underflowing_targets::<PerIp>();
+        drops_underflowing_targets::<PerPage>();
     }
 
     #[test]
@@ -490,5 +587,74 @@ mod tests {
         let d2 = b.learned_deltas(ip2);
         assert!(d1.iter().any(|d| d.delta.raw() > 0));
         assert!(d2.iter().any(|d| d.delta.raw() < 0));
+    }
+    #[test]
+    fn learns_within_a_page_regardless_of_ip() {
+        // Two alternating IPs walk one page with stride +2: a per-IP
+        // tracker sees stride +4 per IP, the per-page tracker sees the
+        // full +2 stream.
+        let mut p = BertiPage::with_context(BertiConfig::default());
+        let mut out = Vec::new();
+        let base = 64 * 1000;
+        for i in 0..30u64 {
+            let ip = Ip::new(if i % 2 == 0 { 0x400 } else { 0x900 });
+            let line = base + 2 * i;
+            out.clear();
+            p.on_access(
+                &AccessEvent {
+                    ip,
+                    ..miss_event(line, 300 * i)
+                },
+                &mut out,
+            );
+            p.on_fill(&FillEvent {
+                ip,
+                ..fill_event(line, 300 * i + 100, 100)
+            });
+        }
+        assert!(!out.is_empty(), "page context must cover the merged stream");
+    }
+
+    #[test]
+    fn interleaved_pages_learn_independently() {
+        let mut p = BertiPage::with_context(BertiConfig::default());
+        let mut out = Vec::new();
+        // Page A strides +1; page B strides -2; one IP drives both.
+        for i in 0..40u64 {
+            let t = 600 * i;
+            out.clear();
+            p.on_access(&miss_event(64 * 500 + i, t), &mut out);
+            p.on_fill(&fill_event(64 * 500 + i, t + 100, 100));
+            p.on_access(&miss_event(64 * 900 - 2 * i, t + 300), &mut out);
+            p.on_fill(&fill_event(64 * 900 - 2 * i, t + 400, 100));
+        }
+        let a = learned(&p, 64 * 500 + 39);
+        let b = learned(&p, 64 * 900 - 78);
+        assert!(a.iter().any(|d| d.delta.raw() > 0), "{a:?}");
+        assert!(b.iter().any(|d| d.delta.raw() < 0), "{b:?}");
+    }
+
+    #[test]
+    fn one_ip_in_one_page_predicts_alike_in_both_contexts() {
+        // With a single IP that never leaves its page, both contexts
+        // key every access to one table entry, so they must emit the
+        // identical decision stream.
+        let base = 64 * 321;
+        let run = |pf: &mut dyn Prefetcher| {
+            let mut out = Vec::new();
+            for i in 0..64u64 {
+                let line = base + (5 * i) % 64;
+                let t = 250 * i;
+                let mut ev = miss_event(line, t);
+                ev.mshr_occupancy = if i % 4 == 0 { 0.9 } else { 0.1 };
+                pf.on_access(&ev, &mut out);
+                pf.on_fill(&fill_event(line, t + 90, 90));
+            }
+            out
+        };
+        let per_ip = run(&mut Berti::new(BertiConfig::default()));
+        let per_page = run(&mut BertiPage::with_context(BertiConfig::default()));
+        assert!(!per_ip.is_empty(), "the walk must be learned");
+        assert_eq!(per_ip, per_page);
     }
 }

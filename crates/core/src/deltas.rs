@@ -99,10 +99,8 @@ pub struct DeltaTable {
     warmup_min_rounds: u32,
     max_prefetch_deltas: usize,
     delta_bits: u32,
-    /// Reused per-search dedup buffer ([`DeltaTable::record_search`]):
+    /// Reused phase-boundary ranking buffer ([`DeltaTable::end_phase`]):
     /// sized once, so steady-state training allocates nothing.
-    scratch_seen: Vec<Delta>,
-    /// Reused phase-boundary ranking buffer ([`DeltaTable::end_phase`]).
     scratch_order: Vec<usize>,
 }
 
@@ -128,7 +126,6 @@ impl DeltaTable {
             warmup_min_rounds: cfg.warmup_min_rounds,
             max_prefetch_deltas: cfg.max_prefetch_deltas,
             delta_bits: cfg.delta_bits,
-            scratch_seen: Vec::with_capacity(cfg.deltas_per_entry),
             scratch_order: Vec::with_capacity(cfg.deltas_per_entry),
         }
     }
@@ -172,16 +169,15 @@ impl DeltaTable {
     pub fn record_search(&mut self, ip: Ip, timely_deltas: &[Delta]) {
         let i = self.find_or_allocate(ip);
         self.entries[i].counter += 1;
-        let mut seen = std::mem::take(&mut self.scratch_seen);
-        seen.clear();
-        for &d in timely_deltas {
-            if d == Delta::ZERO || !d.fits_bits(self.delta_bits) || seen.contains(&d) {
-                continue;
+        for (k, &d) in timely_deltas.iter().enumerate() {
+            // The filters depend only on the delta's value, so an
+            // earlier copy of `d` in the slice was already counted
+            // exactly when this one would be.
+            let repeat = timely_deltas[..k].contains(&d);
+            if !repeat && d != Delta::ZERO && d.fits_bits(self.delta_bits) {
+                self.bump_delta(i, d);
             }
-            seen.push(d);
-            self.bump_delta(i, d);
         }
-        self.scratch_seen = seen;
         if self.entries[i].counter >= self.rounds_per_phase {
             self.end_phase(i);
         }
@@ -272,12 +268,8 @@ impl DeltaTable {
     /// `max_prefetch_deltas` selections, then reset the counters.
     fn end_phase(&mut self, entry: usize) {
         let rounds = f64::from(self.rounds_per_phase);
-        let high = self.high;
-        let medium = self.medium;
-        let low = self.low;
-        let replaceable = self.replaceable;
         let max_sel = self.max_prefetch_deltas;
-        let mut order = std::mem::take(&mut self.scratch_order);
+        let order = &mut self.scratch_order;
         let e = &mut self.entries[entry];
         // Rank slots by coverage, highest first, to apply the selection
         // bound. The ranking buffer is reused across phase boundaries
@@ -298,17 +290,17 @@ impl DeltaTable {
             order[j] = idx;
         }
         let mut selected = 0usize;
-        for &i in &order {
+        for &i in order.iter() {
             let cov = e.slots[i].coverage as f64 / rounds;
-            let status = if selected < max_sel && cov > high {
+            let status = if selected < max_sel && cov > self.high {
                 DeltaStatus::L1Pref
-            } else if selected < max_sel && cov > medium {
-                if cov < replaceable {
+            } else if selected < max_sel && cov > self.medium {
+                if cov < self.replaceable {
                     DeltaStatus::L2PrefRepl
                 } else {
                     DeltaStatus::L2Pref
                 }
-            } else if selected < max_sel && cov > low {
+            } else if selected < max_sel && cov > self.low {
                 // Only reachable when the low watermark is configured
                 // below the medium one (the paper's disabled LLC tier).
                 DeltaStatus::LlcPref
@@ -324,10 +316,10 @@ impl DeltaTable {
             #[cfg(feature = "check-invariants")]
             {
                 match status {
-                    DeltaStatus::L1Pref => assert!(cov > high),
-                    DeltaStatus::L2Pref => assert!(cov > medium && cov >= replaceable),
-                    DeltaStatus::L2PrefRepl => assert!(cov > medium && cov < replaceable),
-                    DeltaStatus::LlcPref => assert!(cov > low && cov <= medium),
+                    DeltaStatus::L1Pref => assert!(cov > self.high),
+                    DeltaStatus::L2Pref => assert!(cov > self.medium && cov >= self.replaceable),
+                    DeltaStatus::L2PrefRepl => assert!(cov > self.medium && cov < self.replaceable),
+                    DeltaStatus::LlcPref => assert!(cov > self.low && cov <= self.medium),
                     DeltaStatus::NoPref => {}
                 }
                 assert!(selected <= max_sel, "selection bound exceeded");
@@ -339,7 +331,6 @@ impl DeltaTable {
         }
         e.counter = 0;
         e.phase_completed = true;
-        self.scratch_order = order;
     }
 
     /// The deltas `ip` should prefetch with right now, with the status
@@ -597,6 +588,12 @@ mod tests {
 
     #[test]
     fn duplicate_deltas_in_one_search_count_once() {
+        let mut t = table();
+        // A repeat later in the slice, after a different delta, still
+        // counts once.
+        t.record_search(IP, &[Delta::new(5), Delta::new(3), Delta::new(5)]);
+        let snap = t.snapshot(IP);
+        assert!(snap.iter().all(|s| s.coverage == 1), "{snap:?}");
         let mut t = table();
         for _ in 0..16 {
             t.record_search(IP, &[Delta::new(5), Delta::new(5)]);

@@ -9,6 +9,8 @@
 //! requests only for deltas whose coverage crosses confidence
 //! watermarks — filling to the L1D for high-coverage deltas (when the
 //! MSHR is not saturated) and to the L2 for medium-coverage ones.
+//! [`BertiPage`] (`Berti<PerPage>`) keys the same tables by 4 KiB page
+//! instead: the DPC-3 predecessor, for the local-context ablation.
 //!
 //! The three hardware structures of Sec. III-C are reproduced exactly:
 //!
@@ -39,11 +41,9 @@
 mod berti;
 mod deltas;
 mod history;
-mod page_variant;
 mod storage;
 
-pub use berti::Berti;
+pub use berti::{Berti, BertiPage, LocalContext, PerIp, PerPage};
 pub use deltas::{DeltaStatus, DeltaTable, LearnedDelta};
 pub use history::{HistoryHit, HistoryTable};
-pub use page_variant::BertiPage;
 pub use storage::{BertiConfig, StorageBreakdown};

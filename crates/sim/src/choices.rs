@@ -49,7 +49,9 @@ impl PrefetcherChoice {
             PrefetcherChoice::Vldp => Box::new(Vldp::new(FillLevel::L1)),
             PrefetcherChoice::Berti => Box::new(Berti::new(BertiConfig::default())),
             PrefetcherChoice::BertiWith(cfg) => Box::new(Berti::new(*cfg)),
-            PrefetcherChoice::BertiPage => Box::new(BertiPage::new(BertiConfig::default())),
+            PrefetcherChoice::BertiPage => {
+                Box::new(BertiPage::with_context(BertiConfig::default()))
+            }
         }
     }
 

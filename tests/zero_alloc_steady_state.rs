@@ -87,9 +87,9 @@ fn dense_loop_trace() -> Trace {
     Trace::new("dense-loop", instrs)
 }
 
-/// Allocations of one whole run that warms up for two passes of the
-/// trace and measures `measured_passes` more.
-fn run_allocs(engine: Engine, measured_passes: u64) -> u64 {
+/// Allocations of one whole run of `pf` that warms up for two passes
+/// of the trace and measures `measured_passes` more.
+fn run_allocs(pf: &PrefetcherChoice, engine: Engine, measured_passes: u64) -> u64 {
     let mut trace = dense_loop_trace();
     let pass = trace.len() as u64;
     let opts = SimOptions {
@@ -101,7 +101,7 @@ fn run_allocs(engine: Engine, measured_passes: u64) -> u64 {
     ARMED.store(true, Ordering::SeqCst);
     let report = simulate_with_engine(
         &SystemConfig::default(),
-        PrefetcherChoice::Berti,
+        pf.clone(),
         None,
         &mut trace,
         &opts,
@@ -120,14 +120,17 @@ fn run_allocs(engine: Engine, measured_passes: u64) -> u64 {
 
 #[test]
 fn steady_state_simulation_never_allocates() {
-    for engine in [Engine::Naive, Engine::SkipAhead] {
-        let one = run_allocs(engine, 1);
-        let two = run_allocs(engine, 2);
-        assert!(one > 0, "set-up and report assembly do allocate");
-        assert_eq!(
-            one, two,
-            "{engine:?}: measuring a second pass changed the allocation count \
-             ({one} -> {two}); the hot loop must not touch the allocator"
-        );
+    // Both local contexts (per-IP and per-page) run the same Berti.
+    for pf in [PrefetcherChoice::Berti, PrefetcherChoice::BertiPage] {
+        for engine in [Engine::Naive, Engine::SkipAhead] {
+            let one = run_allocs(&pf, engine, 1);
+            let two = run_allocs(&pf, engine, 2);
+            assert!(one > 0, "set-up and report assembly do allocate");
+            assert_eq!(
+                one, two,
+                "{pf:?}/{engine:?}: measuring a second pass changed the allocation \
+                 count ({one} -> {two}); the hot loop must not touch the allocator"
+            );
+        }
     }
 }
