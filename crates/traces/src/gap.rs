@@ -8,8 +8,11 @@
 //! lookups (`prop[neighbor]`), which is where the irregular misses the
 //! paper measures come from (L1D MPKI of 83.6 on average, Sec. IV-G).
 
+use std::ops::Range;
+use std::sync::Mutex;
+
 use berti_types::{Instr, Ip, VAddr};
-use rand::rngs::SmallRng;
+use rand::rngs::{Jump, SmallRng};
 use rand::{RngCore, RngExt, SeedableRng};
 
 use crate::builder::TraceBuilder;
@@ -142,7 +145,21 @@ impl Csr {
     }
 
     /// Builds a graph of 2^`scale` vertices with `degree` edges per
-    /// vertex from the given generator, deterministically.
+    /// vertex from the given generator, deterministically, on every
+    /// core of the host.
+    ///
+    /// Edge `i` is made from draws `i·d .. (i+1)·d` of the seed's
+    /// stream (`d` = 2 for uniform-random edges, `scale` for Kronecker
+    /// ones). The edge list is cut into chunks of `CHUNK_EDGES`; each
+    /// chunk starts from the generator of the one before it, jumped
+    /// ahead by that chunk's draws (`SmallRng::jump`, exact), and
+    /// workers fill the chunks of one shared edge buffer. After one
+    /// pass counts the out-degrees, placing each edge's target and
+    /// sorting each adjacency list run per range of source vertices, the
+    /// ranges cut at equal edge counts. The edge buffer holds the list
+    /// that one sequential stream would have drawn, whatever the chunk
+    /// size, and every adjacency list ends sorted, so the graph is the
+    /// same bytes for any worker count.
     ///
     /// Kronecker edges are RMAT with (a, b, c) = (0.57, 0.19, 0.19):
     /// at each of `scale` levels one uniform draw `r` picks a quadrant
@@ -156,55 +173,156 @@ impl Csr {
     /// of two is exact, so `r < p` ⇔ `k < p · 2^53` (a real-number
     /// compare) ⇔ `k < ⌈p · 2^53⌉` for an integer `k`.
     pub fn build(kind: GraphKind, scale: u32, degree: usize, seed: u64) -> Csr {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Csr::build_in(kind, scale, degree, seed, CHUNK_EDGES, workers)
+    }
+
+    /// [`Csr::build`] with `chunk_edges` edges per chunk on at most
+    /// `workers` threads, never more than there are chunks.
+    fn build_in(
+        kind: GraphKind,
+        scale: u32,
+        degree: usize,
+        seed: u64,
+        chunk_edges: usize,
+        workers: usize,
+    ) -> Csr {
         let n = 1usize << scale;
         let m = n * degree;
+        let workers = workers.clamp(1, m.div_ceil(chunk_edges).max(1));
+        let draws_per_edge = match kind {
+            GraphKind::Urand => 2,
+            GraphKind::Kron => u64::from(scale),
+        };
+        // The one edge buffer, allocated before any worker starts.
+        let mut edges = vec![(0u32, 0u32); m];
+        let jump = Jump::new(chunk_edges as u64 * draws_per_edge);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
-        match kind {
-            GraphKind::Urand => {
-                for _ in 0..m {
-                    let u = rng.random_range(0..n as u32);
-                    let v = rng.random_range(0..n as u32);
-                    edges.push((u, v));
-                }
+        let chunks = Mutex::new(edges.chunks_mut(chunk_edges).map(|chunk| {
+            let start = rng.clone();
+            rng.jump(&jump);
+            (chunk, start)
+        }));
+        on_workers(workers, || {
+            while let Some((chunk, rng)) = next_job(&chunks) {
+                fill_edges(kind, scale, chunk, rng);
             }
-            GraphKind::Kron => {
-                let [a, ab, abc] = RMAT_THRESHOLDS;
-                for _ in 0..m {
-                    let (mut u, mut v) = (0u32, 0u32);
-                    for _ in 0..scale {
-                        let k = rng.next_u64() >> 11;
-                        // Quadrants by k: [0, a) top-left, [a, ab)
-                        // v = 1, [ab, abc) u = 1, [abc, 2^53) both.
-                        let (past_a, past_ab, past_abc) = (k >= a, k >= ab, k >= abc);
-                        u = (u << 1) | u32::from(past_ab);
-                        v = (v << 1) | u32::from(past_a ^ past_ab ^ past_abc);
-                    }
-                    edges.push((u, v));
-                }
-            }
-        }
+        });
+
         // Counting-sort into CSR by source.
-        let mut counts = vec![0u32; n + 1];
+        let mut offsets = vec![0u32; n + 1];
         for &(u, _) in &edges {
-            counts[u as usize + 1] += 1;
+            offsets[u as usize + 1] += 1;
         }
         for i in 1..=n {
-            counts[i] += counts[i - 1];
+            offsets[i] += offsets[i - 1];
         }
-        let offsets = counts.clone();
-        let mut cursor = counts;
         let mut neighbors = vec![0u32; m];
-        for &(u, v) in &edges {
-            neighbors[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
-        }
-        // Sorted adjacency lists (GAP sorts them; TC requires it).
-        for v in 0..n {
-            let (s, e) = (offsets[v] as usize, offsets[v + 1] as usize);
-            neighbors[s..e].sort_unstable();
-        }
+        let ranges = Mutex::new(vertex_ranges(&offsets, workers, &mut neighbors).into_iter());
+        on_workers(workers, || {
+            while let Some((vertices, slice)) = next_job(&ranges) {
+                fill_range(&edges, &offsets, vertices, slice);
+            }
+        });
         Csr { offsets, neighbors }
+    }
+}
+
+/// Edges per chunk of [`Csr::build`]'s edge list: 128 chunks for the
+/// 2^19-vertex graphs, so workers stay busy to the end, at one jump
+/// each (~0.25 µs, after ~1 ms to build the jump).
+const CHUNK_EDGES: usize = 1 << 16;
+
+/// Runs `work` on `workers` threads, the calling one among them.
+fn on_workers(workers: usize, work: impl Fn() + Sync) {
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(&work);
+        }
+        work();
+    });
+}
+
+/// The next job off a shared queue.
+fn next_job<I: Iterator>(queue: &Mutex<I>) -> Option<I::Item> {
+    queue
+        .lock()
+        .expect("no worker panics holding the queue")
+        .next()
+}
+
+/// Fills one chunk of the edge list from the generator at its first
+/// draw.
+fn fill_edges(kind: GraphKind, scale: u32, chunk: &mut [(u32, u32)], mut rng: SmallRng) {
+    match kind {
+        GraphKind::Urand => {
+            let n = 1u32 << scale;
+            for edge in chunk {
+                let u = rng.random_range(0..n);
+                let v = rng.random_range(0..n);
+                *edge = (u, v);
+            }
+        }
+        GraphKind::Kron => {
+            let [a, ab, abc] = RMAT_THRESHOLDS;
+            for edge in chunk {
+                let (mut u, mut v) = (0u32, 0u32);
+                for _ in 0..scale {
+                    let k = rng.next_u64() >> 11;
+                    // Quadrants by k: [0, a) top-left, [a, ab) v = 1,
+                    // [ab, abc) u = 1, [abc, 2^53) both.
+                    let (past_a, past_ab, past_abc) = (k >= a, k >= ab, k >= abc);
+                    u = (u << 1) | u32::from(past_ab);
+                    v = (v << 1) | u32::from(past_a ^ past_ab ^ past_abc);
+                }
+                *edge = (u, v);
+            }
+        }
+    }
+}
+
+/// Cuts the vertices into `parts` consecutive ranges of about equal
+/// edge counts (RMAT puts most edges on low vertex ids), each with the
+/// part of `neighbors` that holds its adjacency lists.
+fn vertex_ranges<'a>(
+    offsets: &[u32],
+    parts: usize,
+    neighbors: &'a mut [u32],
+) -> Vec<(Range<usize>, &'a mut [u32])> {
+    let n = offsets.len() - 1;
+    let m = neighbors.len();
+    let inner = (1..parts).map(|p| offsets.partition_point(|&o| (o as usize) * parts < p * m));
+    let bounds: Vec<usize> = std::iter::once(0).chain(inner).chain([n]).collect();
+    let mut rest = neighbors;
+    bounds
+        .windows(2)
+        .map(|w| {
+            let len = (offsets[w[1]] - offsets[w[0]]) as usize;
+            let (slice, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            (w[0]..w[1], slice)
+        })
+        .collect()
+}
+
+/// Scatters the targets of the edges whose source lies in `vertices`
+/// into `slice` (their adjacency lists), then sorts each list (GAP sorts
+/// them; TC requires it).
+fn fill_range(edges: &[(u32, u32)], offsets: &[u32], vertices: Range<usize>, slice: &mut [u32]) {
+    let base = offsets[vertices.start];
+    let mut cursor: Vec<u32> = offsets[vertices.clone()]
+        .iter()
+        .map(|&o| o - base)
+        .collect();
+    for &(u, v) in edges {
+        if vertices.contains(&(u as usize)) {
+            let next = &mut cursor[u as usize - vertices.start];
+            slice[*next as usize] = v;
+            *next += 1;
+        }
+    }
+    for v in vertices {
+        slice[(offsets[v] - base) as usize..(offsets[v + 1] - base) as usize].sort_unstable();
     }
 }
 
@@ -551,9 +669,21 @@ mod tests {
 
     #[test]
     fn graph_build_is_deterministic() {
-        let a = Csr::build(GraphKind::Kron, 10, 8, 7);
-        let b = Csr::build(GraphKind::Kron, 10, 8, 7);
-        assert_eq!(a.neighbors, b.neighbors);
+        // Every chunk size and worker count builds the graph of one
+        // chunk on one worker. The graphs are the two that
+        // `generator_pins.rs` pins, where scale 12 is a single chunk of
+        // `CHUNK_EDGES` and so never splits.
+        for (kind, seed) in [(GraphKind::Kron, 0x6b72), (GraphKind::Urand, 0x7572)] {
+            let reference = Csr::build_in(kind, 12, 16, seed, 16 << 12, 1);
+            for chunk_edges in [7, 1000, 65_536] {
+                for workers in [1, 2, 3] {
+                    let g = Csr::build_in(kind, 12, 16, seed, chunk_edges, workers);
+                    let case = format!("{kind:?}, {chunk_edges} edges a chunk, {workers} workers");
+                    assert_eq!(g.offsets, reference.offsets, "{case}");
+                    assert_eq!(g.neighbors, reference.neighbors, "{case}");
+                }
+            }
+        }
     }
 
     #[test]
