@@ -7,13 +7,17 @@
 //! refactor changed simulated behaviour, not just its memory shape.
 //! The `berti-page` rows were added later, blessed from the standalone
 //! per-page prefetcher just before it became `Berti<PerPage>`, so they
-//! pin that merge the same way.
+//! pin that merge the same way. The rows that host a prefetcher at the
+//! L2 (`<l1>+<l2>`) were blessed before the hierarchy's three
+//! hand-written cache levels became one level type over a chain, so
+//! they pin the L2-hosted prefetch paths through that rewrite.
 //!
 //! Regenerate (only when a *semantic* change is intended and reviewed):
 //! `BLESS_SOA_GOLDEN=1 cargo test --test soa_layout_golden`.
 
 use berti::sim::{
-    simulate_multicore_with_engine, simulate_with_engine, Engine, PrefetcherChoice, SimOptions,
+    simulate_multicore_with_engine, simulate_with_engine, Engine, L2PrefetcherChoice,
+    PrefetcherChoice, SimOptions,
 };
 use berti::traces::{gap, mix, spec};
 use berti::types::SystemConfig;
@@ -61,6 +65,33 @@ fn single_core_reports_match_pre_soa_goldens() {
                     simulate_with_engine(&cfg, pf.clone(), None, &mut w.trace(), &opts(), engine);
                 check(
                     &format!("{workload}-{pf_name}-{engine_name}"),
+                    serde::json::to_string(&r),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn l2_hosted_reports_match_goldens() {
+    let cfg = SystemConfig::default();
+    for (workload, idx_suite) in [("spec0", 0usize), ("spec1", 1), ("spec2", 2)] {
+        let w = &spec::suite()[idx_suite];
+        for (l1, l2) in [
+            (PrefetcherChoice::Berti, L2PrefetcherChoice::SppPpf),
+            (PrefetcherChoice::IpStride, L2PrefetcherChoice::Ipcp),
+        ] {
+            for (engine_name, engine) in [("naive", Engine::Naive), ("skip", Engine::SkipAhead)] {
+                let r = simulate_with_engine(
+                    &cfg,
+                    l1.clone(),
+                    Some(l2),
+                    &mut w.trace(),
+                    &opts(),
+                    engine,
+                );
+                check(
+                    &format!("{workload}-{}+{}-{engine_name}", l1.name(), l2.name()),
                     serde::json::to_string(&r),
                 );
             }
