@@ -10,9 +10,9 @@
 //! crosses its watermark, stealing bus and bank time from later reads —
 //! which is how write traffic degrades read latency on real parts.
 
-use berti_types::{Cycle, DramConfig, LINE_BYTES};
+use std::collections::VecDeque;
 
-use crate::arena::FixedRing;
+use berti_types::{Cycle, DramConfig, LINE_BYTES};
 
 /// Per-bank open-row state.
 #[derive(Clone, Copy, Debug, Default)]
@@ -59,12 +59,12 @@ pub struct Dram {
     banks: Vec<Bank>,
     bus_free_at: Cycle,
     /// Completion times of in-flight reads (read-queue occupancy), in
-    /// fixed ring storage: backpressure guarantees a free slot before
-    /// every push, so the channel performs no heap traffic per read.
-    inflight_reads: FixedRing<Cycle>,
+    /// storage reserved once: backpressure frees a slot before every
+    /// push, so the channel performs no heap traffic per read.
+    inflight_reads: VecDeque<Cycle>,
     /// Buffered writebacks awaiting a drain: (bank, row). The watermark
     /// drain keeps occupancy strictly below capacity between writes.
-    write_queue: FixedRing<(usize, u64)>,
+    write_queue: VecDeque<(usize, u64)>,
     stats: DramStats,
 }
 
@@ -80,11 +80,8 @@ impl Dram {
             cfg,
             banks: vec![Bank::default(); cfg.banks],
             bus_free_at: Cycle::ZERO,
-            // `.max(1)` keeps degenerate zero-entry configurations
-            // (rejected by `SystemConfig::validate` for real runs)
-            // non-panicking as raw structures.
-            inflight_reads: FixedRing::new(cfg.rq_entries.max(1)),
-            write_queue: FixedRing::new(cfg.wq_entries.max(1)),
+            inflight_reads: VecDeque::with_capacity(cfg.rq_entries),
+            write_queue: VecDeque::with_capacity(cfg.wq_entries),
             stats: DramStats::default(),
         }
     }
@@ -195,13 +192,7 @@ impl Dram {
                 self.cfg.rq_entries
             );
         }
-        if !self.inflight_reads.push_back(ready) {
-            // Only reachable with a zero-entry RQ (a config validation
-            // rejects): keep the newest completion so backpressure still
-            // serializes subsequent reads instead of panicking.
-            let _ = self.inflight_reads.pop_front();
-            let _ = self.inflight_reads.push_back(ready);
-        }
+        self.inflight_reads.push_back(ready);
         // Keep completion order sorted enough for gc: push_back of a
         // possibly-earlier time is fine because gc scans the front only
         // after `start` already passed earlier entries.
@@ -212,8 +203,7 @@ impl Dram {
     /// Buffers a writeback of physical line `line` at `now`.
     pub fn write(&mut self, line: u64, now: Cycle) {
         let (bank, row) = self.map(line);
-        let pushed = self.write_queue.push_back((bank, row));
-        debug_assert!(pushed, "the watermark drain keeps a WQ slot free");
+        self.write_queue.push_back((bank, row));
         self.stats.writes += 1;
         self.maybe_drain_writes(now);
         // `check-invariants`: the watermark drain keeps the WQ within

@@ -1,28 +1,61 @@
-//! The per-core memory hierarchy and its shared back end.
+//! The per-core memory hierarchy and its shared back end, as a chain of
+//! cache levels.
 //!
-//! [`Hierarchy`] owns the private L1D and L2, the TLBs, the page table,
-//! and the prefetchers (one hosted at the L1D, optionally one at the
-//! L2). [`SharedMemory`] owns the LLC and the DRAM channel, shared by
-//! all cores in a multi-core simulation.
+//! A cache level is written once: a [`Cache`], the prefetcher it hosts
+//! (if any) and that prefetcher's queue, over *what is below it*
+//! ([`Below`]: read a line, take a dirty victim). A private level over
+//! its own `Below` is one too, and so are [`SharedMemory`] (the LLC
+//! over the DRAM channel) and [`Dram`]. [`Hierarchy`] owns one core's
+//! private levels (the L1D, always hosting a prefetcher, and the L2,
+//! optionally), the TLBs and the page table; the chain
+//! L1D → L2 → LLC → DRAM is borrowed together per access and is
+//! monomorphised.
 //!
 //! Demand flow (Sec. IV-A's ChampSim): translate through dTLB/STLB,
 //! look up the L1D on the *virtual* line; on a miss walk down
-//! L2 → LLC → DRAM on the *physical* line, filling every level on the
-//! way back (non-inclusive, fills propagate up). Prefetch flow
-//! (Sec. III-B): decisions enter the level's prefetch queue with a
-//! timestamp; each cycle the queue head is translated through the STLB
-//! (dropped on a miss), checked for presence, and issued; its measured
-//! latency — fill time minus *queue-insertion* time — is stored in the
-//! L1D line's shadow field for Berti's training.
+//! L2 → LLC → DRAM on the *physical* line, each level taking the same
+//! miss path ([`fetch`]) and filling on the way back (non-inclusive,
+//! fills propagate up). Prefetch flow (Sec. III-B): a level's
+//! prefetcher sees the demand accesses that reach it; its decisions
+//! enter the level's queue with a timestamp; each cycle the queue head
+//! is checked for presence at its fill level and issued down the chain.
+//! The L1D alone translates the head through the STLB (dropped on a
+//! miss), stalls the core when its MSHR is full, demotes an L1 fill to
+//! the L2 when its MSHR is saturated, and stores the latency Berti
+//! trains on — fill time minus *queue-insertion* time — in the line's
+//! shadow field.
+
+use std::collections::VecDeque;
 
 use berti_types::{AccessKind, Cycle, FillLevel, Ip, PLine, Ppn, SystemConfig, VAddr, VLine, Vpn};
 
-use crate::arena::FixedRing;
 use crate::cache::{AccessOutcome, Cache, HitInfo};
 use crate::dram::Dram;
 use crate::prefetch::{AccessEvent, FillEvent, PrefetchDecision, Prefetcher};
 use crate::tlb::Tlb;
 use crate::vmem::PageTable;
+
+/// What lies below a cache level: the next level down, or DRAM. Lines
+/// below the L1D are physical.
+trait Below {
+    /// Serves `req` (`req.line` is in this level's address space) and
+    /// returns the cycle the data is ready; `flow` counts the prefetch
+    /// flow of the core that asked.
+    fn read(&mut self, flow: &mut FlowStats, req: Request) -> Cycle;
+
+    /// Takes the dirty victim `line` written back at `at`.
+    fn write(&mut self, line: u64, at: Cycle);
+}
+
+impl Below for Dram {
+    fn read(&mut self, _flow: &mut FlowStats, req: Request) -> Cycle {
+        Dram::read(self, req.line, req.at)
+    }
+
+    fn write(&mut self, line: u64, at: Cycle) {
+        Dram::write(self, line, at);
+    }
+}
 
 /// The LLC and DRAM, shared by every core of the simulated system.
 #[derive(Debug)]
@@ -56,6 +89,122 @@ impl SharedMemory {
         registry.record("llc", self.llc.stats());
         registry.record("dram", self.dram.stats());
     }
+}
+
+/// The LLC, which hosts no prefetcher, over the DRAM channel.
+impl Below for SharedMemory {
+    fn read(&mut self, flow: &mut FlowStats, req: Request) -> Cycle {
+        match self.llc.access(req.line, req.kind, req.at) {
+            AccessOutcome::Hit(h) => h.ready_at,
+            AccessOutcome::Miss | AccessOutcome::MshrFull => {
+                fetch(&mut self.llc, None, flow, &mut self.dram, req, req.at)
+            }
+        }
+    }
+
+    fn write(&mut self, line: u64, at: Cycle) {
+        write_back(&mut self.llc, &mut self.dram, line, at);
+    }
+}
+
+/// A line request arriving at a cache level.
+#[derive(Clone, Copy, Debug)]
+struct Request {
+    /// The line in the level's own address space.
+    line: u64,
+    /// The same line in the address space below (they differ only at
+    /// the virtually-indexed L1D).
+    xlat: u64,
+    kind: AccessKind,
+    ip: Ip,
+    /// Arrival at the level.
+    at: Cycle,
+}
+
+/// The miss path every level takes. Fetches `req` from `below` after
+/// the level's own lookup latency; tracks the miss while an MSHR entry
+/// is free (demands proceed regardless — the L1D MSHR is the core's
+/// gate, and an overflow below it only loses occupancy tracking, never
+/// correctness); fills; writes a dirty victim back below; and shows
+/// `host`, the level's prefetcher, the eviction and the fill. The
+/// latency stored with the line and reported to `host` runs from
+/// `since`: the arrival, or for an L1D prefetch its queue insertion.
+/// Returns the cycle the data is ready.
+fn fetch<B: Below>(
+    cache: &mut Cache,
+    mut host: Option<&mut Box<dyn Prefetcher>>,
+    flow: &mut FlowStats,
+    below: &mut B,
+    req: Request,
+    since: Cycle,
+) -> Cycle {
+    let data_at = below.read(
+        flow,
+        Request {
+            line: req.xlat,
+            at: req.at + cache.latency(),
+            ..req
+        },
+    );
+    let latency = data_at - since;
+    if cache.mshr_has_free_entry(req.at) {
+        cache.track_miss(req.line, req.kind, req.at, data_at);
+        // `check-invariants`: every fill of a tracked miss must match a
+        // pending MSHR entry with the same fill time.
+        #[cfg(feature = "check-invariants")]
+        assert_eq!(
+            cache.mshr_pending(req.line, req.at),
+            Some(data_at),
+            "{} fill without a matching pending miss",
+            cache.name()
+        );
+    }
+    let evicted = cache.fill(
+        req.line, req.kind, req.at, data_at, latency, req.ip, req.xlat,
+    );
+    if let Some(ev) = evicted {
+        if ev.dirty {
+            below.write(ev.xlat, data_at);
+        }
+        if let Some(p) = host.as_mut() {
+            p.on_eviction(VLine::new(ev.addr), ev.wasted_prefetch);
+        }
+    }
+    if let Some(p) = host {
+        p.on_fill(&FillEvent {
+            line: VLine::new(req.line),
+            ip: req.ip,
+            at: data_at,
+            latency,
+            was_prefetch: req.kind == AccessKind::Prefetch,
+        });
+    }
+    data_at
+}
+
+/// The write-back every level takes: a dirty victim from above lands in
+/// `cache` (allocating if absent), and a dirty line that allocation
+/// displaces goes on below.
+fn write_back<B: Below>(cache: &mut Cache, below: &mut B, line: u64, at: Cycle) {
+    if !matches!(
+        cache.access(line, AccessKind::Writeback, at),
+        AccessOutcome::Hit(_)
+    ) {
+        let evicted = cache.fill(line, AccessKind::Writeback, at, at, 0, Ip::default(), line);
+        if let Some(ev) = evicted {
+            if ev.dirty {
+                below.write(ev.xlat, at);
+            }
+        }
+    }
+    // `check-invariants`: non-inclusive hierarchy — a dirty victim
+    // must be resident in the next level after its writeback lands.
+    #[cfg(feature = "check-invariants")]
+    assert!(
+        cache.probe(line),
+        "non-inclusive invariant violated: victim {line:#x} absent from {}",
+        cache.name()
+    );
 }
 
 /// Result of a demand access.
@@ -143,9 +292,10 @@ berti_stats::counter_group! {
 /// lets the engine skip quiescent stretches without changing results.
 #[derive(Debug)]
 struct PrefetchQueue {
-    /// Fixed-capacity ring: slots are sized once at construction, so
-    /// enqueue/issue churn performs no heap traffic.
-    entries: FixedRing<QueuedPrefetch>,
+    /// Storage reserved once for the level's `pq_entries`; the level
+    /// checks that bound before every push, so enqueue/issue churn
+    /// performs no heap traffic.
+    entries: VecDeque<QueuedPrefetch>,
     /// Next cycle this queue may issue.
     cursor: Cycle,
     /// `check-invariants`: last issue time handed out by
@@ -158,28 +308,11 @@ struct PrefetchQueue {
 impl PrefetchQueue {
     fn new(capacity: usize) -> Self {
         Self {
-            entries: FixedRing::new(capacity),
+            entries: VecDeque::with_capacity(capacity),
             cursor: Cycle::ZERO,
             #[cfg(feature = "check-invariants")]
             last_issue: None,
         }
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn is_full(&self) -> bool {
-        self.entries.is_full()
-    }
-
-    fn contains(&self, target: VLine) -> bool {
-        self.entries.iter().any(|q| q.target == target)
-    }
-
-    fn push(&mut self, q: QueuedPrefetch) {
-        let pushed = self.entries.push_back(q);
-        debug_assert!(pushed, "callers check is_full before push");
     }
 
     /// Skip-ahead contract: the earliest cycle at or after `now` at
@@ -214,31 +347,145 @@ impl PrefetchQueue {
     }
 }
 
+/// One private cache level: the cache, the prefetcher it hosts (if any)
+/// and that prefetcher's queue.
+struct Level {
+    cache: Cache,
+    prefetcher: Option<Box<dyn Prefetcher>>,
+    pq: PrefetchQueue,
+    /// Scratch for the prefetcher's decisions, reused on every access.
+    decisions: Vec<PrefetchDecision>,
+    /// Which level this is (`L1` or `L2`): picks its flow counters.
+    host: FillLevel,
+}
+
+impl Level {
+    fn new(
+        name: &'static str,
+        geom: berti_types::CacheGeometry,
+        prefetcher: Option<Box<dyn Prefetcher>>,
+        host: FillLevel,
+    ) -> Self {
+        Self {
+            cache: Cache::new(name, geom),
+            prefetcher,
+            pq: PrefetchQueue::new(geom.pq_entries),
+            decisions: Vec::new(),
+            host,
+        }
+    }
+
+    /// The access notification: shows the hosted prefetcher a demand
+    /// access `req` that `hit` or missed this level, and queues the
+    /// decisions it returns.
+    fn notify(&mut self, flow: &mut FlowStats, req: Request, hit: Option<HitInfo>) {
+        let Some(p) = self.prefetcher.as_mut() else {
+            return;
+        };
+        debug_assert!(self.decisions.is_empty());
+        p.on_access(
+            &AccessEvent {
+                ip: req.ip,
+                line: VLine::new(req.line),
+                at: req.at,
+                kind: req.kind,
+                hit: hit.is_some(),
+                timely_prefetch_hit: hit.is_some_and(|h| h.timely_prefetch_hit),
+                late_prefetch_hit: hit.is_some_and(|h| h.late_prefetch_hit),
+                stored_latency: hit.map_or(0, |h| h.stored_latency),
+                mshr_occupancy: self.cache.mshr_occupancy_fraction(req.at),
+            },
+            &mut self.decisions,
+        );
+        for d in self.decisions.drain(..) {
+            // Hardware checks the cache and the PQ before allocating a
+            // PQ entry; without this, repeated decisions for lines
+            // already fetched would evict the useful frontier entries
+            // from the 16-entry queue.
+            if self.cache.probe(d.target.raw())
+                || self.pq.entries.iter().any(|q| q.target == d.target)
+            {
+                flow.pf_dropped_present += 1;
+                continue;
+            }
+            if self.pq.entries.len() >= self.cache.geometry().pq_entries {
+                flow.pf_dropped_pq_full += 1;
+                continue;
+            }
+            match self.host {
+                FillLevel::L1 => flow.pf_enqueued += 1,
+                FillLevel::L2 | FillLevel::Llc => flow.l2_pf_enqueued += 1,
+            }
+            self.pq.entries.push_back(QueuedPrefetch {
+                target: d.target,
+                fill_level: d.fill_level,
+                enqueued_at: req.at,
+                trigger_ip: req.ip,
+            });
+        }
+    }
+
+    /// Serves `req` after this level's own lookup of it came out as
+    /// `outcome`: a demand notifies the prefetcher, and a miss takes the
+    /// miss path even when the MSHR is full.
+    fn serve<B: Below>(
+        &mut self,
+        flow: &mut FlowStats,
+        below: &mut B,
+        req: Request,
+        outcome: AccessOutcome,
+    ) -> Cycle {
+        let hit = match outcome {
+            AccessOutcome::Hit(h) => Some(h),
+            AccessOutcome::Miss | AccessOutcome::MshrFull => None,
+        };
+        if req.kind.is_demand() {
+            self.notify(flow, req, hit);
+        }
+        match hit {
+            Some(h) => h.ready_at,
+            None => {
+                let host = self.prefetcher.as_mut();
+                fetch(&mut self.cache, host, flow, below, req, req.at)
+            }
+        }
+    }
+}
+
+/// A private level over what lies below it: itself a [`Below`].
+struct Over<'a, B> {
+    level: &'a mut Level,
+    below: &'a mut B,
+}
+
+impl<B: Below> Below for Over<'_, B> {
+    fn read(&mut self, flow: &mut FlowStats, req: Request) -> Cycle {
+        let outcome = self.level.cache.access(req.line, req.kind, req.at);
+        self.level.serve(flow, self.below, req, outcome)
+    }
+
+    fn write(&mut self, line: u64, at: Cycle) {
+        write_back(&mut self.level.cache, self.below, line, at);
+    }
+}
+
 /// One core's private memory hierarchy plus hooks into the shared back
 /// end.
 pub struct Hierarchy {
-    l1d: Cache,
-    l2: Cache,
+    l1d: Level,
+    l2: Level,
     dtlb: Tlb,
     stlb: Tlb,
     page_table: PageTable,
     walk_latency: u64,
-    l1_prefetcher: Box<dyn Prefetcher>,
-    l2_prefetcher: Option<Box<dyn Prefetcher>>,
-    l1_pq: PrefetchQueue,
-    l2_pq: PrefetchQueue,
     flow: FlowStats,
-    decisions: Vec<PrefetchDecision>,
 }
 
 impl std::fmt::Debug for Hierarchy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Hierarchy")
-            .field("l1_prefetcher", &self.l1_prefetcher.name())
-            .field(
-                "l2_prefetcher",
-                &self.l2_prefetcher.as_ref().map(|p| p.name()),
-            )
+            .field("l1_prefetcher", &self.l1_prefetcher().name())
+            .field("l2_prefetcher", &self.l2_prefetcher().map(|p| p.name()))
             .field("flow", &self.flow)
             .finish_non_exhaustive()
     }
@@ -253,8 +500,8 @@ impl Hierarchy {
         l2_prefetcher: Option<Box<dyn Prefetcher>>,
     ) -> Self {
         Self {
-            l1d: Cache::new("L1D", cfg.l1d),
-            l2: Cache::new("L2", cfg.l2),
+            l1d: Level::new("L1D", cfg.l1d, Some(l1_prefetcher), FillLevel::L1),
+            l2: Level::new("L2", cfg.l2, l2_prefetcher, FillLevel::L2),
             dtlb: Tlb::new(
                 cfg.tlb.dtlb_entries,
                 cfg.tlb.dtlb_ways,
@@ -267,23 +514,18 @@ impl Hierarchy {
             ),
             page_table: PageTable::new(),
             walk_latency: cfg.tlb.walk_latency,
-            l1_prefetcher,
-            l2_prefetcher,
-            l1_pq: PrefetchQueue::new(cfg.l1d.pq_entries),
-            l2_pq: PrefetchQueue::new(cfg.l2.pq_entries),
             flow: FlowStats::default(),
-            decisions: Vec::new(),
         }
     }
 
     /// The private L1D (statistics, probing).
     pub fn l1d(&self) -> &Cache {
-        &self.l1d
+        &self.l1d.cache
     }
 
     /// The private L2.
     pub fn l2(&self) -> &Cache {
-        &self.l2
+        &self.l2.cache
     }
 
     /// Prefetch-flow counters.
@@ -293,22 +535,15 @@ impl Hierarchy {
 
     /// The hosted L1D prefetcher.
     pub fn l1_prefetcher(&self) -> &dyn Prefetcher {
-        self.l1_prefetcher.as_ref()
+        self.l1d
+            .prefetcher
+            .as_deref()
+            .expect("the L1D always hosts a prefetcher")
     }
 
     /// The hosted L2 prefetcher, if any.
     pub fn l2_prefetcher(&self) -> Option<&dyn Prefetcher> {
-        self.l2_prefetcher.as_deref()
-    }
-
-    /// TLB statistics: (dTLB hits, dTLB misses, STLB hits, STLB misses).
-    pub fn tlb_stats(&self) -> (u64, u64, u64, u64) {
-        (
-            self.dtlb.hits(),
-            self.dtlb.misses(),
-            self.stlb.hits(),
-            self.stlb.misses(),
-        )
+        self.l2.prefetcher.as_deref()
     }
 
     /// TLB counters as a registrable stats group.
@@ -324,8 +559,8 @@ impl Hierarchy {
     /// Registers this hierarchy's counter groups (`"l1d"`, `"l2"`,
     /// `"tlb"`, `"flow"`) into `registry`.
     pub fn register_stats(&self, registry: &mut berti_stats::Registry) {
-        registry.record("l1d", self.l1d.stats());
-        registry.record("l2", self.l2.stats());
+        registry.record("l1d", self.l1d.cache.stats());
+        registry.record("l2", self.l2.cache.stats());
         registry.record("tlb", &self.tlb_counters());
         registry.record("flow", &self.flow);
     }
@@ -333,8 +568,8 @@ impl Hierarchy {
     /// Resets statistics at the end of warm-up (cache/TLB contents and
     /// prefetcher training state are deliberately kept warm).
     pub fn reset_stats(&mut self) {
-        self.l1d.reset_stats();
-        self.l2.reset_stats();
+        self.l1d.cache.reset_stats();
+        self.l2.cache.reset_stats();
         self.dtlb.reset_stats();
         self.stlb.reset_stats();
         self.flow = FlowStats::default();
@@ -376,326 +611,48 @@ impl Hierarchy {
         debug_assert!(req.kind.is_demand());
         let vline = req.vaddr.line();
         let (ppn, xlat) = self.translate(req.vaddr.page(), now);
-        let pline = Self::phys_line(ppn, vline);
         let t0 = now + xlat;
         // Let queued prefetches whose (event-time) turn precedes this
         // access reach the caches first.
-        self.drain_prefetch_queues(shared, t0);
+        self.tick(shared, t0);
 
-        match self.l1d.access(vline.raw(), req.kind, t0) {
-            AccessOutcome::Hit(h) => {
-                let occ = self.l1d.mshr_occupancy_fraction(t0);
-                self.notify_l1_access(&AccessEvent {
-                    ip: req.ip,
-                    line: vline,
-                    at: t0,
-                    kind: req.kind,
-                    hit: true,
-                    timely_prefetch_hit: h.timely_prefetch_hit,
-                    late_prefetch_hit: h.late_prefetch_hit,
-                    stored_latency: h.stored_latency,
-                    mshr_occupancy: occ,
-                });
-                DemandOutcome::Done {
-                    ready_at: h.ready_at,
-                    l1_hit: true,
-                }
-            }
-            AccessOutcome::MshrFull => DemandOutcome::MshrFull,
-            AccessOutcome::Miss => {
-                let occ = self.l1d.mshr_occupancy_fraction(t0);
-                self.notify_l1_access(&AccessEvent {
-                    ip: req.ip,
-                    line: vline,
-                    at: t0,
-                    kind: req.kind,
-                    hit: false,
-                    timely_prefetch_hit: false,
-                    late_prefetch_hit: false,
-                    stored_latency: 0,
-                    mshr_occupancy: occ,
-                });
-                let t1 = t0 + self.l1d.latency();
-                let data_at = self.fetch_from_l2(shared, pline, req.kind, req.ip, t1, true);
-                let latency = data_at - t0;
-                self.l1d.track_miss(vline.raw(), req.kind, t0, data_at);
-                // `check-invariants`: every L1D fill must correspond to
-                // a tracked pending miss with the same fill time.
-                #[cfg(feature = "check-invariants")]
-                assert_eq!(
-                    self.l1d.mshr_pending(vline.raw(), t0),
-                    Some(data_at),
-                    "L1D demand fill without a matching pending miss"
-                );
-                let evicted = self.l1d.fill(
-                    vline.raw(),
-                    req.kind,
-                    t0,
-                    data_at,
-                    latency,
-                    req.ip,
-                    pline.raw(),
-                );
-                if let Some(ev) = evicted {
-                    if ev.dirty {
-                        self.writeback_to_l2(shared, ev.xlat, data_at);
-                    }
-                    self.l1_prefetcher
-                        .on_eviction(VLine::new(ev.addr), ev.wasted_prefetch);
-                }
-                self.l1_prefetcher.on_fill(&FillEvent {
-                    line: vline,
-                    ip: req.ip,
-                    at: data_at,
-                    latency,
-                    was_prefetch: false,
-                });
-                self.drain_decisions_to_l1_pq(req.ip, t0);
-                DemandOutcome::Done {
-                    ready_at: data_at,
-                    l1_hit: false,
-                }
-            }
+        let outcome = self.l1d.cache.access(vline.raw(), req.kind, t0);
+        if let AccessOutcome::MshrFull = outcome {
+            return DemandOutcome::MshrFull;
+        }
+        let access = Request {
+            line: vline.raw(),
+            xlat: Self::phys_line(ppn, vline).raw(),
+            kind: req.kind,
+            ip: req.ip,
+            at: t0,
+        };
+        let below = &mut Over {
+            level: &mut self.l2,
+            below: shared,
+        };
+        DemandOutcome::Done {
+            ready_at: self.l1d.serve(&mut self.flow, below, access, outcome),
+            l1_hit: matches!(outcome, AccessOutcome::Hit(_)),
         }
     }
 
-    /// Invokes the L1D prefetcher and queues its decisions.
-    fn notify_l1_access(&mut self, ev: &AccessEvent) {
-        debug_assert!(self.decisions.is_empty());
-        self.l1_prefetcher.on_access(ev, &mut self.decisions);
-        self.drain_decisions_to_l1_pq(ev.ip, ev.at);
-    }
-
-    fn drain_decisions_to_l1_pq(&mut self, ip: Ip, now: Cycle) {
-        for d in self.decisions.drain(..) {
-            // Hardware checks the cache and the PQ before allocating a
-            // PQ entry; without this, repeated decisions for lines
-            // already fetched would evict the useful frontier entries
-            // from the 16-entry queue.
-            if self.l1d.probe(d.target.raw()) || self.l1_pq.contains(d.target) {
-                self.flow.pf_dropped_present += 1;
-                continue;
-            }
-            if self.l1_pq.is_full() {
-                self.flow.pf_dropped_pq_full += 1;
-                continue;
-            }
-            self.flow.pf_enqueued += 1;
-            self.l1_pq.push(QueuedPrefetch {
-                target: d.target,
-                fill_level: d.fill_level,
-                enqueued_at: now,
-                trigger_ip: ip,
-            });
-        }
-    }
-
-    fn drain_decisions_to_l2_pq(&mut self, ip: Ip, now: Cycle) {
-        for d in self.decisions.drain(..) {
-            if self.l2.probe(d.target.raw()) || self.l2_pq.contains(d.target) {
-                self.flow.pf_dropped_present += 1;
-                continue;
-            }
-            if self.l2_pq.is_full() {
-                self.flow.pf_dropped_pq_full += 1;
-                continue;
-            }
-            self.flow.l2_pf_enqueued += 1;
-            self.l2_pq.push(QueuedPrefetch {
-                target: d.target,
-                fill_level: d.fill_level,
-                enqueued_at: now,
-                trigger_ip: ip,
-            });
-        }
-    }
-
-    /// Fetches `pline` from the L2 (recursing into LLC/DRAM on a miss);
-    /// returns the data-ready cycle. `fill_l2` is false only for
-    /// LLC-only prefetch fills.
-    fn fetch_from_l2(
-        &mut self,
-        shared: &mut SharedMemory,
-        pline: PLine,
-        kind: AccessKind,
-        ip: Ip,
-        t1: Cycle,
-        fill_l2: bool,
-    ) -> Cycle {
-        let outcome = self.l2.access(pline.raw(), kind, t1);
-        match outcome {
-            AccessOutcome::Hit(h) => {
-                if kind.is_demand() {
-                    self.notify_l2_access(pline, ip, t1, kind, Some(h));
-                }
-                h.ready_at
-            }
-            AccessOutcome::Miss | AccessOutcome::MshrFull => {
-                // Demands always proceed (the L1D MSHR is the core's
-                // gate); an L2 MSHR overflow only loses occupancy
-                // tracking, never correctness.
-                if kind.is_demand() {
-                    self.notify_l2_access(pline, ip, t1, kind, None);
-                }
-                let t2 = t1 + self.l2.latency();
-                let data_at = Self::fetch_from_llc(shared, pline, kind, t2);
-                if self.l2.mshr_has_free_entry(t1) {
-                    self.l2.track_miss(pline.raw(), kind, t1, data_at);
-                }
-                if fill_l2 {
-                    let latency = data_at - t1;
-                    let evicted =
-                        self.l2
-                            .fill(pline.raw(), kind, t1, data_at, latency, ip, pline.raw());
-                    if let Some(ev) = evicted {
-                        if ev.dirty {
-                            Self::writeback_to_llc(shared, ev.xlat, data_at);
-                        }
-                        if let Some(p) = self.l2_prefetcher.as_mut() {
-                            p.on_eviction(VLine::new(ev.addr), ev.wasted_prefetch);
-                        }
-                    }
-                    if let Some(p) = self.l2_prefetcher.as_mut() {
-                        p.on_fill(&FillEvent {
-                            line: VLine::new(pline.raw()),
-                            ip,
-                            at: data_at,
-                            latency,
-                            was_prefetch: kind == AccessKind::Prefetch,
-                        });
-                    }
-                }
-                data_at
-            }
-        }
-    }
-
-    /// Invokes the L2-hosted prefetcher on a demand access reaching L2.
-    fn notify_l2_access(
-        &mut self,
-        pline: PLine,
-        ip: Ip,
-        at: Cycle,
-        kind: AccessKind,
-        hit: Option<HitInfo>,
-    ) {
-        let occ = self.l2.mshr_occupancy_fraction(at);
-        if let Some(p) = self.l2_prefetcher.as_mut() {
-            debug_assert!(self.decisions.is_empty());
-            p.on_access(
-                &AccessEvent {
-                    ip,
-                    line: VLine::new(pline.raw()),
-                    at,
-                    kind,
-                    hit: hit.is_some(),
-                    timely_prefetch_hit: hit.is_some_and(|h| h.timely_prefetch_hit),
-                    late_prefetch_hit: hit.is_some_and(|h| h.late_prefetch_hit),
-                    stored_latency: hit.map_or(0, |h| h.stored_latency),
-                    mshr_occupancy: occ,
-                },
-                &mut self.decisions,
-            );
-            self.drain_decisions_to_l2_pq(ip, at);
-        }
-    }
-
-    /// Fetches `pline` from the LLC (recursing into DRAM on a miss).
-    fn fetch_from_llc(
-        shared: &mut SharedMemory,
-        pline: PLine,
-        kind: AccessKind,
-        t2: Cycle,
-    ) -> Cycle {
-        match shared.llc.access(pline.raw(), kind, t2) {
-            AccessOutcome::Hit(h) => h.ready_at,
-            AccessOutcome::Miss | AccessOutcome::MshrFull => {
-                let t3 = t2 + shared.llc.latency();
-                let data_at = shared.dram.read(pline.raw(), t3);
-                if shared.llc.mshr_has_free_entry(t2) {
-                    shared.llc.track_miss(pline.raw(), kind, t2, data_at);
-                }
-                let evicted = shared.llc.fill(
-                    pline.raw(),
-                    kind,
-                    t2,
-                    data_at,
-                    data_at - t2,
-                    Ip::default(),
-                    pline.raw(),
-                );
-                if let Some(ev) = evicted {
-                    if ev.dirty {
-                        shared.dram.write(ev.xlat, data_at);
-                    }
-                }
-                data_at
-            }
-        }
-    }
-
-    /// A dirty L1D victim lands in the L2 (allocating if absent).
-    fn writeback_to_l2(&mut self, shared: &mut SharedMemory, pline_raw: u64, at: Cycle) {
-        match self.l2.access(pline_raw, AccessKind::Writeback, at) {
-            AccessOutcome::Hit(_) => {}
-            _ => {
-                let evicted = self.l2.fill(
-                    pline_raw,
-                    AccessKind::Writeback,
-                    at,
-                    at,
-                    0,
-                    Ip::default(),
-                    pline_raw,
-                );
-                if let Some(ev) = evicted {
-                    if ev.dirty {
-                        Self::writeback_to_llc(shared, ev.xlat, at);
-                    }
-                }
-            }
-        }
-        // `check-invariants`: non-inclusive hierarchy — a dirty victim
-        // must be resident in the next level after its writeback lands.
-        #[cfg(feature = "check-invariants")]
-        assert!(
-            self.l2.probe(pline_raw),
-            "non-inclusive invariant violated: L1D victim {pline_raw:#x} absent from L2"
-        );
-    }
-
-    /// A dirty L2 victim lands in the LLC (allocating if absent).
-    fn writeback_to_llc(shared: &mut SharedMemory, pline_raw: u64, at: Cycle) {
-        match shared.llc.access(pline_raw, AccessKind::Writeback, at) {
-            AccessOutcome::Hit(_) => {}
-            _ => {
-                let evicted = shared.llc.fill(
-                    pline_raw,
-                    AccessKind::Writeback,
-                    at,
-                    at,
-                    0,
-                    Ip::default(),
-                    pline_raw,
-                );
-                if let Some(ev) = evicted {
-                    if ev.dirty {
-                        shared.dram.write(ev.xlat, at);
-                    }
-                }
-            }
-        }
-        #[cfg(feature = "check-invariants")]
-        assert!(
-            shared.llc.probe(pline_raw),
-            "non-inclusive invariant violated: L2 victim {pline_raw:#x} absent from LLC"
-        );
-    }
-
-    /// Advances the prefetch machinery to (wall-clock) `now`: issues
-    /// queued prefetches whose turn has come.
+    /// Advances the prefetch machinery to event time `now`: issues the
+    /// queued prefetches whose turn has come, one per elapsed cycle per
+    /// queue. The out-of-order core executes demand accesses at dispatch
+    /// with *event-time* stamps that can run ahead of the wall clock;
+    /// each demand access first calls this with its own stamp, so the
+    /// queues drain against the same event clock and the
+    /// demand/prefetch race stays faithful (a prefetch enqueued at
+    /// event time T reaches the caches at T+1, before a demand stamped
+    /// T+k).
     pub fn tick(&mut self, shared: &mut SharedMemory, now: Cycle) {
-        self.drain_prefetch_queues(shared, now);
+        while let Some((q, at)) = self.l1d.pq.pop_due(now) {
+            self.issue(shared, FillLevel::L1, q, at);
+        }
+        while let Some((q, at)) = self.l2.pq.pop_due(now) {
+            self.issue(shared, FillLevel::L2, q, at);
+        }
     }
 
     /// Skip-ahead contract: the earliest cycle at or after `now` at
@@ -708,169 +665,103 @@ impl Hierarchy {
     /// statistics; demand accesses in between re-establish the bound
     /// themselves (they drain the queues against their own event time).
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        match (self.l1_pq.next_event(now), self.l2_pq.next_event(now)) {
+        match (self.l1d.pq.next_event(now), self.l2.pq.next_event(now)) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
     }
 
-    /// Issues queued prefetches up to event time `upto`, one per
-    /// elapsed cycle per queue. The out-of-order core executes demand
-    /// accesses at dispatch with *event-time* stamps that can run ahead
-    /// of the wall clock; draining the queues against the same event
-    /// clock keeps the demand/prefetch race faithful (a prefetch
-    /// enqueued at event time T reaches the caches at T+1, before a
-    /// demand stamped T+k).
-    fn drain_prefetch_queues(&mut self, shared: &mut SharedMemory, upto: Cycle) {
-        while let Some((q, at)) = self.l1_pq.pop_due(upto) {
-            self.issue_one_l1_prefetch(shared, q, at);
-        }
-        while let Some((q, at)) = self.l2_pq.pop_due(upto) {
-            self.issue_one_l2_prefetch(shared, q, at);
-        }
-    }
-
     /// Pending entries in the L1D prefetch queue (diagnostics).
     pub fn l1_pq_len(&self) -> usize {
-        self.l1_pq.len()
+        self.l1d.pq.entries.len()
     }
 
-    fn issue_one_l1_prefetch(&mut self, shared: &mut SharedMemory, q: QueuedPrefetch, at: Cycle) {
-        // Translate through the STLB (Sec. III-B); drop on a miss. The
-        // miss still triggers a page walk that installs the translation
-        // (the program's arrays are mapped ahead of the demand stream),
-        // so only the first prefetch into a page is lost — without this
-        // an ascending stream could never prefetch across pages at all,
-        // contradicting the paper's cross-page results (Sec. IV-J).
-        let vpn = q.target.page();
-        let ppn = match self.stlb.probe(vpn).or_else(|| self.dtlb.probe(vpn)) {
-            Some(p) => p,
-            None => {
+    /// The PQ issue: sends prefetch `q`, popped at `at` from the queue
+    /// of the level at `host`, down the chain to its fill level — unless
+    /// the line is already there or that level's MSHR is full.
+    fn issue(&mut self, shared: &mut SharedMemory, host: FillLevel, q: QueuedPrefetch, at: Cycle) {
+        let line = q.target.raw();
+        // L2 prefetchers already operate on physical lines.
+        let mut pline = line;
+        if host == FillLevel::L1 {
+            // Translate through the STLB (Sec. III-B); drop on a miss.
+            // The miss still triggers a page walk that installs the
+            // translation (the program's arrays are mapped ahead of the
+            // demand stream), so only the first prefetch into a page is
+            // lost — without this an ascending stream could never
+            // prefetch across pages at all, contradicting the paper's
+            // cross-page results (Sec. IV-J).
+            let vpn = q.target.page();
+            let Some(ppn) = self.stlb.probe(vpn).or_else(|| self.dtlb.probe(vpn)) else {
                 let ppn = self.page_table.translate(vpn);
                 self.stlb.insert(vpn, ppn);
                 self.flow.pf_dropped_stlb_miss += 1;
                 return;
-            }
-        };
-        let pline = Self::phys_line(ppn, q.target);
-        match q.fill_level {
-            FillLevel::L1 => {
-                if self.l1d.probe(q.target.raw()) {
-                    self.flow.pf_dropped_present += 1;
-                    return;
-                }
-                if !self.l1d.mshr_has_free_entry(at) {
-                    // MSHR saturated: demote this request to an L2 fill
-                    // (Sec. III-B: above the occupancy watermark,
-                    // "prefetch requests get filled till L2") instead
-                    // of blocking the queue head.
-                    let t1 = at + self.l1d.latency();
-                    let _ = self.fetch_from_l2(
-                        shared,
-                        pline,
-                        AccessKind::Prefetch,
-                        q.trigger_ip,
-                        t1,
-                        true,
-                    );
-                    self.flow.pf_demoted_mshr_full += 1;
-                    self.flow.pf_issued += 1;
-                    return;
-                }
-                let t1 = at + self.l1d.latency();
-                let data_at =
-                    self.fetch_from_l2(shared, pline, AccessKind::Prefetch, q.trigger_ip, t1, true);
-                // Berti measures prefetch latency from PQ insertion.
-                let latency = data_at - q.enqueued_at;
-                self.l1d
-                    .track_miss(q.target.raw(), AccessKind::Prefetch, at, data_at);
-                #[cfg(feature = "check-invariants")]
-                assert_eq!(
-                    self.l1d.mshr_pending(q.target.raw(), at),
-                    Some(data_at),
-                    "L1D prefetch fill without a matching pending miss"
-                );
-                let evicted = self.l1d.fill(
-                    q.target.raw(),
-                    AccessKind::Prefetch,
-                    at,
-                    data_at,
-                    latency,
-                    q.trigger_ip,
-                    pline.raw(),
-                );
-                if let Some(ev) = evicted {
-                    if ev.dirty {
-                        self.writeback_to_l2(shared, ev.xlat, data_at);
-                    }
-                    self.l1_prefetcher
-                        .on_eviction(VLine::new(ev.addr), ev.wasted_prefetch);
-                }
-                self.flow.pf_issued += 1;
-                self.l1_prefetcher.on_fill(&FillEvent {
-                    line: q.target,
-                    ip: q.trigger_ip,
-                    at: data_at,
-                    latency,
-                    was_prefetch: true,
-                });
-            }
-            FillLevel::L2 => {
-                if self.l2.probe(pline.raw()) {
-                    self.flow.pf_dropped_present += 1;
-                    return;
-                }
-                if !self.l2.mshr_has_free_entry(at) {
-                    self.flow.pf_dropped_mshr_full += 1;
-                    return;
-                }
-                let t1 = at + self.l1d.latency();
-                let _ =
-                    self.fetch_from_l2(shared, pline, AccessKind::Prefetch, q.trigger_ip, t1, true);
-                self.flow.pf_issued += 1;
-            }
-            FillLevel::Llc => {
-                if shared.llc.probe(pline.raw()) {
-                    self.flow.pf_dropped_present += 1;
-                    return;
-                }
-                if !shared.llc.mshr_has_free_entry(at) {
-                    self.flow.pf_dropped_mshr_full += 1;
-                    return;
-                }
-                let t2 = at + self.l1d.latency() + self.l2.latency();
-                let _ = Self::fetch_from_llc(shared, pline, AccessKind::Prefetch, t2);
-                self.flow.pf_issued += 1;
-            }
+            };
+            pline = Self::phys_line(ppn, q.target).raw();
         }
-    }
-
-    fn issue_one_l2_prefetch(&mut self, shared: &mut SharedMemory, q: QueuedPrefetch, at: Cycle) {
-        // L2 prefetchers already operate on physical lines.
-        let pline = PLine::new(q.target.raw());
-        match q.fill_level {
-            FillLevel::L1 | FillLevel::L2 => {
-                if self.l2.probe(pline.raw()) {
-                    self.flow.pf_dropped_present += 1;
-                    return;
-                }
-                if !self.l2.mshr_has_free_entry(at) {
-                    self.flow.pf_dropped_mshr_full += 1;
-                    return;
-                }
-                let _ =
-                    self.fetch_from_l2(shared, pline, AccessKind::Prefetch, q.trigger_ip, at, true);
-                self.flow.l2_pf_issued += 1;
+        // A level fills no level above itself.
+        let fill = q.fill_level.max(host);
+        let (target, addr) = match fill {
+            FillLevel::L1 => (&self.l1d.cache, line),
+            FillLevel::L2 => (&self.l2.cache, pline),
+            FillLevel::Llc => (&shared.llc, pline),
+        };
+        if target.probe(addr) {
+            self.flow.pf_dropped_present += 1;
+            return;
+        }
+        let mshr_full = !target.mshr_has_free_entry(at);
+        let lands = match fill {
+            // MSHR saturated: demote this request to an L2 fill (Sec.
+            // III-B: above the occupancy watermark, "prefetch requests
+            // get filled till L2") instead of blocking the queue head.
+            FillLevel::L1 if mshr_full => FillLevel::L2,
+            // Below the L1D a full MSHR drops the prefetch, except that
+            // an L2-hosted prefetch into the LLC never checks the LLC's.
+            _ if mshr_full && !(host == FillLevel::L2 && fill == FillLevel::Llc) => {
+                self.flow.pf_dropped_mshr_full += 1;
+                return;
             }
-            FillLevel::Llc => {
-                if shared.llc.probe(pline.raw()) {
-                    self.flow.pf_dropped_present += 1;
-                    return;
-                }
-                let t2 = at + self.l2.latency();
-                let _ = Self::fetch_from_llc(shared, pline, AccessKind::Prefetch, t2);
-                self.flow.l2_pf_issued += 1;
+            _ => fill,
+        };
+        // Each level between the host and the one the prefetch lands in
+        // adds its lookup latency on the way down.
+        let mut t = at;
+        if host == FillLevel::L1 && lands > FillLevel::L1 {
+            t += self.l1d.cache.latency();
+        }
+        if lands == FillLevel::Llc {
+            t += self.l2.cache.latency();
+        }
+        let req = Request {
+            line: if lands == FillLevel::L1 { line } else { pline },
+            xlat: pline,
+            kind: AccessKind::Prefetch,
+            ip: q.trigger_ip,
+            at: t,
+        };
+        let flow = &mut self.flow;
+        let mut l2 = Over {
+            level: &mut self.l2,
+            below: shared,
+        };
+        let _ = match lands {
+            // Berti measures prefetch latency from PQ insertion.
+            FillLevel::L1 => {
+                let l1d = &mut self.l1d;
+                let pf = l1d.prefetcher.as_mut();
+                fetch(&mut l1d.cache, pf, flow, &mut l2, req, q.enqueued_at)
             }
+            FillLevel::L2 => l2.read(flow, req),
+            FillLevel::Llc => l2.below.read(flow, req),
+        };
+        if lands != fill {
+            flow.pf_demoted_mshr_full += 1;
+        }
+        match host {
+            FillLevel::L1 => flow.pf_issued += 1,
+            FillLevel::L2 | FillLevel::Llc => flow.l2_pf_issued += 1,
         }
     }
 }
@@ -940,6 +831,29 @@ mod tests {
             panic!()
         };
         assert!(t2 > ready_at);
+    }
+
+    #[test]
+    fn dirty_l1d_victims_are_written_back_into_the_l2() {
+        // A one-line L2: every fill displaces the line before it, so each
+        // L1D victim's write-back must allocate in the L2 again.
+        let mut cfg = SystemConfig::default();
+        cfg.l2.sets = 1;
+        cfg.l2.ways = 1;
+        let mut h = Hierarchy::new(&cfg, Box::new(NullPrefetcher), None);
+        let mut s = SharedMemory::new(&cfg, 1);
+        // Stores to one L1D set, four more than it has ways.
+        let stride = cfg.l1d.sets as u64 * 64;
+        for i in 0..cfg.l1d.ways as u64 + 4 {
+            let store = DemandAccess {
+                kind: AccessKind::Rfo,
+                ..load(1, 0x10_0000 + i * stride)
+            };
+            let _ = h.demand_access(&mut s, store, Cycle::new(i * 2000));
+        }
+        let written = h.l1d().stats().writebacks_below;
+        assert_eq!(written, 4, "every store-dirtied victim is written back");
+        assert_eq!(h.l2().stats().wb_misses, written);
     }
 
     #[test]
@@ -1048,6 +962,48 @@ mod tests {
     }
 
     #[test]
+    fn l2_hosted_prefetches_fill_their_level_and_leave_the_l1d_cold() {
+        for level in [FillLevel::L2, FillLevel::Llc] {
+            let cfg = SystemConfig::default();
+            let mut h = Hierarchy::new(
+                &cfg,
+                Box::new(NullPrefetcher),
+                Some(Box::new(NextN { degree: 1, level })),
+            );
+            let mut s = SharedMemory::new(&cfg, 1);
+            let _ = h.demand_access(&mut s, load(1, 0x4000), Cycle::new(0));
+            let mut now = Cycle::new(1);
+            for _ in 0..3000 {
+                h.tick(&mut s, now);
+                now += 1;
+            }
+            let flow = h.flow_stats();
+            assert_eq!((flow.l2_pf_enqueued, flow.l2_pf_issued), (1, 1), "{level}");
+            assert_eq!((flow.pf_enqueued, flow.pf_issued), (0, 0), "{level}");
+            // The L2 prefetcher trains on physical lines: its target is
+            // the physical successor of the demanded line.
+            let vline = VAddr::new(0x4040).line();
+            let ppn = h
+                .dtlb
+                .probe(vline.page())
+                .expect("translated by the demand");
+            let target = Hierarchy::phys_line(ppn, vline).raw();
+            assert!(!h.l1d().probe(vline.raw()), "{level}: L1D must stay cold");
+            assert_eq!(h.l1d().stats().pf_fills, 0, "{level}");
+            let in_l2 = level == FillLevel::L2;
+            assert_eq!(h.l2().probe(target), in_l2, "{level}");
+            assert_eq!(h.l2().stats().pf_fills, u64::from(in_l2), "{level}");
+            assert!(s.llc.probe(target), "{level}: every prefetch fills the LLC");
+            assert_eq!(s.llc.stats().pf_fills, 1, "{level}");
+            let DemandOutcome::Done { l1_hit, .. } = h.demand_access(&mut s, load(1, 0x4040), now)
+            else {
+                panic!()
+            };
+            assert!(!l1_hit, "{level}");
+        }
+    }
+
+    #[test]
     fn cross_page_prefetch_dropped_without_translation() {
         let cfg = SystemConfig::default();
         let mut h = Hierarchy::new(
@@ -1121,9 +1077,9 @@ mod tests {
         let _ = h.demand_access(&mut s, load(1, 0x1040), Cycle::new(1000));
         let _ = h.demand_access(&mut s, load(1, 0x2000), Cycle::new(2000));
         assert_eq!(h.flow_stats().page_walks, 2);
-        let (dh, dm, _, sm) = h.tlb_stats();
-        assert_eq!(dh, 1);
-        assert_eq!(dm, 2);
-        assert_eq!(sm, 2);
+        let tlb = h.tlb_counters();
+        assert_eq!(tlb.dtlb_hits, 1);
+        assert_eq!(tlb.dtlb_misses, 2);
+        assert_eq!(tlb.stlb_misses, 2);
     }
 }

@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 mod cache;
 mod dram;
 mod hierarchy;

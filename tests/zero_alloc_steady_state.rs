@@ -1,7 +1,7 @@
 //! Counting-allocator audit: the steady-state simulation loop performs
 //! **zero** heap allocations per miss.
 //!
-//! The SoA cache layout, the arena-backed MSHR/queues and the reusable
+//! The SoA cache layout, the MSHR and queues sized at construction and the reusable
 //! scratch buffers exist so that once warm-up has sized every buffer
 //! (trace chunks, prefetcher scratch, first-touch page-table entries),
 //! the measurement phase never touches the allocator. This test proves
