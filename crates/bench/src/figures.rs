@@ -56,7 +56,7 @@ pub static FIGURES: &[Figure] = figures! {
     Paper fig09_per_trace: "Fig. 9 — per-trace L1D prefetcher speedup over IP-stride",
         "paper Fig. 9: Berti best or tied everywhere except CactuBSSN (global deltas win)";
     Paper fig10_accuracy: "Fig. 10 — L1D prefetch accuracy (timely + late useful / fills)",
-        "paper Fig. 10: Berti 87.2% vs MLOP 62.4% vs IPCP 50.6%, almost all timely";
+        "paper Fig. 10: Berti 87.2% vs MLOP 62.4% vs IPCP 50.6%; the paper reports Berti's useful prefetches almost all timely, which the late fraction below does not reproduce (EXPERIMENTS.md, Fig. 10 section)";
     Paper fig11_mpki: "Fig. 11 — demand MPKI at L1D/L2/LLC (L1D prefetchers)",
         "paper Fig. 11: Berti lowest at L2/LLC thanks to its line-preloading policy";
     Paper fig12_multilevel: "Fig. 12 — multi-level prefetching speedup over IP-stride",
