@@ -17,32 +17,49 @@
 //! process exits 0.
 
 use std::io::Write as _;
+use std::os::fd::IntoRawFd as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicI32, Ordering};
 
 use berti_serve::proto;
 use berti_serve::server::{Server, ServerConfig};
 
-/// Raised by the signal handler; polled by the accept loop.
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+/// The write end of the shutdown self-pipe; `-1` until it exists. The
+/// server blocks reading the other end.
+static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
 
+/// Writes one byte to the self-pipe. An atomic load and `write(2)`
+/// are the whole handler, and both are async-signal-safe.
 extern "C" fn request_shutdown(_signum: i32) {
-    SHUTDOWN.store(true, Ordering::SeqCst);
+    extern "C" {
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    }
+    let fd = WAKE_FD.load(Ordering::SeqCst);
+    if fd >= 0 {
+        unsafe {
+            write(fd, [1u8].as_ptr(), 1);
+        }
+    }
 }
 
-/// Installs `request_shutdown` for SIGTERM (15) and SIGINT (2) via the
-/// libc `signal(2)` symbol — bound directly so the crate needs no
-/// foreign-function dependency. Store + load of an `AtomicBool` is the
-/// whole handler, which is async-signal-safe.
-fn install_signal_handlers() {
+/// Opens the shutdown self-pipe and installs `request_shutdown` for
+/// SIGTERM (15) and SIGINT (2) via the libc `signal(2)` symbol — bound
+/// directly, like `write(2)`, so the crate needs no foreign-function
+/// dependency. Returns the read end, which the server waits on.
+fn install_signal_handlers() -> std::io::Result<std::io::PipeReader> {
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
+    let (reader, writer) = std::io::pipe()?;
+    // The write end lives as long as the process: the handler may run
+    // at any time.
+    WAKE_FD.store(writer.into_raw_fd(), Ordering::SeqCst);
     unsafe {
         signal(15, request_shutdown); // SIGTERM
         signal(2, request_shutdown); // SIGINT
     }
+    Ok(reader)
 }
 
 fn main() -> ExitCode {
@@ -59,7 +76,13 @@ fn main() -> ExitCode {
         }
     };
 
-    install_signal_handlers();
+    let stop = match install_signal_handlers() {
+        Ok(stop) => stop,
+        Err(e) => {
+            eprintln!("berti-serve: opening the shutdown pipe: {e}");
+            return ExitCode::from(1);
+        }
+    };
     let server = match Server::bind(&cfg) {
         Ok(s) => s,
         Err(e) => {
@@ -81,7 +104,7 @@ fn main() -> ExitCode {
     let _ = writeln!(stdout, "berti-serve listening on http://{addr}");
     let _ = stdout.flush();
 
-    if let Err(e) = server.run(&SHUTDOWN) {
+    if let Err(e) = server.run(stop) {
         eprintln!("berti-serve: serving: {e}");
         return ExitCode::from(1);
     }

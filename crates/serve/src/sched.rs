@@ -10,6 +10,16 @@
 //! once, not per campaign. `--in-process` mode (and tests) runs cells
 //! on the budget-slot thread instead.
 //!
+//! **Admission.** The `POST /campaigns` handler admits a campaign
+//! directly ([`Sched::admit`]) with the workload registry it built to
+//! validate the submission. `cfg.workers` budget-slot threads wait on
+//! one condvar for dispatchable cells; every change that can give an
+//! idle slot something to do (an admission, a finished cell, the
+//! shutdown) happens under the dispatch lock and notifies it, so no
+//! slot ever waits on a timer. A `DELETE` only takes work away: its
+//! campaign is reaped when its last in-flight cell finishes, or, if it
+//! was still queued, at the next finished cell.
+//!
 //! **Budget sharing.** Campaigns are admitted FIFO, but they do not run
 //! one at a time: `cfg.workers` budget slots are shared across every
 //! admitted campaign, with a per-campaign max-share of
@@ -39,10 +49,10 @@ use std::io::{BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use berti_harness::{build_registry, execute_spec, run_cell, Attempt, Event, JobOutcome, JobSpec};
+use berti_harness::{execute_spec, run_cell, Attempt, Event, JobOutcome, JobSpec};
 use berti_traces::TraceRegistry;
 
 use crate::proto::{
@@ -52,9 +62,6 @@ use crate::state::{CampaignEntry, CampaignStatus, Daemon};
 
 /// First retry waits this long; each further attempt doubles it.
 const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(50);
-
-/// How often an idle dispatcher re-checks for work and shutdown.
-const DISPATCH_POLL: Duration = Duration::from_millis(50);
 
 /// How the scheduler obtains workers and enforces deadlines.
 #[derive(Clone, Debug)]
@@ -471,10 +478,10 @@ impl WorkerPool {
 /// One admitted campaign's dispatch bookkeeping.
 struct Active {
     entry: Arc<CampaignEntry>,
-    /// Pre-dispatch workload-check registry, built once at admission
-    /// (workers build their own when executing; this one only answers
-    /// "does this name resolve, and if not, what is close?"). An
-    /// unreadable trace dir fails every cell with the same diagnostic.
+    /// Pre-dispatch workload-check registry: the one the `POST`
+    /// handler built to validate the submission (workers build their
+    /// own when executing; this one only answers "does this name
+    /// resolve, and if not, what is close?").
     registry: Arc<Result<TraceRegistry, String>>,
     /// Next undispatched cell index.
     next_cell: usize,
@@ -506,13 +513,14 @@ struct Task {
 struct SchedState {
     /// Admission (FIFO) order.
     active: Vec<Active>,
-    /// No further admissions; budget slots exit once drained.
+    /// Shutting down: no further admissions or dispatches; budget
+    /// slots exit after their in-flight cells.
     closed: bool,
 }
 
-/// Shared dispatcher state for the scheduler thread and its budget
-/// slots.
-struct Sched {
+/// The dispatcher, shared by the `POST` handlers that admit campaigns
+/// and the budget slots ([`Sched::run_slot`]) that run their cells.
+pub struct Sched {
     daemon: Arc<Daemon>,
     cfg: SchedulerConfig,
     pool: WorkerPool,
@@ -522,11 +530,37 @@ struct Sched {
 }
 
 impl Sched {
-    /// Admits a submission into the active set (registry built outside
-    /// the state lock; directory scanning can be slow).
-    fn admit(&self, entry: Arc<CampaignEntry>) {
-        let registry = Arc::new(build_registry(entry.trace_dir.as_deref().map(Path::new)));
+    /// A dispatcher with nothing admitted and its deadline monitor
+    /// running; cells run once [`Sched::run_slot`] threads start.
+    pub fn new(daemon: Arc<Daemon>, cfg: SchedulerConfig) -> Sched {
+        Sched {
+            daemon,
+            cfg,
+            pool: WorkerPool::default(),
+            monitor: WorkerMonitor::new(),
+            state: Mutex::new(SchedState {
+                active: Vec::new(),
+                closed: false,
+            }),
+            work: Condvar::new(),
+        }
+    }
+
+    /// The global budget: how many [`Sched::run_slot`] threads to run.
+    pub fn slots(&self) -> usize {
+        self.cfg.workers.max(1)
+    }
+
+    /// Admits a registered campaign into the active set, with the
+    /// registry its workloads were validated against, and wakes the
+    /// budget slots. Returns `false` (nothing admitted) once
+    /// [`Sched::close`] has run.
+    pub fn admit(&self, entry: Arc<CampaignEntry>, registry: TraceRegistry) -> bool {
+        let registry = Arc::new(Ok(registry));
         let mut state = self.state.lock().expect("sched state poisoned");
+        if state.closed {
+            return false;
+        }
         state.active.push(Active {
             entry,
             registry,
@@ -538,15 +572,45 @@ impl Sched {
         self.publish_gauges(&state);
         drop(state);
         self.work.notify_all();
+        true
     }
 
-    /// Blocks until a cell is dispatchable under the budget-share rule,
-    /// the queue closes empty, or shutdown. `None` means the slot
-    /// should exit.
+    /// Stops admission and dispatch: idle budget slots exit now, busy
+    /// ones after their in-flight cell.
+    pub fn close(&self) {
+        self.state.lock().expect("sched state poisoned").closed = true;
+        self.work.notify_all();
+    }
+
+    /// One budget slot: pulls dispatched cells until [`Sched::close`],
+    /// keeping its worker warm across cells and parking a healthy one
+    /// on exit.
+    pub fn run_slot(&self) {
+        let mut worker: Option<ProcessWorker> = None;
+        while let Some(task) = self.next_task() {
+            run_task(self, &task, &mut worker);
+            self.complete(&task);
+        }
+        if let Some(worker) = worker.take() {
+            self.pool.checkin(worker);
+        }
+    }
+
+    /// The drain after every [`Sched::run_slot`] returned: finalizes
+    /// what the slots left behind (those campaigns end `cancelled`),
+    /// then stops the parked workers and the deadline monitor.
+    pub fn finish(self) {
+        self.finalize_remaining();
+        self.pool.drain();
+        self.monitor.shutdown();
+    }
+
+    /// Blocks until a cell is dispatchable under the budget-share rule
+    /// or the dispatcher closes. `None` means the slot should exit.
     fn next_task(&self) -> Option<Task> {
         let mut state = self.state.lock().expect("sched state poisoned");
         loop {
-            if self.daemon.shutdown.load(Ordering::SeqCst) {
+            if state.closed {
                 return None;
             }
             self.reap(&mut state);
@@ -587,14 +651,7 @@ impl Sched {
                     return Some(task);
                 }
             }
-            if state.closed && state.active.is_empty() {
-                return None;
-            }
-            let (guard, _) = self
-                .work
-                .wait_timeout(state, DISPATCH_POLL)
-                .expect("sched state poisoned");
-            state = guard;
+            state = self.work.wait(state).expect("sched state poisoned");
         }
     }
 
@@ -680,7 +737,7 @@ impl Sched {
     }
 
     /// Finalizes everything still active after the budget slots exited
-    /// (shutdown, or the submission channel closed mid-campaign).
+    /// at shutdown.
     fn finalize_remaining(&self) {
         let mut state = self.state.lock().expect("sched state poisoned");
         let drained: Vec<Active> = state.active.drain(..).collect();
@@ -714,72 +771,6 @@ impl Sched {
         g.workers_busy = in_flight.min(budget);
         g.workers_idle = budget.saturating_sub(in_flight);
         g.workers_parked = parked;
-    }
-}
-
-/// The scheduler loop: admits queued campaigns until `rx` closes or
-/// the daemon's shutdown flag rises, dispatching cells across
-/// `cfg.workers` budget slots shared by every running campaign.
-pub fn scheduler_loop(
-    daemon: Arc<Daemon>,
-    rx: mpsc::Receiver<Arc<CampaignEntry>>,
-    cfg: SchedulerConfig,
-) {
-    let budget = cfg.workers.max(1);
-    let sched = Sched {
-        daemon,
-        cfg,
-        pool: WorkerPool::default(),
-        monitor: WorkerMonitor::new(),
-        state: Mutex::new(SchedState {
-            active: Vec::new(),
-            closed: false,
-        }),
-        work: Condvar::new(),
-    };
-
-    std::thread::scope(|scope| {
-        for i in 0..budget {
-            let sched = &sched;
-            std::thread::Builder::new()
-                .name(format!("berti-serve-cell-{i}"))
-                .spawn_scoped(scope, move || budget_slot_loop(sched))
-                .expect("budget slot spawns");
-        }
-        loop {
-            if sched.daemon.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match rx.recv_timeout(Duration::from_millis(100)) {
-                Ok(entry) => sched.admit(entry),
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        let mut state = sched.state.lock().expect("sched state poisoned");
-        state.closed = true;
-        drop(state);
-        sched.work.notify_all();
-    });
-
-    // Budget slots have exited (their in-flight cells finished and
-    // published to the store); finalize whatever they left behind.
-    sched.finalize_remaining();
-    sched.pool.drain();
-    sched.monitor.shutdown();
-}
-
-/// One budget slot: pulls dispatched cells until the scheduler drains
-/// or shuts down, keeping its worker warm across cells and parking a
-/// healthy one on exit.
-fn budget_slot_loop(sched: &Sched) {
-    let mut worker: Option<ProcessWorker> = None;
-    while let Some(task) = sched.next_task() {
-        run_task(sched, &task, &mut worker);
-        sched.complete(&task);
-    }
-    if let Some(worker) = worker.take() {
-        sched.pool.checkin(worker);
     }
 }
 

@@ -13,15 +13,23 @@
 //!
 //! Connections are one-request (`Connection: close`); accepted streams
 //! fan out to a bounded pool of handler threads through a shared
-//! channel. The accept loop polls a shutdown flag (every 50 ms idle,
-//! every 5 ms around running cells), so SIGTERM turns into: stop
-//! accepting → tell the scheduler to stop dispatching → wait for
-//! in-flight cells to publish to the store → exit.
+//! channel. Nothing waits on a timer: the accept loop blocks in
+//! `accept`, a `POST` admits its campaign to the scheduler itself,
+//! budget slots and SSE tails block on condvars. Shutdown is an event
+//! too: [`Server::run`] takes a stop source (the binary's SIGTERM/SIGINT
+//! self-pipe), and one thread blocked on it raises the daemon's flag,
+//! closes the scheduler, wakes every SSE tail, and connects to the
+//! listener once so the accept loop returns. Then in-flight cells
+//! finish and publish to the store, and `run` returns.
+//!
+//! The daemon keeps every queued and running campaign but only the
+//! newest [`RETAINED_CAMPAIGNS`](crate::state::RETAINED_CAMPAIGNS)
+//! finished ones; an evicted id answers 404.
 
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -30,24 +38,15 @@ use berti_sim::SimOptions;
 use serde::{Deserialize, Value};
 
 use crate::http::{respond_error, respond_json, respond_sse_header, Request};
-use crate::sched::{scheduler_loop, SchedulerConfig};
+use crate::sched::{Sched, SchedulerConfig};
 use crate::state::{CampaignEntry, Daemon};
 use crate::stats::metrics_json;
 
-/// How often blocked loops (accept, SSE wait) re-check shutdown.
-const POLL: Duration = Duration::from_millis(50);
-
-/// The accept loop's poll period while cells are in flight or have
-/// finished since the previous poll. Whoever follows a campaign's
-/// stream to its end fetches the result straight away; at the idle
-/// period that fetch would wait anything up to [`POLL`] depending on
-/// which side of a poll boundary the last cell finished, so a few per
-/// cent more or less simulation time would move a short campaign's
-/// turnaround by a whole period. Counting finished cells covers a
-/// campaign that ran inside one idle period, and makes the poll after
-/// the last cell a short one: the one that accepts the fetch. An idle
-/// daemon keeps the long period and its 20 wake-ups a second.
-const POLL_BUSY: Duration = Duration::from_millis(5);
+/// Retry backoff after a failed `accept` (out of file descriptors,
+/// a connection aborted before it was taken): the error is the kernel
+/// refusing work, and retrying at once would spin the accept thread
+/// until it stops.
+const ACCEPT_RETRY_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Read/write timeout on accepted connections, so a stalled or
 /// half-dead client can wedge at most one handler thread for this
@@ -110,26 +109,24 @@ impl Default for ServerConfig {
     }
 }
 
-/// A bound daemon: listener + shared state + scheduler thread.
+/// A bound daemon: listener + shared state + dispatcher.
 pub struct Server {
     listener: TcpListener,
     daemon: Arc<Daemon>,
-    submit_tx: mpsc::Sender<Arc<CampaignEntry>>,
-    scheduler: Option<std::thread::JoinHandle<()>>,
+    sched: Sched,
     http_threads: usize,
 }
 
 impl Server {
-    /// Binds the listener, opens the result store, and starts the
-    /// scheduler thread. The server does not accept connections until
-    /// [`Server::run`].
+    /// Binds the listener, opens the result store, and sets up the
+    /// dispatcher. The server accepts connections and runs cells only
+    /// inside [`Server::run`].
     pub fn bind(cfg: &ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let store = ResultCache::open(&cfg.store_dir)?;
         let mut daemon = Daemon::new(Arc::new(store));
         daemon.default_trace_dir = cfg.trace_dir.as_ref().map(|p| p.display().to_string());
         let daemon = Arc::new(daemon);
-        let (submit_tx, submit_rx) = mpsc::channel::<Arc<CampaignEntry>>();
         let sched_cfg = SchedulerConfig {
             workers: cfg.workers,
             in_process: cfg.in_process,
@@ -138,15 +135,10 @@ impl Server {
                 .then(|| Duration::from_millis(cfg.cell_timeout_ms)),
             handshake_timeout: Duration::from_millis(cfg.handshake_timeout_ms.max(1)),
         };
-        let sched_daemon = Arc::clone(&daemon);
-        let scheduler = std::thread::Builder::new()
-            .name("berti-serve-sched".to_string())
-            .spawn(move || scheduler_loop(sched_daemon, submit_rx, sched_cfg))?;
         Ok(Server {
             listener,
+            sched: Sched::new(Arc::clone(&daemon), sched_cfg),
             daemon,
-            submit_tx,
-            scheduler: Some(scheduler),
             http_threads: cfg.http_threads.max(1),
         })
     }
@@ -161,85 +153,90 @@ impl Server {
         Arc::clone(&self.daemon)
     }
 
-    /// Serves until `shutdown` becomes true, then drains gracefully:
-    /// stops accepting, lets the scheduler finish in-flight cells
-    /// (they publish to the store), joins every thread.
-    pub fn run(mut self, shutdown: &AtomicBool) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+    /// Serves until `stop` yields a byte or reaches end of file, then
+    /// drains gracefully: stops accepting and dispatching, lets
+    /// in-flight cells finish (they publish to the store), ends every
+    /// SSE stream, and joins every thread.
+    pub fn run(self, mut stop: impl Read + Send) -> std::io::Result<()> {
+        let wake_addr = loopback(self.listener.local_addr()?);
+        let Server {
+            listener,
+            daemon,
+            sched,
+            http_threads,
+        } = self;
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
+        let conn_rx = Mutex::new(conn_rx);
 
         std::thread::scope(|scope| {
-            let mut handlers = Vec::new();
-            for _ in 0..self.http_threads {
-                let conn_rx = Arc::clone(&conn_rx);
-                let daemon = Arc::clone(&self.daemon);
-                let submit_tx = self.submit_tx.clone();
-                handlers.push(scope.spawn(move || loop {
-                    let stream = {
-                        let rx = conn_rx.lock().expect("conn queue poisoned");
-                        rx.recv()
-                    };
+            let (daemon, sched, conn_rx) = (&*daemon, &sched, &conn_rx);
+            for i in 0..sched.slots() {
+                std::thread::Builder::new()
+                    .name(format!("berti-serve-cell-{i}"))
+                    .spawn_scoped(scope, move || sched.run_slot())
+                    .expect("budget slot spawns");
+            }
+            for _ in 0..http_threads {
+                scope.spawn(move || loop {
+                    let stream = conn_rx.lock().expect("conn queue poisoned").recv();
                     match stream {
-                        Ok(s) => handle_connection(s, &daemon, &submit_tx),
+                        Ok(s) => handle_connection(s, daemon, sched),
                         Err(_) => break, // accept loop closed the channel
                     }
-                }));
+                });
             }
+            scope.spawn(move || {
+                // A byte, end of file and an error all mean stop.
+                let _ = stop.read(&mut [0u8]);
+                daemon.shut_down();
+                sched.close();
+                if let Err(e) = TcpStream::connect(wake_addr) {
+                    eprintln!("berti-serve: waking the accept loop at {wake_addr}: {e}");
+                }
+            });
 
-            // One poll: take every connection pending now, decide the
-            // nap, and only then wake handlers. A handler woken first
-            // can run, with the scheduler and the cells it starts,
-            // before this thread looks again; whether its client's next
-            // request and its cells fall to this poll or the next, a
-            // period apart, would be the thread scheduler's choice.
-            let mut pending = Vec::new();
-            let mut cells_done = 0;
-            while !shutdown.load(Ordering::SeqCst) {
-                // Until nothing is pending (or a transient accept error).
-                while let Ok((stream, _)) = self.listener.accept() {
-                    pending.push(stream);
+            // The flag is raised before the waking connection is made,
+            // so the accept that returns it (or any later one) ends
+            // the loop.
+            for stream in listener.incoming() {
+                if daemon.shutdown.load(Ordering::SeqCst) {
+                    break;
                 }
-                let sched = *self.daemon.sched.lock().expect("sched stats poisoned");
-                let stats = *self.daemon.stats.lock().expect("stats poisoned");
-                let done = stats.cells_completed + stats.cells_cached + stats.cells_failed;
-                let busy = sched.cells_in_flight > 0 || done != cells_done;
-                cells_done = done;
-                for stream in pending.drain(..) {
-                    // Blocking I/O per connection; the handler owns
-                    // pacing from here. Bounded I/O waits mean a
-                    // stalled client can't pin a handler forever.
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(HTTP_IO_TIMEOUT));
-                    let _ = stream.set_write_timeout(Some(HTTP_IO_TIMEOUT));
-                    // Handlers only go away after this loop.
-                    let _ = conn_tx.send(stream);
+                match stream {
+                    Ok(stream) => {
+                        // Bounded I/O waits mean a stalled client can't
+                        // pin a handler forever.
+                        let _ = stream.set_read_timeout(Some(HTTP_IO_TIMEOUT));
+                        let _ = stream.set_write_timeout(Some(HTTP_IO_TIMEOUT));
+                        // Handlers only go away after this loop.
+                        let _ = conn_tx.send(stream);
+                    }
+                    Err(_) => std::thread::sleep(ACCEPT_RETRY_BACKOFF),
                 }
-                std::thread::sleep(if busy { POLL_BUSY } else { POLL });
             }
-
-            // Graceful drain: scheduler observes the flag, stops
-            // dispatching, finishes in-flight cells (which publish to
-            // the store via atomic rename), then exits.
-            self.daemon.shutdown.store(true, Ordering::SeqCst);
             drop(conn_tx);
-            if let Some(sched) = self.scheduler.take() {
-                let _ = sched.join();
-            }
-            for h in handlers {
-                let _ = h.join();
-            }
         });
+        // Every budget slot has returned: finalize what they left.
+        sched.finish();
         Ok(())
     }
 }
 
+/// Where the shutdown thread connects to wake the accept loop: the
+/// listener's own address, with a wildcard bind (`0.0.0.0`, `::`)
+/// reached through the loopback interface.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 /// Reads one request, routes it, counts it.
-fn handle_connection(
-    stream: TcpStream,
-    daemon: &Arc<Daemon>,
-    submit_tx: &mpsc::Sender<Arc<CampaignEntry>>,
-) {
+fn handle_connection(stream: TcpStream, daemon: &Daemon, sched: &Sched) {
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -258,19 +255,14 @@ fn handle_connection(
         }
     };
     daemon.stats.lock().expect("stats poisoned").http_requests += 1;
-    let status = route(&request, &mut writer, daemon, submit_tx);
+    let status = route(&request, &mut writer, daemon, sched);
     if status >= 400 {
         daemon.stats.lock().expect("stats poisoned").http_errors += 1;
     }
 }
 
 /// Dispatches one request; returns the response status for counting.
-fn route(
-    req: &Request,
-    w: &mut TcpStream,
-    daemon: &Arc<Daemon>,
-    submit_tx: &mpsc::Sender<Arc<CampaignEntry>>,
-) -> u16 {
+fn route(req: &Request, w: &mut TcpStream, daemon: &Daemon, sched: &Sched) -> u16 {
     let segments = req.segments();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => {
@@ -285,7 +277,7 @@ fn route(
             let _ = respond_json(w, 200, &body);
             200
         }
-        ("POST", ["campaigns"]) => post_campaign(req, w, daemon, submit_tx),
+        ("POST", ["campaigns"]) => post_campaign(req, w, daemon, sched),
         ("GET", ["campaigns"]) => {
             let list = Value::Array(
                 daemon
@@ -364,13 +356,9 @@ fn not_found(w: &mut TcpStream, id: &str) -> u16 {
 /// campaigns (`traces`, `quick-traces`); every cell's workload is
 /// validated against the registry at submission, so unknown names are
 /// a 400 with a "did you mean" rather than a failed cell. `?interval=N`
-/// requests interval sampling events.
-fn post_campaign(
-    req: &Request,
-    w: &mut TcpStream,
-    daemon: &Arc<Daemon>,
-    submit_tx: &mpsc::Sender<Arc<CampaignEntry>>,
-) -> u16 {
+/// requests interval sampling events. The handler admits the campaign
+/// to the scheduler itself, with the registry it validated against.
+fn post_campaign(req: &Request, w: &mut TcpStream, daemon: &Daemon, sched: &Sched) -> u16 {
     if daemon.shutdown.load(Ordering::SeqCst) {
         let _ = respond_error(w, 503, "daemon is shutting down");
         return 503;
@@ -463,8 +451,10 @@ fn post_campaign(
     };
 
     let entry = daemon.submit(campaign, interval, trace_dir, cell_timeout_ms);
-    if submit_tx.send(Arc::clone(&entry)).is_err() {
-        let _ = respond_error(w, 503, "scheduler is not running");
+    if !sched.admit(Arc::clone(&entry), workload_registry) {
+        // Shutdown began after the check above.
+        daemon.cancel(&entry.id);
+        let _ = respond_error(w, 503, "daemon is shutting down");
         return 503;
     }
     let body = Value::Object(vec![
@@ -496,12 +486,7 @@ fn post_campaign(
 /// exactly where they left off. The stream ends with an `event: end`
 /// frame once the campaign is terminal and the watcher has seen every
 /// line (or the daemon is shutting down).
-fn stream_events(
-    req: &Request,
-    w: &mut TcpStream,
-    daemon: &Arc<Daemon>,
-    entry: &Arc<CampaignEntry>,
-) -> u16 {
+fn stream_events(req: &Request, w: &mut TcpStream, daemon: &Daemon, entry: &CampaignEntry) -> u16 {
     let mut next = match req.query_param("offset") {
         Some(raw) => match raw.parse::<usize>() {
             Ok(n) => n,
@@ -556,6 +541,12 @@ fn stream_events(
             }
             last_write = Instant::now();
         }
-        entry.events.wait_beyond(next, POLL);
+        // Woken by a new line (a terminal transition appends one) or
+        // by shutdown; the keep-alive deadline is the only timeout.
+        entry.events.wait_beyond(
+            next,
+            SSE_KEEPALIVE.saturating_sub(last_write.elapsed()),
+            &daemon.shutdown,
+        );
     }
 }

@@ -5,6 +5,10 @@
 //! [`EventLog`]. The log is the single source the SSE endpoint serves
 //! from — live watchers block on its condvar, late joiners replay from
 //! any offset — so "catching up" and "tailing" are the same read path.
+//!
+//! The registry is bounded: it keeps every queued and running campaign
+//! but only the newest [`RETAINED_CAMPAIGNS`] terminal ones, so a
+//! long-lived daemon's memory does not grow with its submission count.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -14,6 +18,14 @@ use berti_harness::{Campaign, CampaignResult, Event, JobOutcome, JobResult, Resu
 use serde::Value;
 
 use crate::stats::{SchedStats, ServeStats};
+
+/// How many terminal (done or cancelled) campaigns the daemon keeps
+/// servable. A submission that would leave more evicts the oldest
+/// terminal ones; their ids then answer 404 like unknown ids, and
+/// `campaigns_evicted` in the `/metrics` `serve` group counts them.
+/// Queued and running campaigns are never evicted. Each entry holds its
+/// cells' full reports and its event log (~39 KB for a 16-cell grid).
+pub const RETAINED_CAMPAIGNS: usize = 64;
 
 /// Lifecycle of a submitted campaign.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,11 +104,14 @@ impl EventLog {
             .collect()
     }
 
-    /// Blocks until the log grows past `seen` or `timeout` elapses;
-    /// returns the current length either way.
-    pub fn wait_beyond(&self, seen: usize, timeout: Duration) -> usize {
+    /// Blocks until the log grows past `seen`, `stop` is raised, or
+    /// `timeout` elapses; returns the current length either way. `stop`
+    /// is read under the log's lock, and [`EventLog::wake`] takes that
+    /// lock before notifying, so a flag raised before a `wake` is never
+    /// missed.
+    pub fn wait_beyond(&self, seen: usize, timeout: Duration, stop: &AtomicBool) -> usize {
         let lines = self.lines.lock().expect("event log poisoned");
-        if lines.len() > seen {
+        if lines.len() > seen || stop.load(Ordering::SeqCst) {
             return lines.len();
         }
         let (lines, _) = self
@@ -104,6 +119,13 @@ impl EventLog {
             .wait_timeout(lines, timeout)
             .expect("event log poisoned");
         lines.len()
+    }
+
+    /// Wakes every watcher blocked in [`EventLog::wait_beyond`] without
+    /// appending, so each re-checks its `stop` flag.
+    pub fn wake(&self) {
+        drop(self.lines.lock().expect("event log poisoned"));
+        self.grew.notify_all();
     }
 }
 
@@ -188,8 +210,6 @@ impl CampaignEntry {
         }
         self.events.push(event);
         *status = CampaignStatus::Cancelled;
-        drop(status);
-        self.events.grew.notify_all();
         true
     }
 
@@ -197,7 +217,9 @@ impl CampaignEntry {
     /// same status lock so an SSE watcher can never observe the
     /// terminal status without its terminal event in the log. Returns
     /// `false` (no event appended) if the campaign is already terminal
-    /// — exactly one caller wins the terminal transition.
+    /// — exactly one caller wins the terminal transition. The push wakes
+    /// watchers blocked on the log; one that wakes reads the status
+    /// only after this call releases it, so it sees the end.
     pub fn finish_with(&self, to: CampaignStatus, event: &Event) -> bool {
         debug_assert!(to.is_terminal());
         let mut status = self.status.lock().expect("status poisoned");
@@ -206,11 +228,6 @@ impl CampaignEntry {
         }
         self.events.push(event);
         *status = to;
-        drop(status);
-        // Terminal transitions must wake SSE watchers blocked on the
-        // log, or a watcher that has already read every line would
-        // wait out its full poll timeout before noticing the end.
-        self.events.grew.notify_all();
         true
     }
 
@@ -295,7 +312,8 @@ pub struct Daemon {
     /// Scheduler gauges and deadline/retry counters, published by the
     /// dispatcher and served in the `/metrics` `scheduler` group.
     pub sched: Mutex<SchedStats>,
-    /// Daemon-wide shutdown flag (mirrors SIGTERM/SIGINT).
+    /// Daemon-wide shutdown flag (mirrors SIGTERM/SIGINT); raised by
+    /// [`Daemon::shut_down`].
     pub shutdown: AtomicBool,
     /// Default trace dir applied to submissions that don't name one
     /// (the daemon's `--trace-dir` flag).
@@ -317,8 +335,9 @@ impl Daemon {
     }
 
     /// Registers a submitted campaign: assigns an id, emits
-    /// `campaign_queued` into its stream, and returns the entry. The
-    /// caller hands the entry to the scheduler queue.
+    /// `campaign_queued` into its stream, evicts the oldest terminal
+    /// campaigns beyond [`RETAINED_CAMPAIGNS`], and returns the entry.
+    /// The caller admits the entry to the scheduler.
     pub fn submit(
         &self,
         campaign: Campaign,
@@ -339,14 +358,24 @@ impl Daemon {
             id: entry.id.clone(),
             cells: entry.campaign.cells.len(),
         });
-        self.campaigns
-            .lock()
-            .expect("campaigns poisoned")
-            .push(Arc::clone(&entry));
-        self.stats
-            .lock()
-            .expect("stats poisoned")
-            .campaigns_submitted += 1;
+        let mut campaigns = self.campaigns.lock().expect("campaigns poisoned");
+        campaigns.push(Arc::clone(&entry));
+        // Oldest first: the registry is in submission order.
+        let terminal = campaigns
+            .iter()
+            .filter(|e| e.status().is_terminal())
+            .count();
+        let mut evict = terminal.saturating_sub(RETAINED_CAMPAIGNS);
+        let evicted = evict as u64;
+        campaigns.retain(|e| {
+            let drop_it = evict > 0 && e.status().is_terminal();
+            evict -= usize::from(drop_it);
+            !drop_it
+        });
+        drop(campaigns);
+        let mut stats = self.stats.lock().expect("stats poisoned");
+        stats.campaigns_submitted += 1;
+        stats.campaigns_evicted += evicted;
         entry
     }
 
@@ -360,9 +389,18 @@ impl Daemon {
             .map(Arc::clone)
     }
 
-    /// All campaigns, in submission order.
+    /// All retained campaigns, in submission order.
     pub fn campaigns(&self) -> Vec<Arc<CampaignEntry>> {
         self.campaigns.lock().expect("campaigns poisoned").clone()
+    }
+
+    /// Raises the shutdown flag and wakes every SSE watcher, so each
+    /// ends its stream now rather than at its next keep-alive.
+    pub fn shut_down(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for entry in self.campaigns() {
+            entry.events.wake();
+        }
     }
 
     /// Requests cancellation. Queued campaigns become `cancelled`
@@ -469,15 +507,105 @@ mod tests {
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].0, 1);
         assert_eq!(*tail[0].1, "b");
-        assert_eq!(log.wait_beyond(0, Duration::from_millis(1)), 3);
+        let stop = AtomicBool::new(false);
+        assert_eq!(log.wait_beyond(0, Duration::from_millis(1), &stop), 3);
 
         std::thread::scope(|s| {
-            let log = &log;
-            let waiter = s.spawn(move || log.wait_beyond(3, Duration::from_secs(5)));
+            let (log, stop) = (&log, &stop);
+            let waiter = s.spawn(move || log.wait_beyond(3, Duration::from_secs(60), stop));
             std::thread::sleep(Duration::from_millis(20));
             log.push_line("d".to_string());
             assert_eq!(waiter.join().expect("join"), 4, "push wakes the waiter");
         });
+    }
+
+    /// Shutdown reaches a watcher that is blocked on a log nobody will
+    /// append to again, long before its timeout.
+    #[test]
+    fn shut_down_wakes_every_blocked_watcher() {
+        let d = daemon();
+        let e = d.submit(tiny_campaign(), None, None, None);
+        let started = std::time::Instant::now();
+        std::thread::scope(|s| {
+            let (e, stop) = (&e, &d.shutdown);
+            let waiter = s.spawn(move || e.events.wait_beyond(1, Duration::from_secs(60), stop));
+            std::thread::sleep(Duration::from_millis(20));
+            d.shut_down();
+            assert_eq!(waiter.join().expect("join"), 1, "woken without a push");
+        });
+        assert!(started.elapsed() < Duration::from_secs(30));
+        // A raised flag is seen before waiting, too.
+        assert_eq!(
+            e.events
+                .wait_beyond(1, Duration::from_secs(60), &d.shutdown),
+            1
+        );
+    }
+
+    /// Submits one campaign and drives it to `done`, as the scheduler
+    /// would.
+    fn submit_finished(d: &Daemon) -> Arc<CampaignEntry> {
+        let e = d.submit(tiny_campaign(), None, None, None);
+        assert!(e.try_start());
+        let finished = Event::CampaignFinished {
+            campaign: e.campaign.name.clone(),
+            completed: 1,
+            failed: 0,
+            cache_hits: 0,
+            wall_ms: 0,
+        };
+        assert!(e.finish_with(CampaignStatus::Done, &finished));
+        e
+    }
+
+    fn evicted(d: &Daemon) -> u64 {
+        d.stats.lock().expect("stats").campaigns_evicted
+    }
+
+    /// Eviction runs at submission: after `RETAINED_CAMPAIGNS + k`
+    /// finished campaigns, the next submit leaves only the newest
+    /// `RETAINED_CAMPAIGNS` of them findable, and counts the rest.
+    #[test]
+    fn only_the_newest_finished_campaigns_are_retained() {
+        let d = daemon();
+        let k = 3;
+        let finished: Vec<_> = (0..RETAINED_CAMPAIGNS + k)
+            .map(|_| submit_finished(&d))
+            .collect();
+        let next = d.submit(tiny_campaign(), None, None, None);
+        for e in &finished[..k] {
+            assert!(d.find(&e.id).is_none(), "{} should be evicted", e.id);
+        }
+        for e in &finished[k..] {
+            assert!(d.find(&e.id).is_some(), "{} should be retained", e.id);
+        }
+        assert!(d.find(&next.id).is_some());
+        assert_eq!(d.campaigns().len(), RETAINED_CAMPAIGNS + 1);
+        assert_eq!(evicted(&d), k as u64);
+        // Ids are never reused: the next one is past every evicted id.
+        assert_eq!(next.id, format!("c{}", RETAINED_CAMPAIGNS + k + 1));
+    }
+
+    /// A queued or running campaign is never evicted, however many
+    /// newer campaigns finish around it, and does not count against the
+    /// retained terminal ones.
+    #[test]
+    fn queued_and_running_campaigns_outlive_any_number_of_finished_ones() {
+        let d = daemon();
+        let running = d.submit(tiny_campaign(), None, None, None);
+        assert!(running.try_start());
+        let queued = d.submit(tiny_campaign(), None, None, None);
+        let finished: Vec<_> = (0..RETAINED_CAMPAIGNS + 5)
+            .map(|_| submit_finished(&d))
+            .collect();
+        d.submit(tiny_campaign(), None, None, None);
+        assert!(d.find(&running.id).is_some(), "running entry survives");
+        assert!(d.find(&queued.id).is_some(), "queued entry survives");
+        assert_eq!(running.status(), CampaignStatus::Running);
+        assert_eq!(queued.status(), CampaignStatus::Queued);
+        let kept = finished.iter().filter(|e| d.find(&e.id).is_some()).count();
+        assert_eq!(kept, RETAINED_CAMPAIGNS);
+        assert_eq!(evicted(&d), 5);
     }
 
     #[test]

@@ -22,6 +22,9 @@ berti_stats::counter_group! {
         pub campaigns_completed: u64,
         /// Campaigns cancelled (client `DELETE` or daemon shutdown).
         pub campaigns_cancelled: u64,
+        /// Terminal campaigns dropped from the registry to keep only
+        /// the newest `RETAINED_CAMPAIGNS`; their ids answer 404.
+        pub campaigns_evicted: u64,
         /// Cells that produced a fresh report.
         pub cells_completed: u64,
         /// Cells answered from the result store.
