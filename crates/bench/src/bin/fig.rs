@@ -7,10 +7,9 @@
 //! fig fig_real_traces --trace-dir DIR [--out results.json]
 //! ```
 //!
-//! More than one row prints each behind an `== <id> ==` line (what
-//! `run_experiments.sh` splits into `results/<id>.txt`). Run lengths
-//! and the campaign engine follow the `BERTI_*` environment variables
-//! (see `berti_harness::env_options`).
+//! More than one row prints each behind an `== <id> ==` line. Run
+//! lengths and the campaign engine follow the `BERTI_*` environment
+//! variables (see `berti_harness::env_options`).
 
 use std::io::Write;
 use std::path::PathBuf;

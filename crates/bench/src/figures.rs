@@ -36,8 +36,7 @@ macro_rules! figures {
     };
 }
 
-/// Every row: the paper's in `run_experiments.sh` order (what `fig all`
-/// prints), then the one over user-supplied traces.
+/// The paper's rows in `fig all` order, then the one over user traces.
 pub static FIGURES: &[Figure] = figures! {
     Paper tab01_storage: "Table I — storage overhead of Berti",
         "paper Table I: 0.74 + 0.62 + 0.06 + 1.13 = 2.55 KB";

@@ -10,8 +10,8 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use berti_harness::{
-    build_registry, run_cell, Attempt, CachedResult, Event, JobOutcome, JobSpec, ResultStore,
-    MAX_ATTEMPTS,
+    build_registry, run_cell, Attempt, CachedResult, Campaign, Event, JobOutcome, JobSpec,
+    ResultStore, RunOptions, MAX_ATTEMPTS,
 };
 use berti_sim::{PrefetcherChoice, Report, SimOptions};
 use berti_traces::TraceRegistry;
@@ -285,4 +285,64 @@ fn every_path_through_the_lifecycle_is_pinned() {
         assert_eq!(stored, case.stored_after, "{name}: store after the cell");
         assert!(store.list().len() <= 1, "{name}: at most this cell's entry");
     }
+}
+
+fn small_campaign() -> Campaign {
+    Campaign::grid("determinism-test")
+        .workload("lbm-like")
+        .workload("roms-like")
+        .l1(PrefetcherChoice::IpStride)
+        .l1(PrefetcherChoice::Berti)
+        .opts(SimOptions {
+            warmup_instructions: 500,
+            sim_instructions: 2_000,
+            ..SimOptions::default()
+        })
+        .build()
+}
+
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("berti-harness-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn events_stream_is_written_as_jsonl() {
+    let campaign = small_campaign();
+    let cache = temp_dir("det-events-cache");
+    let events = temp_dir("det-events").join("events.jsonl");
+    let opts = RunOptions {
+        jobs: 2,
+        cache_dir: Some(cache.clone()),
+        events_path: Some(events.clone()),
+        progress: false,
+        ..RunOptions::default()
+    };
+    let result = berti_harness::run_campaign(&campaign, &opts);
+    assert_eq!(result.completed(), 4);
+
+    let text = std::fs::read_to_string(&events).expect("event stream exists");
+    let lines: Vec<&str> = text.lines().collect();
+    // campaign_started + 4×(job_started + job_finished) + campaign_finished
+    assert_eq!(lines.len(), 10, "unexpected event count:\n{text}");
+    let mut tags = Vec::new();
+    for line in &lines {
+        let v = serde::json::parse(line).expect("each line is one JSON object");
+        tags.push(
+            v.get("event")
+                .and_then(|e| e.as_str())
+                .expect("tagged event")
+                .to_string(),
+        );
+    }
+    assert_eq!(tags[0], "campaign_started");
+    assert_eq!(tags[lines.len() - 1], "campaign_finished");
+    assert_eq!(tags.iter().filter(|t| *t == "job_finished").count(), 4);
+    let last = serde::json::parse(lines[lines.len() - 1]).unwrap();
+    assert_eq!(last.get("completed").and_then(|v| v.as_u64()), Some(4));
+    assert_eq!(last.get("failed").and_then(|v| v.as_u64()), Some(0));
+
+    let _ = std::fs::remove_dir_all(&cache);
+    let _ = std::fs::remove_dir_all(events.parent().unwrap());
 }

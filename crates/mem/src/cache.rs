@@ -49,8 +49,6 @@ pub struct HitInfo {
     /// The stored per-line fill latency (Berti's shadow field); zero if
     /// overflowed or already consumed. Reading a demand hit consumes it.
     pub stored_latency: u64,
-    /// IP recorded at fill time.
-    pub fill_ip: Ip,
 }
 
 /// Result of [`Cache::access`].
@@ -175,7 +173,7 @@ impl PartialEq<SetResidency> for SetResidency {
 /// A set-associative cache level.
 ///
 /// Line state is stored struct-of-arrays: per-slot metadata words
-/// (`tags`, `valid_at`, `latency`, `ip`, `xlat`) indexed by
+/// (`tags`, `valid_at`, `latency`, `xlat`) indexed by
 /// `set * ways + way`, plus one packed `u64` bitmask per set for each
 /// boolean flag (valid/dirty/prefetched/demand-merged). A set lookup
 /// touches one contiguous tag stripe and one mask word instead of
@@ -194,8 +192,6 @@ pub struct Cache {
     /// Latency of the request that brought the line, truncated to
     /// [`LATENCY_BITS`]; zero means overflow or already-consumed.
     latency: Vec<u16>,
-    /// IP of the access that triggered the fill (for prefetch training).
-    ip: Vec<Ip>,
     /// Translation of this line in the next level's address space
     /// (physical line for a virtually-indexed L1D); `u64::MAX` if unset.
     xlat: Vec<u64>,
@@ -234,7 +230,6 @@ impl Cache {
             tags: vec![0; slots],
             valid_at: vec![Cycle::ZERO; slots],
             latency: vec![0; slots],
-            ip: vec![Ip::default(); slots],
             xlat: vec![0; slots],
             valid: vec![0; geom.sets],
             dirty: vec![0; geom.sets],
@@ -366,7 +361,6 @@ impl Cache {
                         } else {
                             now + self.geom.latency
                         };
-                        let fill_ip = self.ip[slot];
                         self.repl.on_hit(set, way);
                         match kind {
                             AccessKind::Load | AccessKind::Translation => self.stats.load_hits += 1,
@@ -384,7 +378,6 @@ impl Cache {
                             timely_prefetch_hit: timely,
                             late_prefetch_hit: late,
                             stored_latency,
-                            fill_ip,
                         })
                     }
                     AccessKind::Prefetch => {
@@ -395,7 +388,6 @@ impl Cache {
                             timely_prefetch_hit: false,
                             late_prefetch_hit: false,
                             stored_latency: 0,
-                            fill_ip: self.ip[slot],
                         })
                     }
                     AccessKind::Writeback => {
@@ -407,7 +399,6 @@ impl Cache {
                             timely_prefetch_hit: false,
                             late_prefetch_hit: false,
                             stored_latency: 0,
-                            fill_ip: Ip::default(),
                         })
                     }
                 }
@@ -446,7 +437,8 @@ impl Cache {
     /// per-line shadow field (truncated to 12 bits; overflow stores 0,
     /// Sec. III-C). `xlat` is the line's address in the next level's
     /// address space (used to route writebacks from a virtually-indexed
-    /// L1D).
+    /// L1D). `_ip` is not stored: it stays because the benchmark's layer
+    /// probes call `fill` with this signature.
     #[allow(clippy::too_many_arguments)] // mirrors the hardware fill interface
     pub fn fill(
         &mut self,
@@ -455,7 +447,7 @@ impl Cache {
         now: Cycle,
         ready_at: Cycle,
         latency: u64,
-        ip: Ip,
+        _ip: Ip,
         xlat: u64,
     ) -> Option<EvictedLine> {
         if let Some((set, way)) = self.find(addr) {
@@ -499,7 +491,6 @@ impl Cache {
         self.tags[slot] = addr;
         self.valid_at[slot] = ready_at;
         self.latency[slot] = stored_latency;
-        self.ip[slot] = ip;
         self.xlat[slot] = xlat;
         self.valid[set] |= wbit;
         self.dirty[set] = (self.dirty[set] & !wbit) | (u64::from(is_dirty) << way);

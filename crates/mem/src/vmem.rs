@@ -30,11 +30,6 @@ impl PageTable {
         Self::default()
     }
 
-    /// Number of pages allocated so far.
-    pub fn allocated_pages(&self) -> usize {
-        self.map.len()
-    }
-
     /// Translates `vpn`, allocating a frame on first touch.
     pub fn translate(&mut self, vpn: Vpn) -> Ppn {
         if let Some(&p) = self.map.get(&vpn) {
@@ -63,7 +58,6 @@ mod tests {
         let p1 = pt.translate(Vpn::new(100));
         let p2 = pt.translate(Vpn::new(100));
         assert_eq!(p1, p2);
-        assert_eq!(pt.allocated_pages(), 1);
     }
 
     #[test]

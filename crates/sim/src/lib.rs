@@ -45,7 +45,7 @@ mod sampler;
 
 pub use choices::{L2PrefetcherChoice, PrefetcherChoice};
 pub use engine::Engine;
-pub use report::{geometric_mean, MultiCoreReport, Report, ReportMeta, SuiteSummary};
+pub use report::{geometric_mean, MultiCoreReport, Report, ReportMeta};
 pub use runner::{
     simulate, simulate_instrumented, simulate_multicore, simulate_multicore_with_engine,
     simulate_with_engine, SimOptions,

@@ -209,54 +209,6 @@ pub fn geometric_mean(xs: &[f64]) -> f64 {
     (log_sum / xs.len() as f64).exp()
 }
 
-/// Per-suite aggregate over workload reports.
-#[derive(Clone, Debug)]
-pub struct SuiteSummary {
-    /// Geomean speedup vs the baseline reports.
-    pub geomean_speedup: f64,
-    /// Mean L1D accuracy across workloads that prefetched.
-    pub mean_accuracy: f64,
-    /// Mean late fraction.
-    pub mean_late_fraction: f64,
-    /// Mean MPKIs (L1D, L2, LLC).
-    pub mean_mpki: (f64, f64, f64),
-}
-
-impl SuiteSummary {
-    /// Summarizes `runs` against matching `baselines` (same order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two slices differ in length.
-    pub fn from_runs(runs: &[Report], baselines: &[Report]) -> SuiteSummary {
-        assert_eq!(runs.len(), baselines.len());
-        let speedups: Vec<f64> = runs
-            .iter()
-            .zip(baselines)
-            .map(|(r, b)| r.speedup_over(b))
-            .collect();
-        let accs: Vec<f64> = runs.iter().filter_map(|r| r.l1d_accuracy()).collect();
-        let lates: Vec<f64> = runs.iter().filter_map(|r| r.l1d_late_fraction()).collect();
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                0.0
-            } else {
-                v.iter().sum::<f64>() / v.len() as f64
-            }
-        };
-        SuiteSummary {
-            geomean_speedup: geometric_mean(&speedups),
-            mean_accuracy: mean(&accs),
-            mean_late_fraction: mean(&lates),
-            mean_mpki: (
-                mean(&runs.iter().map(|r| r.l1d_mpki()).collect::<Vec<_>>()),
-                mean(&runs.iter().map(|r| r.l2_mpki()).collect::<Vec<_>>()),
-                mean(&runs.iter().map(|r| r.llc_mpki()).collect::<Vec<_>>()),
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

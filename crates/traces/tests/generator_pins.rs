@@ -2,10 +2,10 @@
 //!
 //! Every builtin workload is a pure function of fixed seeds, and every
 //! result cache, figure golden file and benchmark aggregate downstream
-//! assumes its bytes never move. `tests/determinism.rs` only compares
-//! two runs of the same code; these pins compare against the bytes the
-//! generators produced when they were written down, so a rewrite of a
-//! generator for speed must reproduce them exactly.
+//! assumes its bytes never move. `graph_kernels_are_deterministic` only
+//! compares two runs of the same code; the pins compare against the
+//! bytes the generators produced when they were written down, so a
+//! rewrite of a generator for speed must reproduce them exactly.
 //!
 //! A deliberate change to a generator's output re-captures the constant
 //! from the assertion message (it prints every mismatch at once).
@@ -114,4 +114,18 @@ fn scale_12_graphs_are_pinned() {
             got.1
         );
     }
+}
+
+#[test]
+fn graph_kernels_are_deterministic() {
+    let w = &berti_traces::gap::suite()[2]; // pr-kron
+    let a = w.instrs().expect("builtin generators never fail");
+    // Generation is memoized per process: drop the memo so the second
+    // stream comes from running the kernel again.
+    berti_traces::cache::clear();
+    let b = w.instrs().expect("builtin generators never fail");
+    assert!(!std::sync::Arc::ptr_eq(&a, &b), "regenerated, not reused");
+    assert_eq!(a.len(), b.len());
+    let diverged = a.iter().zip(b.iter()).position(|(x, y)| x != y);
+    assert_eq!(diverged, None, "first differing instruction");
 }
