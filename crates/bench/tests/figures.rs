@@ -10,7 +10,11 @@ use std::path::{Path, PathBuf};
 use berti_bench::{Figure, Run, FIGURES};
 use berti_harness::RunOptions;
 use berti_sim::SimOptions;
-use berti_traces::ingest::{read_trace_file, write_btrc};
+use berti_traces::ingest::{decode_champsim, write_btrc};
+
+#[path = "../../traces/tests/common/mod.rs"]
+mod common;
+use common::TempPath;
 
 /// Rows that generate no memory-intensive suite, so they are quick
 /// enough for unoptimized builds.
@@ -79,16 +83,13 @@ fn rows_without_a_suite_match_their_golden_files() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "needs an optimized build")]
 fn every_row_matches_its_golden_file() {
-    let trace_dir =
-        std::env::temp_dir().join(format!("berti-bench-figures-{}", std::process::id()));
-    std::fs::create_dir_all(&trace_dir).expect("mkdir");
-    let instrs = read_trace_file(&repo_path("../../tests/fixtures/champsim_500.trace"))
-        .expect("fixture decodes");
+    let trace_dir = TempPath::dir("bench-figures");
+    let bytes = std::fs::read(repo_path("../../tests/fixtures/champsim_500.trace")).expect("reads");
+    let instrs = decode_champsim(&bytes).expect("fixture decodes");
     write_btrc(&trace_dir.join("champsim_500.btrc"), &instrs).expect("writes");
 
     for fig in FIGURES {
         let needs_traces = matches!(fig.run, Run::Traces(_));
-        assert_matches_golden(fig, needs_traces.then_some(trace_dir.as_path()));
+        assert_matches_golden(fig, needs_traces.then_some(&*trace_dir));
     }
-    let _ = std::fs::remove_dir_all(&trace_dir);
 }

@@ -164,6 +164,7 @@ impl ResultStore for ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::TempPath;
     use berti_sim::{PrefetcherChoice, SimOptions};
     use berti_types::SystemConfig;
 
@@ -197,9 +198,8 @@ mod tests {
 
     #[test]
     fn store_then_lookup_roundtrips() {
-        let dir = std::env::temp_dir().join(format!("berti-cache-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).expect("open");
+        let dir = TempPath::new("cache-test");
+        let cache = ResultCache::open(&*dir).expect("open");
         let s = spec("lbm-like");
         assert!(cache.lookup(&s).is_none(), "cold cache misses");
         let r = tiny_report(&s);
@@ -215,18 +215,15 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.clear().expect("clear"), 1);
         assert!(cache.is_empty());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_entries_read_as_misses() {
-        let dir = std::env::temp_dir().join(format!("berti-cache-corrupt-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).expect("open");
+        let dir = TempPath::new("cache-corrupt");
+        let cache = ResultCache::open(&*dir).expect("open");
         let s = spec("lbm-like");
         fs::write(cache.dir().join(format!("{}.json", s.key())), b"{ not json").expect("write");
         assert!(cache.lookup(&s).is_none());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Many writers racing on the same key (as two daemons sharing one
@@ -235,10 +232,8 @@ mod tests {
     /// leak.
     #[test]
     fn concurrent_writers_never_publish_a_torn_entry() {
-        let dir =
-            std::env::temp_dir().join(format!("berti-cache-concurrent-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).expect("open");
+        let dir = TempPath::new("cache-concurrent");
+        let cache = ResultCache::open(&*dir).expect("open");
         let s = spec("lbm-like");
         let r = tiny_report(&s);
         let expected = serde::json::to_string(&r);
@@ -270,6 +265,5 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
             .count();
         assert_eq!(stray_tmps, 0, "every temp file was renamed into place");
-        let _ = fs::remove_dir_all(&dir);
     }
 }

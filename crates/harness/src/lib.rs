@@ -53,6 +53,10 @@ mod store;
 
 pub mod registry;
 
+#[cfg(test)]
+#[path = "../../traces/tests/common/mod.rs"]
+mod common;
+
 pub use cache::{CachedResult, ResultCache, CACHE_SCHEMA_VERSION};
 pub use campaign::{Campaign, CampaignBuilder, JobSpec};
 pub use cell::{

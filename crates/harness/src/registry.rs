@@ -135,9 +135,7 @@ mod tests {
 
     #[test]
     fn trace_campaigns_build_over_discovered_files() {
-        let dir = std::env::temp_dir().join(format!("berti-trace-camp-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = crate::common::TempPath::dir("trace-camp");
         let instrs = vec![berti_types::Instr::load(
             berti_types::Ip::new(0x400),
             berti_types::VAddr::new(64),
@@ -155,7 +153,6 @@ mod tests {
         let empty = TraceRegistry::builtin();
         let c = trace_campaign("traces", &empty, SimOptions::default()).expect("exists");
         assert!(c.cells.is_empty(), "no trace files, no cells");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -8,23 +8,22 @@
 
 use berti_harness::{Campaign, JobOutcome, RunOptions};
 use berti_sim::{PrefetcherChoice, SimOptions};
-use berti_traces::ingest::write_btrc;
+use berti_traces::ingest::{decode_records, write_btrc};
+use berti_types::RECORD_BYTES;
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("berti-decode-once-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
-}
+#[path = "../../traces/tests/common/mod.rs"]
+mod common;
+use common::TempPath;
 
 /// Writes a slice of a builtin workload as `<dir>/<name>.btrc`.
 fn write_slice(dir: &std::path::Path, name: &str, len: usize) -> std::path::PathBuf {
-    let instrs = berti_traces::workload_by_name("lbm-like")
+    let btrc = berti_traces::workload_by_name("lbm-like")
         .expect("builtin exists")
-        .instrs()
+        .builtin_body()
         .expect("generates");
+    let records = &btrc.body()[..len.min(btrc.record_count()) * RECORD_BYTES];
     let path = dir.join(format!("{name}.btrc"));
-    write_btrc(&path, &instrs[..len.min(instrs.len())]).expect("writes");
+    write_btrc(&path, &decode_records(records).expect("decodes")).expect("writes");
     path
 }
 
@@ -49,7 +48,7 @@ fn campaign_over(workload: &str, cells: usize) -> Campaign {
 
 #[test]
 fn four_cells_over_one_trace_decode_it_once() {
-    let traces = temp_dir("shared");
+    let traces = TempPath::dir("decode-once-shared");
     let path = write_slice(&traces, "shared", 4_000);
 
     berti_traces::cache::clear();
@@ -58,7 +57,7 @@ fn four_cells_over_one_trace_decode_it_once() {
         cache_dir: None,
         events_path: None,
         progress: false,
-        trace_dir: Some(traces.clone()),
+        trace_dir: Some(traces.to_path_buf()),
         ..RunOptions::default()
     };
     let campaign = campaign_over("shared", 4);
@@ -70,13 +69,11 @@ fn four_cells_over_one_trace_decode_it_once() {
         1,
         "four cells over the same trace decode it exactly once"
     );
-
-    let _ = std::fs::remove_dir_all(&traces);
 }
 
 #[test]
 fn corrupt_trace_fails_typed_without_retry_and_spares_healthy_cells() {
-    let traces = temp_dir("corrupt");
+    let traces = TempPath::dir("decode-once-corrupt");
     write_slice(&traces, "good", 2_000);
     // A `.btrc` whose header claims more records than the body holds:
     // a typed `Truncated` error at open, not a panic.
@@ -89,7 +86,7 @@ fn corrupt_trace_fails_typed_without_retry_and_spares_healthy_cells() {
         cache_dir: None,
         events_path: None,
         progress: false,
-        trace_dir: Some(traces.clone()),
+        trace_dir: Some(traces.to_path_buf()),
         ..RunOptions::default()
     };
     let campaign = {
@@ -127,6 +124,4 @@ fn corrupt_trace_fails_typed_without_retry_and_spares_healthy_cells() {
     }
     assert!(good_done, "healthy cell completes");
     assert!(bad_failed, "corrupt cell fails typed");
-
-    let _ = std::fs::remove_dir_all(&traces);
 }

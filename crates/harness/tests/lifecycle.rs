@@ -17,6 +17,10 @@ use berti_sim::{PrefetcherChoice, Report, SimOptions};
 use berti_traces::TraceRegistry;
 use berti_types::SystemConfig;
 
+#[path = "../../traces/tests/common/mod.rs"]
+mod common;
+use common::TempPath;
+
 #[derive(Default)]
 struct MemStore(Mutex<BTreeMap<String, CachedResult>>);
 
@@ -129,7 +133,7 @@ fn every_path_through_the_lifecycle_is_pinned() {
     let builtin = || Ok(TraceRegistry::builtin());
     let mut rejected = spec("lbm-like");
     rejected.config.l1d.mshr_entries = 0;
-    let missing_dir = std::env::temp_dir().join("berti-lifecycle-no-such-trace-dir");
+    let missing_dir = TempPath::new("lifecycle-no-such-trace-dir");
 
     let cases = [
         Case {
@@ -167,7 +171,7 @@ fn every_path_through_the_lifecycle_is_pinned() {
             events: &["failed(1, will_retry=false)"],
             expect: Expect::Failed {
                 attempts: 1,
-                error_has: "berti-lifecycle-no-such-trace-dir",
+                error_has: "lifecycle-no-such-trace-dir",
             },
             stored_after: false,
         },
@@ -301,20 +305,15 @@ fn small_campaign() -> Campaign {
         .build()
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("berti-harness-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
 fn events_stream_is_written_as_jsonl() {
     let campaign = small_campaign();
-    let cache = temp_dir("det-events-cache");
-    let events = temp_dir("det-events").join("events.jsonl");
+    let cache = TempPath::new("det-events-cache");
+    let events_dir = TempPath::new("det-events");
+    let events = events_dir.join("events.jsonl");
     let opts = RunOptions {
         jobs: 2,
-        cache_dir: Some(cache.clone()),
+        cache_dir: Some(cache.to_path_buf()),
         events_path: Some(events.clone()),
         progress: false,
         ..RunOptions::default()
@@ -342,7 +341,4 @@ fn events_stream_is_written_as_jsonl() {
     let last = serde::json::parse(lines[lines.len() - 1]).unwrap();
     assert_eq!(last.get("completed").and_then(|v| v.as_u64()), Some(4));
     assert_eq!(last.get("failed").and_then(|v| v.as_u64()), Some(0));
-
-    let _ = std::fs::remove_dir_all(&cache);
-    let _ = std::fs::remove_dir_all(events.parent().unwrap());
 }

@@ -6,6 +6,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use berti_harness::{Campaign, JobOutcome, JobSpec, RunOptions};
 use berti_sim::{PrefetcherChoice, Report};
 
+#[path = "../../traces/tests/common/mod.rs"]
+mod common;
+use common::TempPath;
+
 fn campaign(workloads: &[&str]) -> Campaign {
     let mut c = Campaign::grid("panic-test");
     for w in workloads {
@@ -107,9 +111,7 @@ fn transient_panic_succeeds_on_the_retry() {
 #[test]
 fn failed_cells_appear_in_events_and_aggregate() {
     let c = campaign(&["good-1", "always-bad"]);
-    let events_dir =
-        std::env::temp_dir().join(format!("berti-harness-panic-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&events_dir);
+    let events_dir = TempPath::new("harness-panic");
     let events = events_dir.join("events.jsonl");
     let opts = RunOptions {
         jobs: 2,
@@ -149,8 +151,6 @@ fn failed_cells_appear_in_events_and_aggregate() {
     let cells = agg.get("cells").and_then(|c| c.as_array()).unwrap();
     assert_eq!(cells.len(), 2);
     assert!(cells.iter().any(|c| c.get("error").is_some()));
-
-    let _ = std::fs::remove_dir_all(&events_dir);
 }
 
 #[test]

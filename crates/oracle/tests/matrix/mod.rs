@@ -67,6 +67,10 @@ use berti_traces::ingest::{open_streaming, write_btrc};
 use berti_traces::{Trace, WorkloadDef};
 use berti_types::{Instr, SystemConfig};
 
+#[path = "../../../traces/tests/common/mod.rs"]
+mod common;
+use common::TempPath;
+
 /// Instructions in a slice row.
 pub const SLICE: usize = 20_000;
 
@@ -225,17 +229,10 @@ impl Row {
             (Way::Sampled, _) => vec![self.sampled(engine)],
             (Way::Streamed, Input::Slice(w)) => {
                 assert!(SLICE as u64 * 3 < opts.warmup_instructions + opts.sim_instructions);
-                let path = std::env::temp_dir().join(format!(
-                    "berti-matrix-{}-{}-{}-{engine:?}.btrc",
-                    std::process::id(),
-                    w.name,
-                    l1.name()
-                ));
+                let path = TempPath::new(&format!("matrix-{}-{}.btrc", w.name, l1.name()));
                 write_btrc(&path, &slice(w)).expect("writes");
                 let stream = open_streaming(&path).expect("opens");
-                let reports = single(Trace::from_stream(w.name.clone(), stream).expect("primes"));
-                let _ = std::fs::remove_file(&path);
-                reports
+                single(Trace::from_stream(w.name.clone(), stream).expect("primes"))
             }
             (way, _) => panic!("{}: no {way:?} cell for this input", self.name()),
         };
@@ -344,12 +341,11 @@ fn campaign_cells(group: &str, rows: &[Row], [cold, warm]: [usize; 2]) -> Vec<[S
         name: format!("matrix-{group}"),
         cells,
     };
-    let cache = std::env::temp_dir().join(format!("berti-matrix-{}-{group}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache);
+    let cache = TempPath::new(&format!("matrix-{group}"));
     let run = |jobs| {
         let opts = RunOptions {
             jobs,
-            cache_dir: Some(cache.clone()),
+            cache_dir: Some(cache.to_path_buf()),
             events_path: None,
             progress: false,
             interval: None,
@@ -358,7 +354,6 @@ fn campaign_cells(group: &str, rows: &[Row], [cold, warm]: [usize; 2]) -> Vec<[S
         run_campaign(&campaign, &opts)
     };
     let (cold, warm) = (run(cold), run(warm));
-    let _ = std::fs::remove_dir_all(&cache);
     assert_eq!(
         (cold.completed(), cold.cache_hits()),
         (n, 0),

@@ -61,3 +61,7 @@ pub mod sched;
 pub mod server;
 pub mod state;
 pub mod stats;
+
+#[cfg(test)]
+#[path = "../../traces/tests/common/mod.rs"]
+mod common;

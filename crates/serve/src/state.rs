@@ -435,16 +435,16 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::TempPath;
     use berti_harness::ResultCache;
     use berti_sim::PrefetcherChoice;
 
-    fn daemon() -> Daemon {
-        let dir = std::env::temp_dir().join(format!(
-            "berti-serve-state-{}-{:p}",
-            std::process::id(),
-            &() as *const ()
-        ));
-        Daemon::new(Arc::new(ResultCache::open(dir).expect("open")))
+    /// A daemon over a fresh store, and the store's path, which is
+    /// removed when the test drops it.
+    fn daemon() -> (Daemon, TempPath) {
+        let dir = TempPath::new("serve-state");
+        let d = Daemon::new(Arc::new(ResultCache::open(&*dir).expect("open")));
+        (d, dir)
     }
 
     fn tiny_campaign() -> Campaign {
@@ -456,7 +456,7 @@ mod tests {
 
     #[test]
     fn submit_assigns_sequential_ids_and_queues_event() {
-        let d = daemon();
+        let (d, _store) = daemon();
         let a = d.submit(tiny_campaign(), None, None, None);
         let b = d.submit(tiny_campaign(), None, None, None);
         assert_eq!(a.id, "c1");
@@ -476,7 +476,7 @@ mod tests {
 
     #[test]
     fn cancel_of_queued_campaign_is_immediate_and_terminal() {
-        let d = daemon();
+        let (d, _store) = daemon();
         let e = d.submit(tiny_campaign(), None, None, None);
         assert_eq!(d.cancel(&e.id), Some(CampaignStatus::Cancelled));
         assert!(e.status().is_terminal());
@@ -523,7 +523,7 @@ mod tests {
     /// append to again, long before its timeout.
     #[test]
     fn shut_down_wakes_every_blocked_watcher() {
-        let d = daemon();
+        let (d, _store) = daemon();
         let e = d.submit(tiny_campaign(), None, None, None);
         let started = std::time::Instant::now();
         std::thread::scope(|s| {
@@ -567,7 +567,7 @@ mod tests {
     /// `RETAINED_CAMPAIGNS` of them findable, and counts the rest.
     #[test]
     fn only_the_newest_finished_campaigns_are_retained() {
-        let d = daemon();
+        let (d, _store) = daemon();
         let k = 3;
         let finished: Vec<_> = (0..RETAINED_CAMPAIGNS + k)
             .map(|_| submit_finished(&d))
@@ -591,7 +591,7 @@ mod tests {
     /// retained terminal ones.
     #[test]
     fn queued_and_running_campaigns_outlive_any_number_of_finished_ones() {
-        let d = daemon();
+        let (d, _store) = daemon();
         let running = d.submit(tiny_campaign(), None, None, None);
         assert!(running.try_start());
         let queued = d.submit(tiny_campaign(), None, None, None);
@@ -610,7 +610,7 @@ mod tests {
 
     #[test]
     fn aggregated_json_requires_every_slot() {
-        let d = daemon();
+        let (d, _store) = daemon();
         let e = d.submit(tiny_campaign(), None, None, None);
         assert!(e.aggregated_json().is_none(), "incomplete campaign");
     }
@@ -637,7 +637,7 @@ mod tests {
     /// late `try_start` must lose.
     #[test]
     fn delete_between_dequeue_and_start_stays_cancelled_when_cancel_wins() {
-        let d = daemon();
+        let (d, _store) = daemon();
         let e = d.submit(tiny_campaign(), None, None, None);
         // The scheduler has dequeued the entry but not yet claimed it…
         assert_eq!(d.cancel(&e.id), Some(CampaignStatus::Cancelled));
@@ -657,7 +657,7 @@ mod tests {
     /// `cancelled` with a single terminal event.
     #[test]
     fn delete_between_dequeue_and_start_drains_to_cancelled_when_start_wins() {
-        let d = daemon();
+        let (d, _store) = daemon();
         let e = d.submit(tiny_campaign(), None, None, None);
         assert!(e.try_start(), "scheduler claims the queued campaign");
         assert_eq!(d.cancel(&e.id), Some(CampaignStatus::Running));

@@ -19,13 +19,19 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use berti_harness::{registry, run_campaign, Campaign, RunOptions};
 use berti_serve::state::RETAINED_CAMPAIGNS;
 use berti_sim::{PrefetcherChoice, SimOptions};
+use berti_traces::ingest::{decode_records, write_btrc};
+use berti_types::RECORD_BYTES;
+
+#[path = "../../traces/tests/common/mod.rs"]
+mod common;
+use common::TempPath;
 
 /// How long a test waits for the daemon to reach a state before
 /// giving up (debug-build cells are slow; CI is slower).
@@ -101,11 +107,17 @@ impl Drop for DaemonProc {
     }
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("berti-serve-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
+fn fresh_dir(tag: &str) -> TempPath {
+    TempPath::dir(&format!("serve-e2e-{tag}"))
+}
+
+/// The first `len` instructions of the `lbm-like` builtin.
+fn lbm_slice(len: usize) -> Vec<berti_types::Instr> {
+    let btrc = berti_traces::workload_by_name("lbm-like")
+        .expect("builtin exists")
+        .builtin_body()
+        .expect("generates");
+    decode_records(&btrc.body()[..len * RECORD_BYTES]).expect("decodes")
 }
 
 /// One-shot HTTP exchange; returns (status, body).
@@ -309,7 +321,7 @@ fn daemon_result_is_byte_identical_to_one_shot_run_and_streams_replay() {
         &campaign,
         &RunOptions {
             jobs: 2,
-            cache_dir: Some(store.clone()),
+            cache_dir: Some(store.to_path_buf()),
             ..RunOptions::default()
         },
     );
@@ -740,7 +752,7 @@ fn concurrent_campaigns_share_the_budget_and_aggregate_byte_identically() {
             campaign,
             &RunOptions {
                 jobs: 2,
-                cache_dir: Some(store.clone()),
+                cache_dir: Some(store.to_path_buf()),
                 ..RunOptions::default()
             },
         );
@@ -760,12 +772,7 @@ fn trace_dir_campaign_matches_cli_and_validates_workloads() {
 
     // Pre-decode a slice of a builtin workload into a .btrc file so the
     // daemon discovers a real trace workload named `slice`.
-    let source = berti_traces::workload_by_name("lbm-like")
-        .expect("builtin exists")
-        .instrs()
-        .expect("generates");
-    let instrs = &source[..500.min(source.len())];
-    berti_traces::ingest::write_btrc(&traces.join("slice.btrc"), instrs).expect("writes");
+    write_btrc(&traces.join("slice.btrc"), &lbm_slice(500)).expect("writes");
 
     let cache = store.join("cache");
     let daemon = DaemonProc::start(
@@ -845,11 +852,7 @@ fn corrupt_trace_fails_once_and_aggregates_identically_through_every_front_end()
     let root = fresh_dir("corrupt");
     let traces = root.join("traces");
     std::fs::create_dir_all(&traces).expect("mkdir traces");
-    let source = berti_traces::workload_by_name("lbm-like")
-        .expect("builtin exists")
-        .instrs()
-        .expect("generates");
-    berti_traces::ingest::write_btrc(&traces.join("good.btrc"), &source[..2_000]).expect("writes");
+    write_btrc(&traces.join("good.btrc"), &lbm_slice(2_000)).expect("writes");
     // A header that claims more records than the body holds: a typed
     // `Truncated` error when the cell opens the trace.
     let good = std::fs::read(traces.join("good.btrc")).expect("reads");

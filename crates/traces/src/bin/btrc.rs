@@ -3,7 +3,9 @@
 //! ```text
 //! btrc convert <in> <out.btrc>   decode any supported trace (ChampSim
 //!                                binary, .btrc, .xz/.gz/.zst-compressed)
-//!                                and write it pre-decoded
+//!                                and write it pre-decoded (streamed:
+//!                                one pass, one chunk in memory; a
+//!                                failed convert leaves no output file)
 //! btrc gen [--tile N] <workload> <out.btrc>
 //!                                pre-decode a builtin synthetic
 //!                                workload into a .btrc file, repeated
@@ -20,10 +22,10 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use berti_traces::ingest::{
-    btrc_header, fnv1a64_update, open_streaming, read_trace_file, write_btrc, FNV_OFFSET_BASIS,
+    btrc_header, drain_file, encode_records, fnv1a64_update, IngestError, FNV_OFFSET_BASIS,
 };
-use berti_traces::{TraceRegistry, STREAM_CHUNK_INSTRS};
-use berti_types::Instr;
+use berti_traces::TraceRegistry;
+use berti_types::RECORD_BYTES;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,13 +60,14 @@ fn main() -> ExitCode {
 }
 
 fn convert(input: &Path, output: &Path) -> Result<(), String> {
-    let instrs = read_trace_file(input).map_err(|e| e.to_string())?;
-    write_btrc(output, &instrs).map_err(|e| e.to_string())?;
+    let records = write_btrc_file(output, |out| {
+        drain_file(input, |chunk| out.write(&encode_records(chunk)))
+    })
+    .map_err(|e| e.to_string())?;
     println!(
-        "{} -> {} ({} records)",
+        "{} -> {} ({records} records)",
         input.display(),
-        output.display(),
-        instrs.len()
+        output.display()
     );
     Ok(())
 }
@@ -82,50 +85,81 @@ fn gen(workload: &str, output: &Path, tile: u64) -> Result<(), String> {
     let btrc = w
         .builtin_body()
         .expect("the builtin registry holds generators only");
-    let records = btrc.record_count() as u64 * tile;
-    write_tiled(output, btrc.body(), records, tile)
-        .map_err(|e| format!("{}: {e}", output.display()))?;
+    // Tiling builds arbitrarily large fixtures (e.g. for memory-ceiling
+    // CI runs) in the memory of one body.
+    let records = write_btrc_file(output, |out| {
+        (0..tile).try_for_each(|_| out.write(btrc.body()))
+    })
+    .map_err(|e| e.to_string())?;
     println!("{workload} -> {} ({records} records)", output.display());
     Ok(())
 }
 
-/// Writes a `.btrc` file of `tile` copies of the record body `body`,
-/// `records` records in all. Tiling builds arbitrarily large fixtures
-/// (e.g. for memory-ceiling CI runs) in the memory of one body. Each
-/// byte is hashed once, as it is written: the header goes out first
-/// with a zero checksum and is rewritten with the real one at the end.
-fn write_tiled(output: &Path, body: &[u8], records: u64, tile: u64) -> std::io::Result<()> {
-    let mut f = BufWriter::new(File::create(output)?);
-    f.write_all(&btrc_header(records, 0))?;
-    let mut hash = FNV_OFFSET_BASIS;
-    for _ in 0..tile {
-        hash = fnv1a64_update(hash, body);
-        f.write_all(body)?;
+/// A `.btrc` file written as its body arrives. Each byte is hashed
+/// once, as it is written: the header goes out first with a zero count
+/// and checksum and is rewritten with the real ones at the end.
+struct BtrcWriter<'a> {
+    path: &'a Path,
+    out: BufWriter<File>,
+    bytes: u64,
+    hash: u64,
+}
+
+impl BtrcWriter<'_> {
+    /// Appends whole records to the body.
+    fn write(&mut self, records: &[u8]) -> Result<(), IngestError> {
+        self.hash = fnv1a64_update(self.hash, records);
+        self.bytes += records.len() as u64;
+        self.out
+            .write_all(records)
+            .map_err(|e| IngestError::io(self.path, &e))
     }
-    let mut f = f.into_inner().map_err(|e| e.into_error())?;
-    f.seek(SeekFrom::Start(0))?;
-    f.write_all(&btrc_header(records, hash))
+}
+
+/// Creates `output` and hands `fill` a [`BtrcWriter`] over it; returns
+/// the record count written. On any failure the partial file is
+/// removed, so a failed run leaves nothing at `output`.
+fn write_btrc_file(
+    output: &Path,
+    fill: impl FnOnce(&mut BtrcWriter) -> Result<(), IngestError>,
+) -> Result<u64, IngestError> {
+    let io = |e: std::io::Error| IngestError::io(output, &e);
+    let written = File::create(output).map_err(io).and_then(|f| {
+        let mut w = BtrcWriter {
+            path: output,
+            out: BufWriter::new(f),
+            bytes: 0,
+            hash: FNV_OFFSET_BASIS,
+        };
+        w.out.write_all(&btrc_header(0, 0)).map_err(io)?;
+        fill(&mut w)?;
+        let records = w.bytes / RECORD_BYTES as u64;
+        let mut f = w.out.into_inner().map_err(|e| io(e.into_error()))?;
+        f.seek(SeekFrom::Start(0)).map_err(io)?;
+        f.write_all(&btrc_header(records, w.hash)).map_err(io)?;
+        Ok(records)
+    });
+    if written.is_err() {
+        let _ = std::fs::remove_file(output);
+    }
+    written
 }
 
 fn info(path: &Path) -> Result<(), String> {
     // Streamed: a multi-GB trace summarizes in one chunk of memory.
-    let mut stream = open_streaming(path).map_err(|e| e.to_string())?;
-    let mut buf = vec![Instr::default(); STREAM_CHUNK_INSTRS];
     let (mut records, mut loads, mut stores, mut branches, mut chained) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
-    loop {
-        let n = stream.next_chunk(&mut buf).map_err(|e| e.to_string())?;
-        if n == 0 {
-            break;
-        }
-        records += n as u64;
-        for i in &buf[..n] {
+    drain_file(path, |chunk| {
+        records += chunk.len() as u64;
+        for i in chunk {
             loads += i.loads.iter().flatten().count() as u64;
             stores += u64::from(i.store.is_some());
             branches += u64::from(i.mispredicted_branch);
             chained += u64::from(i.dep_chain.is_some());
         }
-    }
+        Ok(())
+    })
+    .map_err(|e| e.to_string())?;
     println!("{}", path.display());
     println!("  records:              {records}");
     println!("  load operands:        {loads}");

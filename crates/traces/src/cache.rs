@@ -17,9 +17,10 @@
 //!   hashed at most once per process and cells that stop short of a
 //!   full pass still add up to one verdict (see [`MmapBtrc`]);
 //! - **other traces** (ChampSim, anything compressed) up to the
-//!   materialize threshold (64 MiB of file) are decoded once and held
-//!   as an owned record body, 40 bytes an instruction; larger files are
-//!   never pinned — each open streams them in bounded memory instead;
+//!   materialize threshold (64 MiB of file) are decoded once, in one
+//!   streamed pass ([`drain_file`]), into an owned record body, 40
+//!   bytes an instruction; larger files are never pinned — each open
+//!   streams them in bounded memory instead;
 //! - **builtin generators** are keyed by function pointer and generated
 //!   once per process, straight into an owned record body.
 //!
@@ -45,11 +46,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::SystemTime;
 
-use berti_types::Instr;
-
 use crate::ingest::{
-    compression_tool, encode_records, open_streaming, read_trace_file, IngestError, MmapBtrc,
-    MmapStream, BTRC_MAGIC,
+    compression_tool, drain_file, encode_records, open_streaming, ByteReader, IngestError,
+    MmapBtrc, MmapStream, BTRC_MAGIC,
 };
 use crate::stream::InstrStream;
 
@@ -143,20 +142,7 @@ pub fn gen_btrc(f: fn() -> Vec<u8>) -> Arc<MmapBtrc> {
 
 /// Whether `path` is an uncompressed `.btrc` body (mmap-eligible).
 fn is_plain_btrc(path: &Path) -> Result<bool, IngestError> {
-    if compression_tool(path).is_some() {
-        return Ok(false);
-    }
-    let mut magic = [0u8; 4];
-    let mut f = std::fs::File::open(path).map_err(|e| IngestError::io(path, &e))?;
-    let mut got = 0;
-    while got < magic.len() {
-        match std::io::Read::read(&mut f, &mut magic[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) => return Err(IngestError::io(path, &e)),
-        }
-    }
-    Ok(got == 4 && magic == BTRC_MAGIC)
+    Ok(compression_tool(path).is_none() && ByteReader::open(path)?.peek(4)? == BTRC_MAGIC)
 }
 
 /// The shared handle for `path`: served from the cache while the file
@@ -179,7 +165,11 @@ fn handle(path: &Path) -> Result<Option<Arc<MmapBtrc>>, IngestError> {
     let btrc = if is_plain_btrc(path)? {
         Some(Arc::new(MmapBtrc::open(path)?))
     } else if len <= MATERIALIZE_BYTES {
-        let body = encode_records(&read_trace_file(path)?);
+        let mut body = Vec::new();
+        drain_file(path, |chunk| {
+            body.extend_from_slice(&encode_records(chunk));
+            Ok(())
+        })?;
         Some(Arc::new(MmapBtrc::from_body(body)))
     } else {
         None
@@ -209,24 +199,12 @@ pub fn open_file(path: &Path) -> Result<Box<dyn InstrStream>, IngestError> {
     }
 }
 
-/// The fully materialized instruction sequence for `path`, decoded out
-/// of the cached handle (this is the compatibility path for tools that
-/// need the whole sequence, not the replay hot path). An over-threshold
-/// trace is the caller's explicit ask (e.g. `btrc convert`) and is
-/// decoded without pinning.
-pub fn file_instrs(path: &Path) -> Result<Arc<[Instr]>, IngestError> {
-    match handle(path)? {
-        Some(btrc) => btrc.materialize(),
-        None => Ok(read_trace_file(path)?.into()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::TempPath;
-    use crate::ingest::write_btrc;
-    use berti_types::{Ip, RECORD_BYTES};
+    use crate::ingest::{decode_records, write_btrc};
+    use berti_types::{Instr, Ip, RECORD_BYTES};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{mpsc, Barrier, LazyLock};
     use std::time::Duration;
@@ -252,8 +230,6 @@ mod tests {
             assert_eq!(s.next_chunk(&mut buf).expect("reads"), 64);
         }
         assert_eq!(decode_count(&path), 1, "three of four opens were hits");
-        assert_eq!(file_instrs(&path).expect("materializes").len(), 64);
-        assert_eq!(decode_count(&path), 1, "materialize reuses the mapping");
     }
 
     #[test]
@@ -284,7 +260,7 @@ mod tests {
         // Other tests in this binary may add entries meanwhile, but
         // never remove any.
         assert!(stats().resident_bytes >= before + N * RECORD_BYTES as u64);
-        assert_eq!(&*btrc.materialize().expect("decodes"), &alus(N)[..]);
+        assert_eq!(decode_records(btrc.body()).expect("decodes"), alus(N));
     }
 
     /// One side of a two-generator rendezvous: a sender into this

@@ -67,15 +67,30 @@ pub struct BtrcHeader {
 }
 
 impl BtrcHeader {
-    /// Length of the body this header promises, in bytes.
-    pub fn body_bytes(&self) -> u64 {
-        self.record_count * RECORD_BYTES as u64
+    /// Checks that a body of `body_len` bytes holds exactly the records
+    /// this header promises: a shorter one is [`IngestError::Truncated`],
+    /// a longer one [`IngestError::TrailingBytes`]. Every reader that
+    /// knows a body's length before reading it checks it here.
+    pub fn check_body_len(&self, body_len: u64) -> Result<(), IngestError> {
+        // A count whose body would not fit in a u64 promises more than
+        // any file holds.
+        let want = self.record_count.checked_mul(RECORD_BYTES as u64);
+        match want {
+            Some(want) if body_len > want => Err(IngestError::TrailingBytes {
+                extra: (body_len - want) as usize,
+            }),
+            Some(want) if body_len == want => Ok(()),
+            _ => Err(IngestError::Truncated {
+                expected_records: self.record_count,
+                got_records: body_len / RECORD_BYTES as u64,
+            }),
+        }
     }
 }
 
 /// Parses and fully validates the fixed 32-byte `.btrc` header. Every
-/// reader — the materializing decoder, the mmap stream, the pipe
-/// stream — goes through this one function, so a malformed header is
+/// reader — the reference decoder, the mmap stream, the pipe stream —
+/// goes through this one function, so a malformed header is
 /// the same typed error no matter which backend saw it.
 pub fn parse_btrc_header(header: &[u8; BTRC_HEADER_BYTES]) -> Result<BtrcHeader, IngestError> {
     if header[0..4] != BTRC_MAGIC {
@@ -144,7 +159,9 @@ pub fn decode_records(body: &[u8]) -> Result<Vec<Instr>, IngestError> {
     Ok(out)
 }
 
-/// Encodes an instruction stream into `.btrc` bytes.
+/// Encodes an instruction stream into `.btrc` bytes. Like
+/// [`decode_btrc`], a slice-level reference: tests and the benchmark
+/// compare file readers and writers against it.
 pub fn encode_btrc(instrs: &[Instr]) -> Vec<u8> {
     let body = encode_records(instrs);
     let mut out = Vec::with_capacity(BTRC_HEADER_BYTES + body.len());
@@ -153,7 +170,11 @@ pub fn encode_btrc(instrs: &[Instr]) -> Vec<u8> {
     out
 }
 
-/// Decodes `.btrc` bytes back into the instruction stream.
+/// Decodes `.btrc` bytes back into the instruction stream. This is the
+/// slice-level reference decoder that tests and the benchmark compare
+/// the streaming readers against; no trace file is read through it
+/// (files go through [`super::open_streaming`] and
+/// [`super::drain_file`]).
 ///
 /// # Errors
 ///
@@ -164,26 +185,12 @@ pub fn decode_btrc(bytes: &[u8]) -> Result<Vec<Instr>, IngestError> {
     }
     let (header, body) = bytes.split_at(BTRC_HEADER_BYTES);
     let header: &[u8; BTRC_HEADER_BYTES] = header.try_into().expect("split at header size");
-    let BtrcHeader {
-        record_count: count,
-        checksum,
-    } = parse_btrc_header(header)?;
-    let expected_len = count as usize * RECORD_BYTES;
-    if body.len() < expected_len {
-        return Err(IngestError::Truncated {
-            expected_records: count,
-            got_records: (body.len() / RECORD_BYTES) as u64,
-        });
-    }
-    if body.len() > expected_len {
-        return Err(IngestError::TrailingBytes {
-            extra: body.len() - expected_len,
-        });
-    }
+    let header = parse_btrc_header(header)?;
+    header.check_body_len(body.len() as u64)?;
     let got = fnv1a64(body);
-    if got != checksum {
+    if got != header.checksum {
         return Err(IngestError::ChecksumMismatch {
-            expected: checksum,
+            expected: header.checksum,
             got,
         });
     }

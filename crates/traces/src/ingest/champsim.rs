@@ -35,9 +35,6 @@
 //!   register joins that chain (this is what serializes pointer
 //!   chasing), and non-load writes untag their destinations.
 
-use std::path::Path;
-use std::process::Command;
-
 use berti_types::{Instr, Ip, VAddr, MAX_DEP_CHAINS};
 
 use super::IngestError;
@@ -48,45 +45,10 @@ pub const CHAMPSIM_RECORD_BYTES: usize = 64;
 /// Branch-predictor table size (IP folded to 12 bits).
 const PREDICTOR_BITS: u32 = 12;
 
-/// Reads a trace file's raw bytes, piping `.xz`/`.gz`/`.zst` files
-/// through the system decompressor (`xz -dc` / `gzip -dc` /
-/// `zstd -dc`). A missing tool is a clear [`IngestError::MissingTool`],
-/// not an opaque I/O failure.
-pub fn read_trace_bytes(path: &Path) -> Result<Vec<u8>, IngestError> {
-    let Some(tool) = super::compression_tool(path) else {
-        return std::fs::read(path).map_err(|e| IngestError::io(path, &e));
-    };
-    if !path.exists() {
-        return Err(IngestError::Io {
-            path: path.to_path_buf(),
-            error: "no such file".to_string(),
-        });
-    }
-    let out = Command::new(tool)
-        .arg("-dc")
-        .arg(path)
-        .output()
-        .map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                IngestError::MissingTool {
-                    tool,
-                    path: path.to_path_buf(),
-                }
-            } else {
-                IngestError::io(path, &e)
-            }
-        })?;
-    if !out.status.success() {
-        return Err(IngestError::ToolFailed {
-            tool,
-            path: path.to_path_buf(),
-            stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
-        });
-    }
-    Ok(out.stdout)
-}
-
-/// Decodes a ChampSim binary trace body into an [`Instr`] stream.
+/// Decodes a ChampSim binary trace body into an [`Instr`] stream. This
+/// is the slice-level reference decoder that tests and the benchmark
+/// compare the streaming [`super::ChampsimStream`] against; no trace
+/// file is read through it.
 ///
 /// # Errors
 ///
@@ -131,7 +93,68 @@ impl ChampsimDecoder {
     /// Decodes one 64-byte record, appending the 1–4 [`Instr`]s it
     /// expands to (primary plus operand spills) onto `out`.
     pub(crate) fn decode_record(&mut self, rec: &[u8], out: &mut Vec<Instr>) {
-        decode_one(rec, &mut self.predictor, &mut self.chains, out);
+        let word = |off: usize| u64::from_le_bytes(rec[off..off + 8].try_into().expect("8 bytes"));
+        let ip = Ip::new(word(0));
+        let is_branch = rec[8] != 0;
+        let taken = rec[9] != 0;
+        let dst_regs = [rec[10], rec[11]];
+        let src_regs = [rec[12], rec[13], rec[14], rec[15]];
+        let dst_mem: Vec<u64> = (0..2)
+            .map(|i| word(16 + 8 * i))
+            .filter(|&a| a != 0)
+            .collect();
+        let src_mem: Vec<u64> = (0..4)
+            .map(|i| word(32 + 8 * i))
+            .filter(|&a| a != 0)
+            .collect();
+
+        let is_load = !src_mem.is_empty();
+        let dep_chain = if is_load {
+            self.chains.incoming(&src_regs)
+        } else {
+            None
+        };
+        self.chains.retag(&dst_regs, is_load, dep_chain);
+
+        let mut primary = Instr {
+            ip,
+            loads: [
+                src_mem.first().map(|&a| VAddr::new(a)),
+                src_mem.get(1).map(|&a| VAddr::new(a)),
+            ],
+            store: dst_mem.first().map(|&a| VAddr::new(a)),
+            mispredicted_branch: false,
+            dep_chain,
+        };
+        if is_branch {
+            primary.mispredicted_branch = self.predictor.mispredicted(ip, taken);
+        }
+        out.push(primary);
+
+        // Spill records: ChampSim allows 4 source + 2 destination memory
+        // operands per instruction; ours carries 2 + 1. Extra operands
+        // become follow-up records at the same IP so no access is dropped.
+        for pair in src_mem[2.min(src_mem.len())..].chunks(2) {
+            out.push(Instr {
+                ip,
+                loads: [
+                    pair.first().map(|&a| VAddr::new(a)),
+                    pair.get(1).map(|&a| VAddr::new(a)),
+                ],
+                store: None,
+                mispredicted_branch: false,
+                dep_chain,
+            });
+        }
+        if let Some(&extra_store) = dst_mem.get(1) {
+            out.push(Instr {
+                ip,
+                loads: [None, None],
+                store: Some(VAddr::new(extra_store)),
+                mispredicted_branch: false,
+                dep_chain: None,
+            });
+        }
     }
 }
 
@@ -145,76 +168,6 @@ pub(crate) fn instrs_per_record(rec: &[u8]) -> usize {
     let dst_mem = (0..2).filter(|&i| word(16 + 8 * i) != 0).count();
     let src_mem = (0..4).filter(|&i| word(32 + 8 * i) != 0).count();
     1 + src_mem.saturating_sub(2).div_ceil(2) + usize::from(dst_mem > 1)
-}
-
-fn decode_one(
-    rec: &[u8],
-    predictor: &mut BranchPredictor,
-    chains: &mut ChainTracker,
-    out: &mut Vec<Instr>,
-) {
-    let word = |off: usize| u64::from_le_bytes(rec[off..off + 8].try_into().expect("8 bytes"));
-    let ip = Ip::new(word(0));
-    let is_branch = rec[8] != 0;
-    let taken = rec[9] != 0;
-    let dst_regs = [rec[10], rec[11]];
-    let src_regs = [rec[12], rec[13], rec[14], rec[15]];
-    let dst_mem: Vec<u64> = (0..2)
-        .map(|i| word(16 + 8 * i))
-        .filter(|&a| a != 0)
-        .collect();
-    let src_mem: Vec<u64> = (0..4)
-        .map(|i| word(32 + 8 * i))
-        .filter(|&a| a != 0)
-        .collect();
-
-    let is_load = !src_mem.is_empty();
-    let dep_chain = if is_load {
-        chains.incoming(&src_regs)
-    } else {
-        None
-    };
-    chains.retag(&dst_regs, is_load, dep_chain);
-
-    let mut primary = Instr {
-        ip,
-        loads: [
-            src_mem.first().map(|&a| VAddr::new(a)),
-            src_mem.get(1).map(|&a| VAddr::new(a)),
-        ],
-        store: dst_mem.first().map(|&a| VAddr::new(a)),
-        mispredicted_branch: false,
-        dep_chain,
-    };
-    if is_branch {
-        primary.mispredicted_branch = predictor.mispredicted(ip, taken);
-    }
-    out.push(primary);
-
-    // Spill records: ChampSim allows 4 source + 2 destination memory
-    // operands per instruction; ours carries 2 + 1. Extra operands
-    // become follow-up records at the same IP so no access is dropped.
-    for pair in src_mem[2.min(src_mem.len())..].chunks(2) {
-        out.push(Instr {
-            ip,
-            loads: [
-                pair.first().map(|&a| VAddr::new(a)),
-                pair.get(1).map(|&a| VAddr::new(a)),
-            ],
-            store: None,
-            mispredicted_branch: false,
-            dep_chain,
-        });
-    }
-    if let Some(&extra_store) = dst_mem.get(1) {
-        out.push(Instr {
-            ip,
-            loads: [None, None],
-            store: Some(VAddr::new(extra_store)),
-            mispredicted_branch: false,
-            dep_chain: None,
-        });
-    }
 }
 
 /// Gshare-less bimodal predictor: 2-bit saturating counters, indexed
@@ -435,10 +388,10 @@ mod tests {
 
     #[test]
     fn missing_file_is_a_typed_error() {
-        let e = read_trace_bytes(Path::new("/nonexistent/trace.xz")).unwrap_err();
-        assert!(matches!(e, IngestError::Io { .. }));
-        let e = read_trace_bytes(Path::new("/nonexistent/trace.zst")).unwrap_err();
-        assert!(matches!(e, IngestError::Io { .. }));
+        for path in ["/nonexistent/trace.xz", "/nonexistent/trace.zst"] {
+            let e = super::super::open_streaming(std::path::Path::new(path)).err();
+            assert!(matches!(e, Some(IngestError::Io { .. })), "{path}: {e:?}");
+        }
     }
 
     #[test]

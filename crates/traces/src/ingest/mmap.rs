@@ -20,8 +20,7 @@
 //! [`IngestError::ChecksumMismatch`] from the `next_chunk` that
 //! completes the coverage (the frontier stays put, so every later
 //! cursor to reach the end gets the same error and no record of the
-//! last chunk is handed out). [`MmapBtrc::materialize`] hashes whatever
-//! is still unhashed before decoding anything.
+//! last chunk is handed out).
 //!
 //! ## Mapping lifetime and safety
 //!
@@ -42,7 +41,7 @@ use std::sync::{Arc, Mutex};
 
 use berti_types::{decode_record_chunk, Instr, RECORD_BYTES};
 
-use super::btrc::{decode_records, parse_btrc_header, BtrcHeader, FNV_OFFSET_BASIS};
+use super::btrc::{parse_btrc_header, BtrcHeader, FNV_OFFSET_BASIS};
 use super::{fnv1a64_update, IngestError, BTRC_HEADER_BYTES};
 use crate::stream::InstrStream;
 
@@ -235,18 +234,7 @@ impl MmapBtrc {
             .try_into()
             .expect("header slice");
         let header = parse_btrc_header(header_bytes)?;
-        let body_len = file_len - BTRC_HEADER_BYTES as u64;
-        if body_len < header.body_bytes() {
-            return Err(IngestError::Truncated {
-                expected_records: header.record_count,
-                got_records: body_len / RECORD_BYTES as u64,
-            });
-        }
-        if body_len > header.body_bytes() {
-            return Err(IngestError::TrailingBytes {
-                extra: (body_len - header.body_bytes()) as usize,
-            });
-        }
+        header.check_body_len(file_len - BTRC_HEADER_BYTES as u64)?;
         let btrc = Self {
             bytes: Bytes::Mapped(map),
             header,
@@ -345,14 +333,6 @@ impl MmapBtrc {
         self.hashed.store(end, Ordering::Release);
         Ok(())
     }
-
-    /// Decodes the whole body into a materialized sequence (the
-    /// `instrs()` compatibility path; verifies the checksum eagerly).
-    pub fn materialize(&self) -> Result<Arc<[Instr]>, IngestError> {
-        let body = self.body();
-        self.hash_through(0, body.len())?;
-        Ok(decode_records(body)?.into())
-    }
 }
 
 /// A zero-copy cursor over a shared [`MmapBtrc`]: decodes 40-byte
@@ -435,25 +415,11 @@ mod tests {
             assert_eq!(btrc.hashed_bytes(), got.len() * RECORD_BYTES);
         }
         assert_eq!(got, instrs);
-        // Verified: a fork and a materialize hash nothing more.
+        // Verified: a fork hashes nothing more.
         let mut f = s.fork().expect("forks");
         assert_eq!(f.len(), 100);
         assert_eq!(f.next_chunk(&mut buf).expect("decodes"), 7);
-        assert_eq!(btrc.materialize().expect("materializes").len(), 100);
         assert_eq!(btrc.hashed_bytes(), 100 * RECORD_BYTES);
-    }
-
-    #[test]
-    fn materialize_finishes_a_partial_prefix() {
-        let instrs = sample(40);
-        let path = TempPath::file("mat.btrc", &encode_btrc(&instrs));
-        let btrc = Arc::new(MmapBtrc::open(&path).expect("opens"));
-        let mut buf = [Instr::default(); 14];
-        let mut s = MmapStream::new(Arc::clone(&btrc));
-        assert_eq!(s.next_chunk(&mut buf).expect("decodes"), 14);
-        assert_eq!(btrc.hashed_bytes(), 14 * RECORD_BYTES);
-        assert_eq!(&*btrc.materialize().expect("materializes"), &instrs[..]);
-        assert_eq!(btrc.hashed_bytes(), 40 * RECORD_BYTES);
     }
 
     #[test]
@@ -497,10 +463,6 @@ mod tests {
             ));
         }
         assert_eq!(btrc.hashed_bytes(), 6 * RECORD_BYTES, "never verified");
-        assert!(matches!(
-            btrc.materialize(),
-            Err(IngestError::ChecksumMismatch { .. })
-        ));
     }
 
     #[test]

@@ -4,33 +4,32 @@
 //! The seam is deliberately one-way: files are decoded into the same
 //! `.btrc` records the synthetic generators produce, so everything above
 //! this module — the simulator, the harness, the daemon — is oblivious
-//! to where a trace came from. A [`FileSource`] plugs a file into a
-//! [`crate::WorkloadDef`]; format detection is by content (`.btrc`
+//! to where a trace came from. [`workload_from_file`] plugs a file into
+//! a [`crate::WorkloadDef`]; format detection is by content (`.btrc`
 //! files start with the `BTRC` magic, anything else is ChampSim), and
-//! `.xz`/`.gz` compression is handled transparently by piping through
-//! the system `xz`/`gzip` tools.
+//! `.xz`/`.gz`/`.zst` compression is handled transparently by piping
+//! through the system `xz`/`gzip`/`zstd` tools. Every file is read
+//! through one streaming reader ([`open_streaming`], [`drain_file`]).
 
 mod btrc;
 mod champsim;
 mod mmap;
 mod streams;
 
+pub use crate::trace::workload_from_file;
 pub use btrc::{
     btrc_header, decode_btrc, decode_records, encode_btrc, encode_records, fnv1a64, fnv1a64_update,
     parse_btrc_header, write_btrc, BtrcHeader, BTRC_HEADER_BYTES, BTRC_MAGIC, BTRC_VERSION,
     FNV_OFFSET_BASIS,
 };
-pub use champsim::{decode_champsim, read_trace_bytes, CHAMPSIM_RECORD_BYTES};
+pub use champsim::{decode_champsim, CHAMPSIM_RECORD_BYTES};
 pub use mmap::{MmapBtrc, MmapStream};
-pub use streams::{open_streaming, BtrcPipeStream, ChampsimStream};
+pub(crate) use streams::ByteReader;
+pub use streams::{drain_file, open_streaming, BtrcPipeStream, ChampsimStream};
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use berti_types::{Instr, RecordError};
-
-use crate::stream::InstrStream;
-use crate::trace::InstrSource;
+use berti_types::RecordError;
 
 /// The system decompressor for `path`'s extension, when it names a
 /// compressed trace: `.xz`, `.gz`, or `.zst`/`.zstd`.
@@ -47,7 +46,7 @@ pub(crate) fn compression_tool(path: &Path) -> Option<&'static str> {
 /// ingestion never panics on malformed input.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum IngestError {
-    /// An I/O failure reading `path`.
+    /// An I/O failure reading or writing `path`.
     Io {
         /// The file being read.
         path: PathBuf,
@@ -179,55 +178,11 @@ impl std::fmt::Display for IngestError {
 impl std::error::Error for IngestError {}
 
 impl IngestError {
-    pub(crate) fn io(path: &Path, e: &std::io::Error) -> Self {
+    /// An [`IngestError::Io`] for a failure reading or writing `path`.
+    pub fn io(path: &Path, e: &std::io::Error) -> Self {
         IngestError::Io {
             path: path.to_path_buf(),
             error: e.to_string(),
         }
     }
-}
-
-/// An [`InstrSource`] backed by a trace file. Decompresses by
-/// extension, then picks the decoder by content: bodies starting with
-/// [`BTRC_MAGIC`] are `.btrc`, anything else is ChampSim binary.
-pub struct FileSource {
-    path: PathBuf,
-}
-
-impl FileSource {
-    /// Wraps a trace file (any supported format/compression).
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        Self { path: path.into() }
-    }
-}
-
-impl InstrSource for FileSource {
-    fn instrs(&self) -> Result<Arc<[Instr]>, IngestError> {
-        crate::cache::file_instrs(&self.path)
-    }
-
-    fn open(&self) -> Result<Box<dyn InstrStream>, IngestError> {
-        crate::cache::open_file(&self.path)
-    }
-
-    fn path(&self) -> Option<&Path> {
-        Some(&self.path)
-    }
-}
-
-/// Reads any supported trace file into an instruction sequence,
-/// bypassing the decoded-trace cache (which is built on top of this).
-pub fn read_trace_file(path: &Path) -> Result<Vec<Instr>, IngestError> {
-    let bytes = read_trace_bytes(path)?;
-    if bytes.len() >= 4 && bytes[..4] == BTRC_MAGIC {
-        decode_btrc(&bytes)
-    } else {
-        decode_champsim(&bytes)
-    }
-}
-
-/// Convenience: a [`crate::WorkloadDef`] for a trace file, named
-/// `name`, in suite [`crate::Suite::Trace`].
-pub fn workload_from_file(name: impl Into<String>, path: impl Into<PathBuf>) -> crate::WorkloadDef {
-    crate::WorkloadDef::from_source(name, crate::Suite::Trace, Arc::new(FileSource::new(path)))
 }

@@ -8,7 +8,8 @@
 //! decompressor, where mmap is impossible). Plain `.btrc` files take
 //! the zero-copy mmap path in [`super::mmap`] instead;
 //! [`open_streaming`] picks the right backend by extension and content,
-//! the same sniffing rule the materializing path uses.
+//! and [`drain_file`] decodes a whole file once, in order, by the same
+//! rule.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -23,7 +24,7 @@ use super::btrc::{parse_btrc_header, BtrcHeader, FNV_OFFSET_BASIS};
 use super::champsim::{instrs_per_record, ChampsimDecoder, CHAMPSIM_RECORD_BYTES};
 use super::mmap::{MmapBtrc, MmapStream};
 use super::{compression_tool, fnv1a64_update, IngestError, BTRC_HEADER_BYTES, BTRC_MAGIC};
-use crate::stream::InstrStream;
+use crate::stream::{InstrStream, STREAM_CHUNK_INSTRS};
 
 /// Read-side buffer size for files and pipes.
 const READ_BUF_BYTES: usize = 1 << 16;
@@ -141,13 +142,6 @@ impl ByteReader {
         Ok(tmp)
     }
 
-    /// Restarts the supply at byte zero (reopens the file / respawns
-    /// the decompressor).
-    pub(crate) fn reopen(&mut self) -> Result<(), IngestError> {
-        *self = ByteReader::open(&self.path)?;
-        Ok(())
-    }
-
     /// EOF bookkeeping: reap a pipe child and surface a non-zero exit
     /// as [`IngestError::ToolFailed`].
     fn finish(&mut self) -> Result<(), IngestError> {
@@ -191,6 +185,67 @@ impl Drop for ByteReader {
     }
 }
 
+/// One forward pass of ChampSim decoding: 64-byte `input_instr`
+/// records pulled off a byte supply and run through the sequential
+/// predictor/dep-chain decoder, a chunk of instructions at a time.
+struct ChampsimPass {
+    reader: ByteReader,
+    decoder: ChampsimDecoder,
+    /// Spill instructions from a record that straddled a chunk edge.
+    pending: VecDeque<Instr>,
+    scratch: Vec<Instr>,
+    records_read: u64,
+}
+
+impl ChampsimPass {
+    fn new(reader: ByteReader) -> Self {
+        Self {
+            reader,
+            decoder: ChampsimDecoder::new(),
+            pending: VecDeque::new(),
+            scratch: Vec::with_capacity(4),
+            records_read: 0,
+        }
+    }
+
+    /// Fills a prefix of `buf`; `Ok(0)` at the end of the pass. A
+    /// partial trailing record is [`IngestError::Truncated`], as in
+    /// [`super::decode_champsim`].
+    fn next_chunk(&mut self, buf: &mut [Instr]) -> Result<usize, IngestError> {
+        let mut written = 0;
+        while written < buf.len() {
+            if let Some(i) = self.pending.pop_front() {
+                buf[written] = i;
+                written += 1;
+                continue;
+            }
+            let mut rec = [0u8; CHAMPSIM_RECORD_BYTES];
+            let got = self.reader.fill(&mut rec)?;
+            if got == 0 {
+                break;
+            }
+            if got < CHAMPSIM_RECORD_BYTES {
+                return Err(IngestError::Truncated {
+                    expected_records: self.records_read + 1,
+                    got_records: self.records_read,
+                });
+            }
+            self.records_read += 1;
+            self.scratch.clear();
+            self.decoder.decode_record(&rec, &mut self.scratch);
+            for &i in &self.scratch {
+                if written < buf.len() {
+                    buf[written] = i;
+                    written += 1;
+                } else {
+                    self.pending.push_back(i);
+                }
+            }
+        }
+        Ok(written)
+    }
+}
+
 /// An [`InstrStream`] decoding ChampSim `input_instr` records
 /// incrementally. Opening runs a *counting pass* — streaming the whole
 /// body once to validate record framing and sum how many [`Instr`]s
@@ -199,12 +254,7 @@ impl Drop for ByteReader {
 /// predictor/chain state, which [`InstrStream::rewind`] resets.
 pub struct ChampsimStream {
     path: PathBuf,
-    reader: ByteReader,
-    decoder: ChampsimDecoder,
-    /// Spill instructions from a record that straddled a chunk edge.
-    pending: VecDeque<Instr>,
-    scratch: Vec<Instr>,
-    records_read: u64,
+    pass: ChampsimPass,
     len: usize,
 }
 
@@ -227,11 +277,7 @@ impl ChampsimStream {
     fn with_len(path: &Path, len: usize) -> Result<Self, IngestError> {
         Ok(Self {
             path: path.to_path_buf(),
-            reader: ByteReader::open(path)?,
-            decoder: ChampsimDecoder::new(),
-            pending: VecDeque::new(),
-            scratch: Vec::with_capacity(4),
-            records_read: 0,
+            pass: ChampsimPass::new(ByteReader::open(path)?),
             len,
         })
     }
@@ -272,46 +318,13 @@ impl InstrStream for ChampsimStream {
     }
 
     fn next_chunk(&mut self, buf: &mut [Instr]) -> Result<usize, IngestError> {
-        let mut written = 0;
-        while written < buf.len() {
-            if let Some(i) = self.pending.pop_front() {
-                buf[written] = i;
-                written += 1;
-                continue;
-            }
-            let mut rec = [0u8; CHAMPSIM_RECORD_BYTES];
-            let got = self.reader.fill(&mut rec)?;
-            if got == 0 {
-                break;
-            }
-            if got < CHAMPSIM_RECORD_BYTES {
-                // Only reachable if the file shrank after the counting
-                // pass validated it.
-                return Err(IngestError::Truncated {
-                    expected_records: self.records_read + 1,
-                    got_records: self.records_read,
-                });
-            }
-            self.records_read += 1;
-            self.scratch.clear();
-            self.decoder.decode_record(&rec, &mut self.scratch);
-            for &i in &self.scratch {
-                if written < buf.len() {
-                    buf[written] = i;
-                    written += 1;
-                } else {
-                    self.pending.push_back(i);
-                }
-            }
-        }
-        Ok(written)
+        // A partial record here means the file shrank after the
+        // counting pass validated it.
+        self.pass.next_chunk(buf)
     }
 
     fn rewind(&mut self) -> Result<(), IngestError> {
-        self.reader.reopen()?;
-        self.decoder = ChampsimDecoder::new();
-        self.pending.clear();
-        self.records_read = 0;
+        self.pass = ChampsimPass::new(ByteReader::open(&self.path)?);
         Ok(())
     }
 
@@ -401,6 +414,10 @@ impl InstrStream for BtrcPipeStream {
 
     fn next_chunk(&mut self, buf: &mut [Instr]) -> Result<usize, IngestError> {
         let remaining = self.header.record_count - self.rec;
+        if remaining == 0 && !self.verified {
+            // An empty body has no chunk to carry its verdict.
+            self.finish_pass()?;
+        }
         if remaining == 0 || buf.is_empty() {
             return Ok(0);
         }
@@ -430,7 +447,7 @@ impl InstrStream for BtrcPipeStream {
     }
 
     fn rewind(&mut self) -> Result<(), IngestError> {
-        self.reader.reopen()?;
+        self.reader = ByteReader::open(&self.path)?;
         let header = read_header(&mut self.reader)?;
         if header != self.header {
             return Err(IngestError::Io {
@@ -450,9 +467,9 @@ impl InstrStream for BtrcPipeStream {
 
 /// Opens the right streaming backend for `path`: zero-copy mmap for
 /// plain `.btrc`, pipe decoders for compressed files and ChampSim
-/// bodies. Format detection matches the materializing path — by
-/// content, not extension: bodies starting with the `BTRC` magic are
-/// `.btrc`, anything else is ChampSim.
+/// bodies. Format detection is by content, not extension: bodies
+/// starting with the `BTRC` magic are `.btrc`, anything else is
+/// ChampSim.
 pub fn open_streaming(path: &Path) -> Result<Box<dyn InstrStream>, IngestError> {
     let mut reader = ByteReader::open(path)?;
     let magic = reader.peek(4)?;
@@ -465,6 +482,43 @@ pub fn open_streaming(path: &Path) -> Result<Box<dyn InstrStream>, IngestError> 
         return Ok(Box::new(MmapStream::new(Arc::new(MmapBtrc::open(path)?))));
     }
     Ok(Box::new(BtrcPipeStream::from_reader(path, reader)?))
+}
+
+/// Decodes the whole of `path` in one forward pass, handing `sink`
+/// each chunk of instructions in order, and returns the first error
+/// either side raises. The file is read, and decompressed, once: there
+/// is no counting pass, and only one chunk is held at a time. This is
+/// how a file becomes a `.btrc` body (the trace cache's owned bodies,
+/// `btrc convert`) and how `btrc info` summarizes one. Format detection
+/// is [`open_streaming`]'s, and every malformation is the typed error
+/// that backend raises.
+pub fn drain_file(
+    path: &Path,
+    sink: impl FnMut(&[Instr]) -> Result<(), IngestError>,
+) -> Result<(), IngestError> {
+    let mut reader = ByteReader::open(path)?;
+    if reader.peek(4)? == BTRC_MAGIC {
+        let mut stream = BtrcPipeStream::from_reader(path, reader)?;
+        drain(|buf| stream.next_chunk(buf), sink)
+    } else {
+        let mut pass = ChampsimPass::new(reader);
+        drain(|buf| pass.next_chunk(buf), sink)
+    }
+}
+
+/// Moves chunks from `next` to `sink` until `next` ends its pass.
+fn drain(
+    mut next: impl FnMut(&mut [Instr]) -> Result<usize, IngestError>,
+    mut sink: impl FnMut(&[Instr]) -> Result<(), IngestError>,
+) -> Result<(), IngestError> {
+    let mut buf = vec![Instr::default(); STREAM_CHUNK_INSTRS];
+    loop {
+        let n = next(&mut buf)?;
+        if n == 0 {
+            return Ok(());
+        }
+        sink(&buf[..n])?;
+    }
 }
 
 #[cfg(test)]

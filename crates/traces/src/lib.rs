@@ -42,7 +42,7 @@ mod common;
 pub use builder::TraceBuilder;
 pub use registry::TraceRegistry;
 pub use stream::{InstrStream, STREAM_CHUNK_INSTRS};
-pub use trace::{GenSource, InstrSource, Suite, Trace, WorkloadDef};
+pub use trace::{Suite, Trace, WorkloadDef};
 
 /// All memory-intensive workloads (SPEC-like + GAP-like), the set most
 /// figures average over.

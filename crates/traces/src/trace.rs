@@ -1,9 +1,9 @@
 //! Trace containers and workload definitions.
 //!
-//! A [`WorkloadDef`] names an [`InstrSource`] — either a builtin
-//! synthetic generator or a trace file discovered on disk — so that
-//! file-backed and generated workloads flow through one registry
-//! (see [`crate::TraceRegistry`]).
+//! A [`WorkloadDef`] is one of two things — a builtin synthetic
+//! generator or a trace file discovered on disk — so that file-backed
+//! and generated workloads flow through one registry (see
+//! [`crate::TraceRegistry`]).
 //!
 //! Replay is *streamed*: a [`Trace`] is a chunked cursor over an
 //! [`InstrStream`] (DESIGN.md §9), not a materialized `Vec<Instr>`.
@@ -48,128 +48,77 @@ impl std::fmt::Display for Suite {
     }
 }
 
-/// Something that can produce an instruction stream: a synthetic
-/// generator or a trace-file decoder.
-pub trait InstrSource: Send + Sync {
-    /// The full instruction sequence, decoded (deterministic; safe to
-    /// call repeatedly). This is the materializing path — tools that
-    /// need the whole sequence at once (`btrc convert`, tests) use it;
-    /// replay uses [`InstrSource::open`].
-    fn instrs(&self) -> Result<Arc<[Instr]>, IngestError>;
-
-    /// Opens a streaming cursor over the sequence.
-    fn open(&self) -> Result<Box<dyn InstrStream>, IngestError>;
-
-    /// The backing file, when the source reads one (used by
-    /// `campaign list` to show where a workload comes from).
-    fn path(&self) -> Option<&Path> {
-        None
-    }
-
-    /// The generated record body, for a builtin generator (`btrc gen`
-    /// writes it out as is).
-    fn builtin_body(&self) -> Option<Arc<MmapBtrc>> {
-        None
-    }
-}
-
-/// An [`InstrSource`] wrapping a deterministic generator function — the
-/// form every builtin suite uses. The function returns the trace's
-/// `.btrc` record body, as [`crate::TraceBuilder::into_body`] produces
-/// it. Generation is memoized once per process (keyed by the function
-/// pointer), so the many cells of a campaign share one body.
-pub struct GenSource(pub fn() -> Vec<u8>);
-
-impl InstrSource for GenSource {
-    fn instrs(&self) -> Result<Arc<[Instr]>, IngestError> {
-        cache::gen_btrc(self.0).materialize()
-    }
-
-    fn open(&self) -> Result<Box<dyn InstrStream>, IngestError> {
-        Ok(Box::new(MmapStream::new(cache::gen_btrc(self.0))))
-    }
-
-    fn builtin_body(&self) -> Option<Arc<MmapBtrc>> {
-        Some(cache::gen_btrc(self.0))
-    }
+/// Where a workload's instructions come from.
+#[derive(Clone, Debug)]
+enum Source {
+    /// A deterministic generator function — the form every builtin
+    /// suite uses. It returns the trace's `.btrc` record body, as
+    /// [`crate::TraceBuilder::into_body`] produces it. Generation is
+    /// memoized once per process (keyed by the function pointer), so
+    /// the many cells of a campaign share one body.
+    Builtin(fn() -> Vec<u8>),
+    /// A trace file, opened through the process-wide trace cache:
+    /// decompressed by extension, decoded by content (bodies starting
+    /// with the `BTRC` magic are `.btrc`, anything else is ChampSim).
+    File(PathBuf),
 }
 
 /// A named workload that can produce its trace on demand.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct WorkloadDef {
     /// Display name (e.g. "mcf-1554-like", "bfs-kron").
     pub name: String,
     /// Owning suite.
     pub suite: Suite,
-    source: Arc<dyn InstrSource>,
-}
-
-impl std::fmt::Debug for WorkloadDef {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkloadDef")
-            .field("name", &self.name)
-            .field("suite", &self.suite)
-            .field("path", &self.source.path())
-            .finish()
-    }
+    source: Source,
 }
 
 impl WorkloadDef {
     /// Defines a workload from a deterministic generator function that
-    /// returns the trace's `.btrc` record body (see [`GenSource`]).
+    /// returns the trace's `.btrc` record body.
     pub fn new(name: impl Into<String>, suite: Suite, generate: fn() -> Vec<u8>) -> Self {
         Self {
             name: name.into(),
             suite,
-            source: Arc::new(GenSource(generate)),
-        }
-    }
-
-    /// Defines a workload from an arbitrary source (e.g. a trace file).
-    pub fn from_source(
-        name: impl Into<String>,
-        suite: Suite,
-        source: Arc<dyn InstrSource>,
-    ) -> Self {
-        Self {
-            name: name.into(),
-            suite,
-            source,
+            source: Source::Builtin(generate),
         }
     }
 
     /// The backing file for file-backed workloads, `None` for builtins.
     pub fn source_path(&self) -> Option<&Path> {
-        self.source.path()
+        match &self.source {
+            Source::Builtin(_) => None,
+            Source::File(path) => Some(path),
+        }
     }
 
     /// Human-readable origin: the file path for file-backed workloads,
     /// `builtin (<suite>)` otherwise.
     pub fn source_desc(&self) -> String {
-        match self.source.path() {
+        match self.source_path() {
             Some(p) => p.display().to_string(),
             None => format!("builtin ({})", self.suite),
         }
     }
 
-    /// The full instruction sequence, decoded (materializing path).
-    pub fn instrs(&self) -> Result<Arc<[Instr]>, IngestError> {
-        self.source.instrs()
-    }
-
     /// The generated record body of a builtin workload, `None` for a
     /// file-backed one.
     pub fn builtin_body(&self) -> Option<Arc<MmapBtrc>> {
-        self.source.builtin_body()
+        match self.source {
+            Source::Builtin(generate) => Some(cache::gen_btrc(generate)),
+            Source::File(_) => None,
+        }
     }
 
     /// Opens a streaming cursor over the workload's instructions.
     pub fn open(&self) -> Result<Box<dyn InstrStream>, IngestError> {
-        let stream = self.source.open()?;
+        let stream: Box<dyn InstrStream> = match &self.source {
+            Source::Builtin(generate) => Box::new(MmapStream::new(cache::gen_btrc(*generate))),
+            Source::File(path) => cache::open_file(path)?,
+        };
         if stream.is_empty() {
             return Err(IngestError::EmptyTrace(
-                self.source
-                    .path()
+                self.source_path()
                     .map_or_else(|| PathBuf::from(&self.name), Path::to_path_buf),
             ));
         }
@@ -192,6 +141,16 @@ impl WorkloadDef {
     pub fn trace(&self) -> Trace {
         self.try_trace()
             .unwrap_or_else(|e| panic!("workload '{}': {e}", self.name))
+    }
+}
+
+/// A [`WorkloadDef`] for a trace file (any supported format or
+/// compression), named `name`, in suite [`Suite::Trace`].
+pub fn workload_from_file(name: impl Into<String>, path: impl Into<PathBuf>) -> WorkloadDef {
+    WorkloadDef {
+        name: name.into(),
+        suite: Suite::Trace,
+        source: Source::File(path.into()),
     }
 }
 
@@ -357,6 +316,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::decode_records;
     use berti_types::Ip;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -429,9 +389,10 @@ mod tests {
         let w = WorkloadDef::new("g", Suite::Spec, gen);
         let body = w.builtin_body().expect("a builtin");
         assert!(Arc::ptr_eq(&body, &w.builtin_body().expect("memoized")));
-        let a = w.instrs().expect("decodes");
-        assert_eq!(a, w.instrs().expect("decodes again"));
-        assert_eq!(&*a, &[Instr::alu(Ip::new(3)); 5]);
+        assert_eq!(
+            decode_records(body.body()).expect("decodes"),
+            [Instr::alu(Ip::new(3)); 5]
+        );
         assert_eq!(w.trace().len(), 5);
         assert_eq!(CALLS.load(Ordering::SeqCst), 1, "generated once");
     }

@@ -1,37 +1,57 @@
-//! `btrc gen` writes a builtin's generated record body out as a `.btrc`
-//! file, `--tile N` repeating it N times: the file is exactly what
-//! encoding the workload's decoded instructions gives, repeated, under
-//! a header counting and hashing the whole body.
+//! The `btrc` binary's writers. `btrc gen` writes a builtin's generated
+//! record body out as a `.btrc` file, `--tile N` repeating it N times:
+//! the file is exactly what encoding the workload's decoded
+//! instructions gives, repeated, under a header counting and hashing
+//! the whole body. `btrc convert` writes what the slice-level reference
+//! encoder gives for the decoded input, or, when the input is
+//! malformed, fails and leaves no file behind.
 
 mod common;
 
+use std::ffi::OsStr;
 use std::io::Read;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 use berti_traces::ingest::{
-    encode_btrc, fnv1a64_update, parse_btrc_header, BtrcHeader, BTRC_HEADER_BYTES, FNV_OFFSET_BASIS,
+    decode_champsim, decode_records, encode_btrc, fnv1a64_update, parse_btrc_header, BtrcHeader,
+    BTRC_HEADER_BYTES, FNV_OFFSET_BASIS,
 };
 use common::TempPath;
 
 /// A cheap builtin to generate in an unoptimized build.
 const WORKLOAD: &str = "classification-like";
 
-fn btrc_gen(tile: &str, out: &TempPath) {
-    let status = Command::new(env!("CARGO_BIN_EXE_btrc"))
-        .args(["gen", "--tile", tile, WORKLOAD])
-        .arg(&**out)
+/// Runs `btrc <args>`; whether it exited zero.
+fn btrc<S: AsRef<OsStr>>(args: &[S]) -> bool {
+    Command::new(env!("CARGO_BIN_EXE_btrc"))
+        .args(args)
         .stdout(Stdio::null())
+        .stderr(Stdio::null())
         .status()
-        .expect("btrc runs");
-    assert!(status.success(), "btrc gen --tile {tile} failed");
+        .expect("btrc runs")
+        .success()
+}
+
+fn btrc_gen(tile: &str, out: &TempPath) {
+    let args = ["gen", "--tile", tile, WORKLOAD].map(OsStr::new);
+    let ok = btrc(&[&args[..], &[out.as_os_str()]].concat());
+    assert!(ok, "btrc gen --tile {tile} failed");
+}
+
+fn fixture(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures")
+        .join(name)
 }
 
 #[test]
 fn gen_writes_the_encoded_workload_once_or_tiled() {
-    let instrs = berti_traces::workload_by_name(WORKLOAD)
+    let body = berti_traces::workload_by_name(WORKLOAD)
         .expect("a builtin")
-        .instrs()
+        .builtin_body()
         .expect("generates");
+    let instrs = decode_records(body.body()).expect("decodes");
     let expected = encode_btrc(&instrs);
     let body = &expected[BTRC_HEADER_BYTES..];
 
@@ -67,4 +87,50 @@ fn gen_writes_the_encoded_workload_once_or_tiled() {
             checksum: hash,
         })
     );
+}
+
+/// `btrc convert` of the ChampSim fixture, plain and `.xz`, is the
+/// reference encoding of its reference decode; a `.btrc` converts to
+/// itself; a ChampSim file that ends inside a record, and an empty
+/// `.btrc` body followed by stray bytes, fail and leave no output file.
+#[test]
+fn convert_writes_the_reference_encoding_or_no_file() {
+    let plain = fixture("champsim_500.trace");
+    let raw = std::fs::read(&plain).expect("reads");
+    let expected = encode_btrc(&decode_champsim(&raw).expect("fixture decodes"));
+    let btrc_in = TempPath::file("in.btrc", &expected);
+    let truncated = TempPath::file("short.trace", &raw[..raw.len() - 10]);
+    let padded = TempPath::file("padded.btrc", &[&encode_btrc(&[])[..], &[0xaa; 3]].concat());
+
+    let have_xz = Command::new("xz").arg("--version").output().is_ok();
+    let xz = fixture("champsim_500.trace.xz");
+    let mut cases: Vec<(&Path, Option<&[u8]>)> = vec![
+        (&plain, Some(&expected)),
+        (&btrc_in, Some(&expected)),
+        (&truncated, None),
+        (&padded, None),
+    ];
+    if have_xz {
+        cases.push((&xz, Some(&expected)));
+    } else {
+        eprintln!("xz not installed; skipping the .xz input");
+    }
+    for (input, want) in cases {
+        let out = TempPath::new("out.btrc");
+        let ok = btrc(&[OsStr::new("convert"), input.as_os_str(), out.as_os_str()]);
+        match want {
+            Some(want) => {
+                assert!(ok, "convert {} failed", input.display());
+                assert!(
+                    std::fs::read(&out).expect("reads") == want,
+                    "convert {} differs from encode_btrc(decode_champsim(..))",
+                    input.display()
+                );
+            }
+            None => {
+                assert!(!ok, "convert {} succeeded", input.display());
+                assert!(!out.exists(), "a failed convert left {}", out.display());
+            }
+        }
+    }
 }

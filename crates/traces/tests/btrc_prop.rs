@@ -1,10 +1,19 @@
 //! Property tests of the `.btrc` codec: arbitrary instruction streams
 //! survive encode -> decode losslessly, the encoding is canonical, and
 //! every corruption (truncation, extension, any single flipped byte)
-//! is rejected with a typed [`IngestError`] — never a panic.
+//! is rejected with a typed [`IngestError`] — never a panic. The file
+//! reader behind the trace cache agrees with the reference decoders on
+//! arbitrary uncompressed bytes.
 
-use berti_traces::ingest::{decode_btrc, encode_btrc, IngestError, BTRC_HEADER_BYTES};
+mod common;
+
+use berti_traces::ingest::{
+    btrc_header, decode_btrc, decode_champsim, encode_btrc, fnv1a64, IngestError,
+    BTRC_HEADER_BYTES, CHAMPSIM_RECORD_BYTES,
+};
+use berti_traces::InstrStream;
 use berti_types::{Instr, Ip, VAddr, MAX_DEP_CHAINS, RECORD_BYTES};
+use common::TempPath;
 use proptest::prelude::*;
 
 /// Maps four raw words to a valid [`Instr`], reaching every encodable
@@ -101,5 +110,69 @@ proptest! {
             "flip 0x{:02x} at byte {} (of {}) went undetected",
             flip, pos, bytes.len()
         );
+    }
+}
+
+/// One full pass of `stream`.
+fn drain(mut stream: Box<dyn InstrStream>) -> Result<Vec<Instr>, IngestError> {
+    let mut out = vec![Instr::default(); stream.len()];
+    let n = stream.next_chunk(&mut out)?;
+    assert_eq!(n, out.len(), "one chunk holds the whole pass");
+    assert_eq!(
+        stream.next_chunk(&mut [Instr::default()])?,
+        0,
+        "then the pass ends"
+    );
+    Ok(out)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes in an uncompressed file, with and without the
+    /// `BTRC` magic, opened through the trace cache and drained: never
+    /// a panic, and exactly what the slice-level reference decoder
+    /// says — the same instructions, or the same typed error. The
+    /// `BTRC` case can also fix the header's version, record size and
+    /// reserved bits (`fields`), then its record count (`count`), then
+    /// its checksum (`sum`), so each later check is reached too. A
+    /// ChampSim body is cut to whole records when `whole` is set.
+    #[test]
+    fn open_file_on_arbitrary_bytes_matches_the_reference_decoder(
+        bytes in prop::collection::vec(any::<u8>(), 0..700),
+        btrc in any::<bool>(),
+        fields in any::<bool>(),
+        count in any::<bool>(),
+        sum in any::<bool>(),
+        whole in any::<bool>(),
+    ) {
+        let mut bytes = bytes;
+        if btrc {
+            bytes.splice(0..0, *b"BTRC");
+            if fields && bytes.len() >= BTRC_HEADER_BYTES {
+                let body = bytes.len() - BTRC_HEADER_BYTES;
+                let mut header = btrc_header(body as u64 / RECORD_BYTES as u64, 0);
+                if !count {
+                    header[8..16].copy_from_slice(&bytes[8..16]);
+                }
+                if sum {
+                    let checksum = fnv1a64(&bytes[BTRC_HEADER_BYTES..]);
+                    header[16..24].copy_from_slice(&checksum.to_le_bytes());
+                } else {
+                    header[16..24].copy_from_slice(&bytes[16..24]);
+                }
+                bytes[..BTRC_HEADER_BYTES].copy_from_slice(&header);
+            }
+        } else if whole {
+            bytes.truncate(bytes.len() - bytes.len() % CHAMPSIM_RECORD_BYTES);
+        }
+        let path = TempPath::file(if btrc { "arb.btrc" } else { "arb.trace" }, &bytes);
+        let got = berti_traces::cache::open_file(&path).and_then(drain);
+        let want = if bytes.starts_with(b"BTRC") {
+            decode_btrc(&bytes)
+        } else {
+            decode_champsim(&bytes)
+        };
+        prop_assert_eq!(got, want);
     }
 }

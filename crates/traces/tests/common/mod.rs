@@ -1,6 +1,8 @@
-//! Per-test unique temp paths for this crate's tests: the integration
-//! tests declare `mod common;`, and `lib.rs` includes this same file
-//! into its unit tests.
+//! Per-test unique temp paths for the workspace's tests: this crate's
+//! integration tests declare `mod common;`, and every other test that
+//! needs a temp path — unit tests through their crate's `lib.rs`,
+//! integration tests of other crates — includes this same file with
+//! `#[path]`.
 
 // Each test binary compiles its own copy and uses part of it.
 #![allow(dead_code)]
@@ -20,7 +22,7 @@ impl TempPath {
     pub fn new(tag: &str) -> Self {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        Self(std::env::temp_dir().join(format!("berti-traces-{}-{n}-{tag}", std::process::id())))
+        Self(std::env::temp_dir().join(format!("berti-{}-{n}-{tag}", std::process::id())))
     }
 
     /// A fresh, empty directory.

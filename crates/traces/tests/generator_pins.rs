@@ -11,7 +11,8 @@
 //! from the assertion message (it prints every mismatch at once).
 
 use berti_traces::gap::{Csr, GraphKind};
-use berti_traces::ingest::{encode_btrc, fnv1a64};
+use berti_traces::ingest::{btrc_header, fnv1a64};
+use berti_types::RECORD_BYTES;
 
 /// FNV-1a-64 of the canonical `.btrc` encoding of each builtin, in
 /// `all_workloads()` order.
@@ -70,7 +71,9 @@ fn every_builtin_encodes_to_its_pinned_bytes() {
 
     let mut wrong = Vec::new();
     for (w, (name, pin)) in workloads.iter().zip(BUILTIN_PINS) {
-        let got = fnv1a64(&encode_btrc(&w.instrs().expect("builtins generate")));
+        let btrc = w.builtin_body().expect("a builtin");
+        let header = btrc_header(btrc.record_count() as u64, fnv1a64(btrc.body()));
+        let got = fnv1a64(&[&header[..], btrc.body()].concat());
         // Drop the memo: 36 resident traces would hold gigabytes.
         berti_traces::cache::clear();
         if got != pin {
@@ -119,13 +122,17 @@ fn scale_12_graphs_are_pinned() {
 #[test]
 fn graph_kernels_are_deterministic() {
     let w = &berti_traces::gap::suite()[2]; // pr-kron
-    let a = w.instrs().expect("builtin generators never fail");
+    let a = w.builtin_body().expect("a builtin");
     // Generation is memoized per process: drop the memo so the second
-    // stream comes from running the kernel again.
+    // body comes from running the kernel again.
     berti_traces::cache::clear();
-    let b = w.instrs().expect("builtin generators never fail");
+    let b = w.builtin_body().expect("a builtin");
     assert!(!std::sync::Arc::ptr_eq(&a, &b), "regenerated, not reused");
-    assert_eq!(a.len(), b.len());
-    let diverged = a.iter().zip(b.iter()).position(|(x, y)| x != y);
-    assert_eq!(diverged, None, "first differing instruction");
+    assert_eq!(a.record_count(), b.record_count());
+    let diverged = a
+        .body()
+        .chunks(RECORD_BYTES)
+        .zip(b.body().chunks(RECORD_BYTES))
+        .position(|(x, y)| x != y);
+    assert_eq!(diverged, None, "first differing record");
 }

@@ -13,7 +13,7 @@ mod common;
 
 use std::path::PathBuf;
 
-use berti_traces::ingest::{encode_btrc, read_trace_file, write_btrc};
+use berti_traces::ingest::{decode_btrc, decode_champsim, encode_btrc, write_btrc};
 use berti_types::{Instr, Ip, VAddr};
 use common::TempPath;
 
@@ -33,13 +33,19 @@ fn fnv(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The fixture decoded by the slice-level reference decoder.
+fn decoded_fixture() -> Vec<Instr> {
+    let bytes = std::fs::read(fixture("champsim_500.trace")).expect("reads");
+    decode_champsim(&bytes).expect("fixture decodes")
+}
+
 fn load(ip: u64, a: u64) -> Instr {
     Instr::load(Ip::new(ip), VAddr::new(a))
 }
 
 #[test]
 fn fixture_decodes_to_the_pinned_golden_sequence() {
-    let instrs = read_trace_file(&fixture("champsim_500.trace")).expect("fixture decodes");
+    let instrs = decoded_fixture();
 
     // 500 source records; multi-operand records spill follow-ups.
     assert_eq!(instrs.len(), 682);
@@ -82,16 +88,15 @@ fn fixture_decodes_to_the_pinned_golden_sequence() {
 
 #[test]
 fn fixture_survives_btrc_round_trip_byte_identically() {
-    let instrs = read_trace_file(&fixture("champsim_500.trace")).expect("fixture decodes");
+    let instrs = decoded_fixture();
 
     let dir = TempPath::dir("golden");
     let btrc = dir.join("champsim_500.btrc");
     write_btrc(&btrc, &instrs).expect("writes");
 
-    // Replaying the .btrc through the same front door yields the same
-    // Instr sequence, and re-encoding that replay reproduces the file
-    // byte-for-byte.
-    let replayed = read_trace_file(&btrc).expect("btrc replays");
+    // Decoding the .btrc yields the same Instr sequence, and
+    // re-encoding that reproduces the file byte-for-byte.
+    let replayed = decode_btrc(&std::fs::read(&btrc).expect("reads")).expect("btrc decodes");
     assert_eq!(replayed, instrs, "decode -> .btrc -> replay is lossless");
     let on_disk = std::fs::read(&btrc).expect("reads");
     assert_eq!(
@@ -113,7 +118,11 @@ fn compressed_fixture_decodes_identically() {
         eprintln!("skipping: xz not installed");
         return;
     }
-    let plain = read_trace_file(&fixture("champsim_500.trace")).expect("plain decodes");
-    let xz = read_trace_file(&fixture("champsim_500.trace.xz")).expect("xz decodes");
-    assert_eq!(plain, xz, "decompression is transparent");
+    // A small compressed file is decoded once, through the trace
+    // cache's one streamed pass, into an owned body.
+    let mut stream =
+        berti_traces::cache::open_file(&fixture("champsim_500.trace.xz")).expect("xz opens");
+    let mut xz = vec![Instr::default(); stream.len()];
+    assert_eq!(stream.next_chunk(&mut xz).expect("decodes"), xz.len());
+    assert_eq!(decoded_fixture(), xz, "decompression is transparent");
 }

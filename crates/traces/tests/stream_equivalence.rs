@@ -17,8 +17,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 
 use berti_traces::ingest::{
-    decode_btrc, encode_btrc, encode_records, open_streaming, write_btrc, IngestError, MmapBtrc,
-    MmapStream, BTRC_HEADER_BYTES,
+    decode_btrc, decode_champsim, encode_btrc, encode_records, open_streaming, write_btrc,
+    IngestError, MmapBtrc, MmapStream, BTRC_HEADER_BYTES,
 };
 use berti_traces::{InstrStream, Trace, STREAM_CHUNK_INSTRS};
 use berti_types::{Instr, Ip, VAddr, RECORD_BYTES};
@@ -356,8 +356,8 @@ fn two_threads_over_one_handle_hash_once_and_both_get_the_verdict() {
 #[test]
 fn champsim_fixture_streams_identically_to_materialized_decode() {
     let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
-    let materialized = berti_traces::ingest::read_trace_file(&fixtures.join("champsim_500.trace"))
-        .expect("fixture decodes");
+    let bytes = std::fs::read(fixtures.join("champsim_500.trace")).expect("reads");
+    let materialized = decode_champsim(&bytes).expect("fixture decodes");
     for name in ["champsim_500.trace", "champsim_500.trace.xz"] {
         let mut stream = open_streaming(&fixtures.join(name)).expect("opens");
         assert_eq!(stream.len(), materialized.len(), "{name} len");
