@@ -146,14 +146,20 @@ fn pairs<'a>(
         .map(|(_, pair)| pair)
 }
 
-/// Arithmetic mean; 0 for no values (an empty `f64` sum is -0.0, which
-/// would print as such).
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
+/// Arithmetic mean; `None` for no values, where the mean is undefined
+/// (e.g. the accuracy of a prefetcher that filled no L1D line).
+fn mean(values: impl Iterator<Item = f64>) -> Option<f64> {
     let values: Vec<f64> = values.collect();
-    if values.is_empty() {
-        return 0.0;
+    (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
+}
+
+/// A ratio as a percentage with one decimal, right-aligned in `width`
+/// columns; `-` where it is undefined.
+fn percent(ratio: Option<f64>, width: usize) -> String {
+    match ratio {
+        Some(r) => format!("{:>w$.1}%", r * 100.0, w = width - 1),
+        None => format!("{:>width$}", "-"),
     }
-    values.iter().sum::<f64>() / values.len() as f64
 }
 
 /// Geometric-mean speedup of `runs` over `baseline` within one suite.
@@ -175,20 +181,24 @@ fn suite_speedups(workloads: &[WorkloadDef], runs: &[Report], baseline: &[Report
         .map(|suite| geomean_speedup(workloads, runs, baseline, suite))
 }
 
-/// Mean within one suite of a metric, over the runs that have it.
+/// Mean within one suite of a metric, over the runs that have it;
+/// `None` when no run has it.
 fn suite_mean(
     workloads: &[WorkloadDef],
     runs: &[Report],
     suite: Option<Suite>,
     metric: impl Fn(&Report) -> Option<f64>,
-) -> f64 {
+) -> Option<f64> {
     mean(pairs(workloads, runs, runs, suite).filter_map(|(r, _)| metric(r)))
 }
 
 /// Mean demand MPKI at L1D, L2 and LLC within one suite.
 fn suite_mpki(workloads: &[WorkloadDef], runs: &[Report], suite: Suite) -> [f64; 3] {
     let levels: [fn(&Report) -> f64; 3] = [Report::l1d_mpki, Report::l2_mpki, Report::llc_mpki];
-    levels.map(|mpki| suite_mean(workloads, runs, Some(suite), |r| Some(mpki(r))))
+    levels.map(|mpki| {
+        suite_mean(workloads, runs, Some(suite), |r| Some(mpki(r)))
+            .expect("every suite has workloads")
+    })
 }
 
 /// Mean within SPEC and within GAP of the memory hierarchy's dynamic
@@ -197,6 +207,7 @@ fn energy_ratios(workloads: &[WorkloadDef], runs: &[Report], none: &[Report]) ->
     [Suite::Spec, Suite::Gap].map(|suite| {
         let of_suite = pairs(workloads, runs, none, Some(suite));
         mean(of_suite.map(|(r, b)| r.energy.normalized_to(&b.energy)))
+            .expect("every suite has workloads")
     })
 }
 
@@ -403,11 +414,9 @@ fn fig01_accuracy_energy(ctx: &mut Ctx) {
         "prefetcher", "accuracy", "energy(SPEC)", "energy(GAP)"
     ));
     for SuiteRuns { label, runs } in &grid {
-        let acc = suite_mean(&workloads, runs, None, |r| r.l1d_accuracy()) * 100.0;
+        let acc = percent(suite_mean(&workloads, runs, None, |r| r.l1d_accuracy()), 10);
         let [spec, gap] = energy_ratios(&workloads, runs, &none);
-        ctx.line(format!(
-            "{label:<20} {acc:>9.1}% {spec:>13.2}x {gap:>13.2}x"
-        ));
+        ctx.line(format!("{label:<20} {acc} {spec:>13.2}x {gap:>13.2}x"));
     }
 }
 
@@ -520,12 +529,11 @@ fn fig10_accuracy(ctx: &mut Ctx) {
     let columns = ["acc(SPEC)", "acc(GAP)", "acc(all)", "late frac"];
     row(ctx, "prefetcher", 12, heads(columns, 12));
     for SuiteRuns { label, runs } in &grid {
-        let [spec, gap, all] = [Some(Suite::Spec), Some(Suite::Gap), None]
-            .map(|s| suite_mean(&workloads, runs, s, |r| r.l1d_accuracy()) * 100.0);
-        let late = suite_mean(&workloads, runs, None, |r| r.l1d_late_fraction()) * 100.0;
-        ctx.line(format!(
-            "{label:<12} {spec:>11.1}% {gap:>11.1}% {all:>11.1}% {late:>11.1}%"
-        ));
+        let accuracy = [Some(Suite::Spec), Some(Suite::Gap), None]
+            .map(|s| suite_mean(&workloads, runs, s, |r| r.l1d_accuracy()));
+        let late = suite_mean(&workloads, runs, None, |r| r.l1d_late_fraction());
+        let cells = accuracy.into_iter().chain([late]).map(|x| percent(x, 12));
+        row(ctx, label, 12, cells);
     }
 }
 
@@ -578,7 +586,7 @@ fn fig14_traffic(ctx: &mut Ctx) {
     for SuiteRuns { label, runs } in &grid {
         let ratios = [0, 1, 2].map(|link| {
             let ratio = |(r, b)| traffic(r)[link] as f64 / traffic(b)[link].max(1) as f64;
-            mean(runs.iter().zip(&none).map(ratio))
+            mean(runs.iter().zip(&none).map(ratio)).expect("a grid has workloads")
         });
         row(ctx, label, 16, ratios.map(|x| format!("{x:>11.2}x")));
     }
@@ -796,9 +804,12 @@ fn sens_local_context(ctx: &mut Ctx) {
     row(ctx, "context", 14, heads(columns, 10));
     for ((label, _), cfg) in contexts.iter().zip(&grid) {
         let [spec, gap, all] = suite_speedups(&workloads, &cfg.runs, &baseline);
-        let acc = suite_mean(&workloads, &cfg.runs, None, |r| r.l1d_accuracy()) * 100.0;
+        let acc = percent(
+            suite_mean(&workloads, &cfg.runs, None, |r| r.l1d_accuracy()),
+            10,
+        );
         ctx.line(format!(
-            "{label:<14} {spec:>9.3}x {gap:>9.3}x {all:>9.3}x {acc:>9.1}%"
+            "{label:<14} {spec:>9.3}x {gap:>9.3}x {all:>9.3}x {acc}"
         ));
     }
 }
