@@ -87,7 +87,6 @@ pub struct Berti<C: LocalContext = PerIp> {
     history: HistoryTable,
     deltas: DeltaTable,
     scratch_deltas: Vec<Delta>,
-    scratch_pred: Vec<(Delta, DeltaStatus)>,
     scratch_hits: Vec<HistoryHit>,
     /// Fills whose measured latency exceeded the fill cycle; training
     /// with a clamped cycle-0 demand time would mislearn, so such fills
@@ -119,7 +118,6 @@ impl<C: LocalContext> Berti<C> {
             history: HistoryTable::new(cfg.history_sets, cfg.history_ways, cfg.timestamp_bits),
             deltas: DeltaTable::new(&cfg),
             scratch_deltas: Vec::new(),
-            scratch_pred: Vec::new(),
             scratch_hits: Vec::with_capacity(cfg.max_timely_deltas_per_search),
             cfg,
             dropped_inconsistent_latency: 0,
@@ -174,9 +172,7 @@ impl<C: LocalContext> Berti<C> {
     /// Prediction: emit one prefetch per selected delta of context `key`
     /// for this access.
     fn predict(&mut self, key: Ip, ev: &AccessEvent, out: &mut Vec<PrefetchDecision>) {
-        self.scratch_pred.clear();
-        self.deltas.prefetch_deltas(key, &mut self.scratch_pred);
-        for &(delta, status) in &self.scratch_pred {
+        for &(delta, status) in self.deltas.predictions(key) {
             // Compute the target in signed space: `VLine + Delta` wraps
             // on underflow, so a negative delta larger than the trigger
             // line would produce a garbage address whose page

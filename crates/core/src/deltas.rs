@@ -83,6 +83,13 @@ struct Entry {
     slots: Vec<Slot>,
     phase_completed: bool,
     valid: bool,
+    /// What [`DeltaTable::prefetch_deltas`] answers for this entry: a
+    /// function of the fields above, rebuilt by
+    /// [`DeltaTable::rebuild_predictions`] at the end of every
+    /// [`DeltaTable::record_search`] (their only mutator) so a
+    /// prediction copies a list instead of re-filtering the slots.
+    /// Sized to `deltas_per_entry` once; never reallocates.
+    predictions: Vec<(Delta, DeltaStatus)>,
 }
 
 /// The table of deltas.
@@ -113,6 +120,7 @@ impl DeltaTable {
             slots: vec![Slot::default(); cfg.deltas_per_entry],
             phase_completed: false,
             valid: false,
+            predictions: Vec::with_capacity(cfg.deltas_per_entry),
         };
         Self {
             entries: vec![empty; cfg.delta_table_entries],
@@ -181,7 +189,47 @@ impl DeltaTable {
         if self.entries[i].counter >= self.rounds_per_phase {
             self.end_phase(i);
         }
+        self.rebuild_predictions(i);
         self.check_entry_invariant(i);
+    }
+
+    /// Recomputes entry `i`'s prediction list from its slots. After a
+    /// phase boundary it is every valid prefetching slot with its
+    /// status; before the first one (warm-up) it is every valid slot in
+    /// at least `warmup_watermark` of the searches so far, as an L1
+    /// fill, once `warmup_min_rounds` searches have happened (Sec.
+    /// III-C). Slot order either way.
+    fn rebuild_predictions(&mut self, i: usize) {
+        let e = &mut self.entries[i];
+        // Taken out and put back so the slots can be read while the
+        // list is written; neither move allocates.
+        let mut list = std::mem::take(&mut e.predictions);
+        list.clear();
+        Self::predictions_of(e, self.warmup, self.warmup_min_rounds, |d, st| {
+            list.push((d, st));
+        });
+        e.predictions = list;
+    }
+
+    /// Feeds `sink` the prediction list of `e`'s slots, in order.
+    fn predictions_of(
+        e: &Entry,
+        warmup: f64,
+        warmup_min_rounds: u32,
+        mut sink: impl FnMut(Delta, DeltaStatus),
+    ) {
+        if e.phase_completed {
+            for s in e.slots.iter().filter(|s| s.valid && s.status.prefetches()) {
+                sink(s.delta, s.status);
+            }
+        } else if e.counter >= warmup_min_rounds {
+            let c = f64::from(e.counter);
+            for s in e.slots.iter().filter(|s| s.valid) {
+                if s.coverage as f64 / c >= warmup {
+                    sink(s.delta, DeltaStatus::L1Pref);
+                }
+            }
+        }
     }
 
     /// `check-invariants`: structural consistency of one entry after a
@@ -224,6 +272,22 @@ impl DeltaTable {
             prefetching <= self.max_prefetch_deltas,
             "{prefetching} prefetching slots exceed the bound {}",
             self.max_prefetch_deltas
+        );
+        // The cached prediction list must be exactly what the slots
+        // say now (compared element by element: no allocation).
+        let mut k = 0usize;
+        Self::predictions_of(e, self.warmup, self.warmup_min_rounds, |d, st| {
+            assert_eq!(
+                e.predictions.get(k),
+                Some(&(d, st)),
+                "cached prediction {k} differs from the slots"
+            );
+            k += 1;
+        });
+        assert_eq!(
+            k,
+            e.predictions.len(),
+            "cached prediction list is longer than the slots allow"
         );
     }
 
@@ -338,21 +402,15 @@ impl DeltaTable {
     /// boundary) deltas need `warmup_watermark` of the searches so far
     /// and at least `warmup_min_rounds` searches (Sec. III-C).
     pub fn prefetch_deltas(&self, ip: Ip, out: &mut Vec<(Delta, DeltaStatus)>) {
-        let Some(i) = self.find(ip) else {
-            return;
-        };
-        let e = &self.entries[i];
-        if e.phase_completed {
-            for s in e.slots.iter().filter(|s| s.valid && s.status.prefetches()) {
-                out.push((s.delta, s.status));
-            }
-        } else if e.counter >= self.warmup_min_rounds {
-            let c = f64::from(e.counter);
-            for s in e.slots.iter().filter(|s| s.valid) {
-                if s.coverage as f64 / c >= self.warmup {
-                    out.push((s.delta, DeltaStatus::L1Pref));
-                }
-            }
+        out.extend_from_slice(self.predictions(ip));
+    }
+
+    /// [`DeltaTable::prefetch_deltas`] borrowed in place: the cached
+    /// list of `ip`'s entry, empty when `ip` has none.
+    pub(crate) fn predictions(&self, ip: Ip) -> &[(Delta, DeltaStatus)] {
+        match self.find(ip) {
+            Some(i) => &self.entries[i].predictions,
+            None => &[],
         }
     }
 

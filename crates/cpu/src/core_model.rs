@@ -178,8 +178,13 @@ impl Core {
     /// Simulates one cycle: retire, then dispatch/execute. `fetch`
     /// supplies the next trace instruction (None = trace exhausted).
     /// Returns the number of instructions retired this cycle.
-    pub fn cycle<F>(&mut self, port: &mut dyn DataPort, mut fetch: F) -> u64
+    ///
+    /// Generic over the port so the demand path is statically
+    /// dispatched; a `&mut dyn DataPort` still works (`P = dyn
+    /// DataPort`).
+    pub fn cycle<P, F>(&mut self, port: &mut P, mut fetch: F) -> u64
     where
+        P: DataPort + ?Sized,
         F: FnMut() -> Option<Instr>,
     {
         let now = self.now;
@@ -251,7 +256,12 @@ impl Core {
 
     /// Computes the completion time of `instr`, issuing its memory
     /// operations. Returns None if the L1D cannot accept a miss.
-    fn execute(&mut self, port: &mut dyn DataPort, instr: &Instr, now: Cycle) -> Option<Cycle> {
+    fn execute<P: DataPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        instr: &Instr,
+        now: Cycle,
+    ) -> Option<Cycle> {
         // Dependence chains delay the issue of chained loads.
         let issue_at = match instr.dep_chain {
             Some(c) => now.max(self.chain_ready[c as usize]),

@@ -22,8 +22,8 @@
 //!
 //! Entries live in one [`VecDeque`] sized once at construction and kept
 //! sorted by fill time: everything an `allocate` reclaims is a prefix,
-//! occupancy at any cycle is a binary search, and the MSHR performs
-//! zero heap allocations per miss in steady state.
+//! occupancy at any cycle is at most a binary search, and the MSHR
+//! performs zero heap allocations per miss in steady state.
 
 use std::collections::VecDeque;
 
@@ -77,9 +77,18 @@ impl Mshr {
     ///
     /// Berti samples this watermark on every access; with the entries
     /// in fill-time order it is everything past the last entry resolved
-    /// by `now`.
+    /// by `now`. Resolved entries stay until the next `allocate`, so the
+    /// two common answers are read off the ends in O(1): a front still
+    /// in flight means every entry is, a resolved back means none is.
+    /// Only a deque that straddles `now` is binary-searched.
     pub fn occupancy(&self, now: Cycle) -> usize {
-        self.entries.len() - self.entries.partition_point(|e| e.ready_at <= now)
+        match (self.entries.front(), self.entries.back()) {
+            (Some(front), _) if front.ready_at > now => self.entries.len(),
+            (_, Some(back)) if back.ready_at > now => {
+                self.entries.len() - self.entries.partition_point(|e| e.ready_at <= now)
+            }
+            _ => 0,
+        }
     }
 
     /// Occupancy as a fraction of capacity (Berti's watermark input).
@@ -246,6 +255,32 @@ mod tests {
         assert_eq!(m.occupancy(Cycle::new(30)), 2);
         assert!(!m.has_free_entry(Cycle::new(30)));
         assert!(m.has_free_entry(Cycle::new(60)));
+    }
+
+    #[test]
+    fn occupancy_early_outs_match_the_binary_search() {
+        // Resolved entries stay until the next allocate, so a query can
+        // find the deque all in flight, all resolved, or straddling
+        // `now`; every boundary must agree with the plain search.
+        let mut m = Mshr::new(8);
+        m.allocate(1, Cycle::new(0), Cycle::new(10));
+        m.allocate(2, Cycle::new(0), Cycle::new(20));
+        m.allocate(3, Cycle::new(0), Cycle::new(20));
+        m.allocate(4, Cycle::new(0), Cycle::new(30));
+        let reference = |m: &Mshr, now: Cycle| {
+            m.entries.len() - m.entries.partition_point(|e| e.ready_at <= now)
+        };
+        for now in 0..=35 {
+            let now = Cycle::new(now);
+            assert_eq!(m.occupancy(now), reference(&m, now), "at {now:?}");
+        }
+        assert_eq!(m.occupancy(Cycle::new(9)), 4, "front in flight: all");
+        assert_eq!(m.occupancy(Cycle::new(10)), 3, "front just resolved");
+        assert_eq!(m.occupancy(Cycle::new(29)), 1, "back still in flight");
+        assert_eq!(m.occupancy(Cycle::new(30)), 0, "back just resolved");
+        // Nothing was reclaimed by the queries above.
+        assert_eq!(m.entries.len(), 4);
+        assert_eq!(Mshr::new(2).occupancy(Cycle::new(5)), 0, "empty");
     }
 
     #[test]

@@ -162,18 +162,27 @@ impl ReplacementPolicy {
                 }
                 (best & 63) as usize
             }
-            ReplacementKind::Srrip | ReplacementKind::Drrip => loop {
-                for way in 0..self.ways {
-                    if self.state[self.idx(set, way)] >= u32::from(RRPV_MAX) {
-                        return way;
-                    }
-                }
-                for way in 0..self.ways {
-                    let i = self.idx(set, way);
-                    self.state[i] += 1;
-                }
-            },
+            ReplacementKind::Srrip | ReplacementKind::Drrip => {
+                let base = set * self.ways;
+                Self::rrip_victim(&mut self.state[base..base + self.ways])
+            }
         }
+    }
+
+    /// The RRIP victim of one set's RRPV row, in one pass: ageing every
+    /// way until one reaches `RRPV_MAX` adds `RRPV_MAX - max` to each
+    /// (RRPVs never exceed `RRPV_MAX`, so the first ways to get there
+    /// are the ones at the row's maximum), and the victim is the first
+    /// of them — the same way and the same row as the ageing loop.
+    fn rrip_victim(row: &mut [u32]) -> usize {
+        let max = row.iter().copied().max().unwrap_or(0);
+        let age = u32::from(RRPV_MAX).saturating_sub(max);
+        if age != 0 {
+            for rrpv in row.iter_mut() {
+                *rrpv += age;
+            }
+        }
+        row.iter().position(|&rrpv| rrpv == max + age).unwrap_or(0)
     }
 }
 
@@ -287,6 +296,54 @@ mod tests {
         }
         assert!(distant > 900, "BRRIP should insert at distant most times");
         assert!(distant < 1000, "but occasionally at long");
+    }
+
+    /// The RRIP victim by the textbook loop: take the first way at
+    /// `RRPV_MAX`, else age every way by one and look again.
+    fn victim_by_ageing(row: &mut [u32]) -> usize {
+        loop {
+            if let Some(way) = row.iter().position(|&r| r >= u32::from(RRPV_MAX)) {
+                return way;
+            }
+            for r in row.iter_mut() {
+                *r += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_rrip_victim_matches_the_ageing_loop() {
+        // Every row of up to 4 ways over {0..=RRPV_MAX}, and
+        // pseudo-random rows of up to 16: same way, same aged row.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let levels = u64::from(RRPV_MAX) + 1;
+        let mut rows: Vec<Vec<u32>> = Vec::new();
+        for ways in 1..=4u32 {
+            for code in 0..levels.pow(ways) {
+                let row = (0..ways)
+                    .map(|w| (code / levels.pow(w) % levels) as u32)
+                    .collect();
+                rows.push(row);
+            }
+        }
+        for _ in 0..20_000 {
+            let ways = 1 + (next() % 16) as usize;
+            rows.push((0..ways).map(|_| (next() % levels) as u32).collect());
+        }
+        for row in rows {
+            let (mut fast, mut slow) = (row.clone(), row.clone());
+            let (vf, vs) = (
+                ReplacementPolicy::rrip_victim(&mut fast),
+                victim_by_ageing(&mut slow),
+            );
+            assert_eq!((vf, &fast), (vs, &slow), "row {row:?}");
+        }
     }
 
     #[test]

@@ -10,6 +10,10 @@
 #[derive(Clone, Copy, Debug)]
 pub struct SetIndex {
     sets: u64,
+    /// `sets - 1` when `sets` is a power of two, else `None`.
+    mask: Option<u64>,
+    /// `log2(sets)` when `mask` is `Some`.
+    shift: u32,
 }
 
 impl SetIndex {
@@ -20,26 +24,29 @@ impl SetIndex {
     /// Panics if `sets` is zero.
     pub fn new(sets: usize) -> Self {
         assert!(sets > 0, "a set-associative structure needs sets");
-        Self { sets: sets as u64 }
+        let sets = sets as u64;
+        Self {
+            sets,
+            mask: sets.is_power_of_two().then_some(sets - 1),
+            shift: sets.trailing_zeros(),
+        }
     }
 
     /// The set `key` maps to.
     #[inline]
     pub fn set_of(self, key: u64) -> usize {
-        if self.sets.is_power_of_two() {
-            (key & (self.sets - 1)) as usize
-        } else {
-            (key % self.sets) as usize
+        match self.mask {
+            Some(mask) => (key & mask) as usize,
+            None => (key % self.sets) as usize,
         }
     }
 
     /// The bits of `key` above the set index.
     #[inline]
     pub fn tag_of(self, key: u64) -> u64 {
-        if self.sets.is_power_of_two() {
-            key >> self.sets.trailing_zeros()
-        } else {
-            key / self.sets
+        match self.mask {
+            Some(_) => key >> self.shift,
+            None => key / self.sets,
         }
     }
 }

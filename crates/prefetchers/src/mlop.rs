@@ -27,12 +27,41 @@ const SELECT_FRACTION: f64 = 0.30;
 /// Zone access-history depth used to score lookaheads.
 const ZONE_HISTORY: usize = LOOKAHEADS;
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Zone {
     page: Vpn,
-    history: Vec<VLine>,
+    /// The zone's last `history_len` accesses, oldest first, in place:
+    /// recording one shifts the window instead of touching the heap.
+    history: [VLine; ZONE_HISTORY],
+    history_len: usize,
     last_use: u64,
     valid: bool,
+}
+
+impl Zone {
+    const EMPTY: Zone = Zone {
+        page: Vpn::new(0),
+        history: [VLine::new(0); ZONE_HISTORY],
+        history_len: 0,
+        last_use: 0,
+        valid: false,
+    };
+
+    fn history(&self) -> &[VLine] {
+        &self.history[..self.history_len]
+    }
+
+    /// Appends `line`, dropping the oldest access once the window is
+    /// full.
+    fn record(&mut self, line: VLine) {
+        if self.history_len == ZONE_HISTORY {
+            self.history.copy_within(1.., 0);
+            self.history[ZONE_HISTORY - 1] = line;
+        } else {
+            self.history[self.history_len] = line;
+            self.history_len += 1;
+        }
+    }
 }
 
 /// The MLOP prefetcher.
@@ -58,15 +87,7 @@ impl Mlop {
     /// Creates an MLOP instance prefetching into `fill_level`.
     pub fn new(fill_level: FillLevel) -> Self {
         Self {
-            zones: vec![
-                Zone {
-                    page: Vpn::default(),
-                    history: Vec::new(),
-                    last_use: 0,
-                    valid: false,
-                };
-                AMT_ENTRIES
-            ],
+            zones: vec![Zone::EMPTY; AMT_ENTRIES],
             scores: vec![vec![0; (2 * OFFSET_RANGE + 1) as usize]; LOOKAHEADS],
             updates: 0,
             chosen: vec![None; LOOKAHEADS],
@@ -96,9 +117,9 @@ impl Mlop {
             .expect("nonempty");
         self.zones[i] = Zone {
             page,
-            history: Vec::new(),
             last_use: tick,
             valid: true,
+            ..Zone::EMPTY
         };
         i
     }
@@ -142,23 +163,17 @@ impl Prefetcher for Mlop {
         // steps back in this zone to the current line would have
         // covered this access with lookahead j.
         {
-            let z = &self.zones[slot];
-            let n = z.history.len();
+            let history = self.zones[slot].history();
+            let n = history.len();
             for j in 1..=n.min(LOOKAHEADS) {
-                let past = z.history[n - j];
+                let past = history[n - j];
                 let off = (ev.line - past).raw();
                 if off != 0 && off.abs() <= OFFSET_RANGE {
                     self.scores[j - 1][(off + OFFSET_RANGE) as usize] += 1;
                 }
             }
         }
-        {
-            let z = &mut self.zones[slot];
-            z.history.push(ev.line);
-            if z.history.len() > ZONE_HISTORY {
-                z.history.remove(0);
-            }
-        }
+        self.zones[slot].record(ev.line);
         self.updates += 1;
         if self.updates >= ROUND_UPDATES {
             self.end_round();
@@ -167,17 +182,16 @@ impl Prefetcher for Mlop {
         // deduplicated. Near lookaheads fill the host level; far ones
         // fill the L2, as MLOP's multi-level mapping does — far
         // prefetches must not monopolize the L1D MSHRs.
-        let mut emitted: Vec<i32> = Vec::with_capacity(LOOKAHEADS);
         for (k, off) in self
             .chosen
             .iter()
             .enumerate()
             .filter_map(|(k, o)| o.map(|o| (k, o)))
         {
-            if emitted.contains(&off) {
+            // A nearer lookahead with the same offset already emitted it.
+            if self.chosen[..k].contains(&Some(off)) {
                 continue;
             }
-            emitted.push(off);
             out.push(PrefetchDecision {
                 target: ev.line + Delta::new(off),
                 fill_level: if k < 2 {

@@ -236,6 +236,13 @@ fn common_skip_target(
     }
     for s in slots {
         debug_assert_eq!(s.core.now(), now, "cores run in lockstep");
+        // An inert slot's schedule is frozen until `idle_until`, so the
+        // bound it cached is exactly what recomputing `min(wake, next
+        // event)` would give now.
+        if now < s.idle_until {
+            target = target.min(s.idle_until);
+            continue;
+        }
         let wake = s.core.quiescent_until()?;
         target = target.min(wake);
         if let Some(ev) = s.hier.next_event(now) {

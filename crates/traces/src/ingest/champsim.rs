@@ -99,14 +99,11 @@ impl ChampsimDecoder {
         let taken = rec[9] != 0;
         let dst_regs = [rec[10], rec[11]];
         let src_regs = [rec[12], rec[13], rec[14], rec[15]];
-        let dst_mem: Vec<u64> = (0..2)
-            .map(|i| word(16 + 8 * i))
-            .filter(|&a| a != 0)
-            .collect();
-        let src_mem: Vec<u64> = (0..4)
-            .map(|i| word(32 + 8 * i))
-            .filter(|&a| a != 0)
-            .collect();
+        // The nonzero memory operands, in order, in fixed arrays: a
+        // record is decoded without touching the heap.
+        let (dst_mem, dst_len) = nonzero_words::<2>(&word, 16);
+        let (src_mem, src_len) = nonzero_words::<4>(&word, 32);
+        let (dst_mem, src_mem) = (&dst_mem[..dst_len], &src_mem[..src_len]);
 
         let is_load = !src_mem.is_empty();
         let dep_chain = if is_load {
@@ -156,6 +153,21 @@ impl ChampsimDecoder {
             });
         }
     }
+}
+
+/// The nonzero ones of the `N` little-endian words from byte `first`
+/// on, packed to the front of the array, and how many there are.
+fn nonzero_words<const N: usize>(word: &impl Fn(usize) -> u64, first: usize) -> ([u64; N], usize) {
+    let mut out = [0u64; N];
+    let mut len = 0;
+    for i in 0..N {
+        let a = word(first + 8 * i);
+        if a != 0 {
+            out[len] = a;
+            len += 1;
+        }
+    }
+    (out, len)
 }
 
 /// How many [`Instr`]s one 64-byte record expands to: 1 primary, plus

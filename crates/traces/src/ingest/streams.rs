@@ -348,6 +348,11 @@ pub struct BtrcPipeStream {
     rec: u64,
     hash: u64,
     verified: bool,
+    /// The end-of-pass verdict once it has failed: the probe that found
+    /// trailing bytes consumed them, so probing again would read a clean
+    /// EOF. Kept and returned to every later call, rewinds included (the
+    /// file is what failed).
+    failed: Option<IngestError>,
 }
 
 impl BtrcPipeStream {
@@ -367,12 +372,16 @@ impl BtrcPipeStream {
             rec: 0,
             hash: FNV_OFFSET_BASIS,
             verified: false,
+            failed: None,
         })
     }
 
     /// End of body: drain to EOF (catching trailing bytes and the
     /// decompressor's exit status), then verify the checksum once.
     fn finish_pass(&mut self) -> Result<(), IngestError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
         let mut probe = [0u8; 4096];
         let mut extra = 0usize;
         loop {
@@ -383,7 +392,9 @@ impl BtrcPipeStream {
             extra += n;
         }
         if extra > 0 {
-            return Err(IngestError::TrailingBytes { extra });
+            let e = IngestError::TrailingBytes { extra };
+            self.failed = Some(e.clone());
+            return Err(e);
         }
         if !self.verified {
             if self.hash != self.header.checksum {
@@ -694,5 +705,21 @@ mod tests {
                 got_records: 19
             })
         );
+    }
+
+    #[test]
+    fn pipe_btrc_trailing_bytes_verdict_is_sticky() {
+        let instrs: Vec<Instr> = (0..20).map(|i| Instr::alu(Ip::new(i))).collect();
+        let mut bytes = encode_btrc(&instrs);
+        bytes.extend_from_slice(&[0xAB; 5]);
+        let path = TempPath::file("trailing.raw", &bytes);
+        let mut s = BtrcPipeStream::open(&path).expect("header parses");
+        let mut buf = vec![Instr::default(); 64];
+        let trailing = Some(IngestError::TrailingBytes { extra: 5 });
+        assert_eq!(s.next_chunk(&mut buf).err(), trailing);
+        // The first probe consumed the stray bytes; asking again must
+        // not turn the failed pass into a clean, verified end.
+        assert_eq!(s.next_chunk(&mut buf).err(), trailing);
+        assert_eq!(s.next_chunk(&mut buf).err(), trailing);
     }
 }

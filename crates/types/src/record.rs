@@ -133,7 +133,8 @@ pub fn decode_record(buf: &[u8; RECORD_BYTES]) -> Result<Instr, RecordError> {
     } else {
         None
     };
-    if buf[34..].iter().any(|&b| b != 0) {
+    // Bytes 34..40 are the top six of the little-endian word at 32.
+    if word(32) >> 16 != 0 {
         return Err(RecordError::NonZeroPadding);
     }
     Ok(Instr {

@@ -66,31 +66,45 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// A dense two-stream loop: strided loads from two IPs over a
 /// multi-megabyte footprint, so the measurement phase continuously
-/// misses, fills, prefetches, and spills to DRAM.
-fn dense_loop_trace() -> Trace {
-    let mut instrs = Vec::with_capacity(40_000);
-    for i in 0..10_000u64 {
+/// misses, fills, prefetches, and spills to DRAM. `spread` widens every
+/// stride, spreading the same lines over more pages.
+fn dense_loop_trace(iterations: u64, spread: u64) -> Trace {
+    let mut instrs = Vec::with_capacity(4 * iterations as usize);
+    for i in 0..iterations {
         instrs.push(Instr::load(
             Ip::new(0x400100),
-            VAddr::new(0x10_0000 + 64 * i),
+            VAddr::new(0x10_0000 + 64 * spread * i),
         ));
         instrs.push(Instr::alu(Ip::new(0x400104)));
         instrs.push(Instr::load(
             Ip::new(0x400200),
-            VAddr::new(0x80_0000 + 128 * i),
+            VAddr::new(0x80_0000 + 128 * spread * i),
         ));
         instrs.push(Instr::store(
             Ip::new(0x400204),
-            VAddr::new(0x200_0000 + 64 * i),
+            VAddr::new(0x200_0000 + 64 * spread * i),
         ));
     }
     Trace::new("dense-loop", instrs)
 }
 
-/// Allocations of one whole run of `pf` that warms up for two passes
-/// of the trace and measures `measured_passes` more.
-fn run_allocs(pf: &PrefetcherChoice, engine: Engine, measured_passes: u64) -> u64 {
-    let mut trace = dense_loop_trace();
+/// How long a loop one audit runs, how widely it strides, and how much
+/// the L2 and LLC are shrunk so that it still spills to DRAM.
+#[derive(Clone, Copy)]
+struct Shape {
+    iterations: u64,
+    spread: u64,
+    shrink: usize,
+}
+
+/// Allocations of one whole run of `pf` over a loop of `shape` that
+/// warms up for two passes of the trace and measures `measured_passes`
+/// more.
+fn run_allocs(pf: &PrefetcherChoice, engine: Engine, shape: Shape, measured_passes: u64) -> u64 {
+    let mut trace = dense_loop_trace(shape.iterations, shape.spread);
+    let mut cfg = SystemConfig::default();
+    cfg.l2.sets /= shape.shrink;
+    cfg.llc.sets /= shape.shrink;
     let pass = trace.len() as u64;
     let opts = SimOptions {
         warmup_instructions: 2 * pass,
@@ -99,14 +113,7 @@ fn run_allocs(pf: &PrefetcherChoice, engine: Engine, measured_passes: u64) -> u6
     };
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    let report = simulate_with_engine(
-        &SystemConfig::default(),
-        pf.clone(),
-        None,
-        &mut trace,
-        &opts,
-        engine,
-    );
+    let report = simulate_with_engine(&cfg, pf.clone(), None, &mut trace, &opts, engine);
     ARMED.store(false, Ordering::SeqCst);
     // Sanity: the measured window did real work (misses and DRAM
     // traffic), so equal counts mean alloc-free work, not no work.
@@ -120,11 +127,37 @@ fn run_allocs(pf: &PrefetcherChoice, engine: Engine, measured_passes: u64) -> u6
 
 #[test]
 fn steady_state_simulation_never_allocates() {
-    // Both local contexts (per-IP and per-page) run the same Berti.
-    for pf in [PrefetcherChoice::Berti, PrefetcherChoice::BertiPage] {
-        for engine in [Engine::Naive, Engine::SkipAhead] {
-            let one = run_allocs(&pf, engine, 1);
-            let two = run_allocs(&pf, engine, 2);
+    // Both local contexts (per-IP and per-page) run the same Berti,
+    // under both engines, over the long loop.
+    let full = Shape {
+        iterations: 10_000,
+        spread: 1,
+        shrink: 1,
+    };
+    let berti = [PrefetcherChoice::Berti, PrefetcherChoice::BertiPage]
+        .map(|pf| (pf, [Engine::Naive, Engine::SkipAhead].as_slice(), full));
+    // ip-stride, IPCP and MLOP are the other L1D prefetchers the
+    // benchmark's campaign grids run. Their allocations do not depend
+    // on the engine or the cache sizes, so one engine and a loop a
+    // twentieth as long over an L2 and LLC a thirty-second the size (it
+    // still spills to DRAM) keep the audit cheap. Strides eight times
+    // wider touch 256 pages a pass, more than MLOP's 128 zones, so
+    // zones are replaced in the measured passes too.
+    let short = Shape {
+        iterations: 500,
+        spread: 8,
+        shrink: 32,
+    };
+    let others = [
+        PrefetcherChoice::IpStride,
+        PrefetcherChoice::Ipcp,
+        PrefetcherChoice::Mlop,
+    ]
+    .map(|pf| (pf, [Engine::SkipAhead].as_slice(), short));
+    for (pf, engines, shape) in berti.into_iter().chain(others) {
+        for &engine in engines {
+            let one = run_allocs(&pf, engine, shape, 1);
+            let two = run_allocs(&pf, engine, shape, 2);
             assert!(one > 0, "set-up and report assembly do allocate");
             assert_eq!(
                 one, two,
