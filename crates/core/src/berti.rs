@@ -7,7 +7,7 @@ use std::marker::PhantomData;
 use berti_mem::{AccessEvent, FillEvent, PrefetchDecision, Prefetcher};
 use berti_types::{Cycle, Delta, FillLevel, Ip, VLine};
 
-use crate::deltas::{DeltaStatus, DeltaTable, LearnedDelta};
+use crate::deltas::{DeltaTable, LearnedDelta};
 use crate::history::{HistoryHit, HistoryTable};
 use crate::storage::BertiConfig;
 
@@ -170,9 +170,16 @@ impl<C: LocalContext> Berti<C> {
     }
 
     /// Prediction: emit one prefetch per selected delta of context `key`
-    /// for this access.
+    /// for this access. The list already carries each delta's fill
+    /// level; an L1 fill becomes an L2 fill while the MSHR occupancy is
+    /// at the watermark or above (Sec. III-B).
     fn predict(&mut self, key: Ip, ev: &AccessEvent, out: &mut Vec<PrefetchDecision>) {
-        for &(delta, status) in self.deltas.predictions(key) {
+        let l1 = if ev.mshr_occupancy < self.cfg.mshr_watermark {
+            FillLevel::L1
+        } else {
+            FillLevel::L2
+        };
+        for &(delta, level) in self.deltas.predictions(key) {
             // Compute the target in signed space: `VLine + Delta` wraps
             // on underflow, so a negative delta larger than the trigger
             // line would produce a garbage address whose page
@@ -185,18 +192,7 @@ impl<C: LocalContext> Berti<C> {
             if !self.cfg.cross_page && target.page() != ev.line.page() {
                 continue;
             }
-            let fill_level = match status {
-                DeltaStatus::L1Pref => {
-                    if ev.mshr_occupancy < self.cfg.mshr_watermark {
-                        FillLevel::L1
-                    } else {
-                        FillLevel::L2
-                    }
-                }
-                DeltaStatus::L2Pref | DeltaStatus::L2PrefRepl => FillLevel::L2,
-                DeltaStatus::LlcPref => FillLevel::Llc,
-                DeltaStatus::NoPref => continue,
-            };
+            let fill_level = if level == FillLevel::L1 { l1 } else { level };
             out.push(PrefetchDecision { target, fill_level });
         }
     }
@@ -262,6 +258,7 @@ impl<C: LocalContext> Prefetcher for Berti<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deltas::DeltaStatus;
     use berti_types::AccessKind;
 
     const IP: Ip = Ip::new(0x4049de);
@@ -652,5 +649,85 @@ mod tests {
         let per_page = run(&mut BertiPage::with_context(BertiConfig::default()));
         assert!(!per_ip.is_empty(), "the walk must be learned");
         assert_eq!(per_ip, per_page);
+    }
+
+    /// Drives Berti keyed by context `C` with `steps` of (IP, line
+    /// offset, event kind, latency) and checks after every step that
+    /// each delta-table entry's cached prediction list equals one
+    /// rebuilt from its slots — the list is rebuilt only when a search
+    /// can change it.
+    fn cached_predictions_stay_fresh<C: LocalContext>(
+        cfg: BertiConfig,
+        steps: &[(u64, u64, u8, u64)],
+    ) -> Result<(), String> {
+        let mut b = Berti::<C>::with_context(cfg);
+        let mut out = Vec::new();
+        let mut lines = [1 << 20, 2 << 20, 3 << 20, 4 << 20];
+        for (n, &(ip, offset, kind, latency)) in steps.iter().enumerate() {
+            let k = (ip % 4) as usize;
+            // Mostly a per-IP stride, sometimes a jump: enough repeated
+            // deltas to cross the watermarks, enough new ones to fill
+            // and evict slots.
+            lines[k] += if offset < 24 { 1 + k as u64 } else { offset };
+            let line = lines[k];
+            let at = 400 * n as u64 + 1000;
+            let mut ev = AccessEvent {
+                ip: Ip::new(0x400 + 0x40 * k as u64),
+                ..miss_event(line, at)
+            };
+            match kind % 4 {
+                0 | 1 => {
+                    b.on_access(&ev, &mut out);
+                    b.on_fill(&FillEvent {
+                        ip: ev.ip,
+                        ..fill_event(line, at + latency, latency)
+                    });
+                }
+                2 => {
+                    ev.hit = true;
+                    ev.timely_prefetch_hit = true;
+                    ev.stored_latency = latency;
+                    b.on_access(&ev, &mut out);
+                }
+                _ => {
+                    ev.hit = true;
+                    b.on_access(&ev, &mut out);
+                }
+            }
+            out.clear();
+            if let Some((i, fresh)) = b.deltas.stale_predictions() {
+                return Err(format!(
+                    "{}: step {n}: entry {i} caches a stale list; the slots give {fresh:?}",
+                    C::name()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Random search sequences, for both local contexts, under the
+        /// paper's table and under one of three slots a context with the
+        /// LLC tier on (so prefetching slots are evicted often).
+        #[test]
+        fn cached_prediction_list_equals_a_rebuild(
+            steps in proptest::prop::collection::vec(
+                (0u64..4, 0u64..40, 0u8..4, 20u64..600), 1..400),
+            small in proptest::any::<bool>(),
+        ) {
+            let cfg = if small {
+                BertiConfig {
+                    deltas_per_entry: 3,
+                    low_watermark: 0.10,
+                    ..BertiConfig::default()
+                }
+            } else {
+                BertiConfig::default()
+            };
+            cached_predictions_stay_fresh::<PerIp>(cfg, &steps)?;
+            cached_predictions_stay_fresh::<PerPage>(cfg, &steps)?;
+        }
     }
 }

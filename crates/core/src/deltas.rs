@@ -9,7 +9,7 @@
 //! converted into statuses against the watermarks, and a new learning
 //! phase begins.
 
-use berti_types::{Delta, Ip};
+use berti_types::{Delta, FillLevel, Ip};
 
 use crate::storage::BertiConfig;
 
@@ -35,6 +35,18 @@ impl DeltaStatus {
     /// Whether this status issues prefetch requests.
     pub fn prefetches(self) -> bool {
         self != DeltaStatus::NoPref
+    }
+
+    /// The level a prefetch with this status fills, `None` for
+    /// [`DeltaStatus::NoPref`]. An L1 fill is still subject to the MSHR
+    /// watermark when the prefetch is made (Sec. III-B).
+    pub fn fill_level(self) -> Option<FillLevel> {
+        match self {
+            DeltaStatus::NoPref => None,
+            DeltaStatus::LlcPref => Some(FillLevel::Llc),
+            DeltaStatus::L2PrefRepl | DeltaStatus::L2Pref => Some(FillLevel::L2),
+            DeltaStatus::L1Pref => Some(FillLevel::L1),
+        }
     }
 
     /// Whether the slot may be stolen for a newly observed delta.
@@ -83,13 +95,14 @@ struct Entry {
     slots: Vec<Slot>,
     phase_completed: bool,
     valid: bool,
-    /// What [`DeltaTable::prefetch_deltas`] answers for this entry: a
-    /// function of the fields above, rebuilt by
-    /// [`DeltaTable::rebuild_predictions`] at the end of every
-    /// [`DeltaTable::record_search`] (their only mutator) so a
-    /// prediction copies a list instead of re-filtering the slots.
-    /// Sized to `deltas_per_entry` once; never reallocates.
-    predictions: Vec<(Delta, DeltaStatus)>,
+    /// What [`DeltaTable::prefetch_deltas`] answers for this entry,
+    /// each delta with the level its status fills: a function of the
+    /// fields above, rebuilt by [`DeltaTable::rebuild_predictions`]
+    /// whenever [`DeltaTable::record_search`] (their only mutator)
+    /// changes it, so a prediction walks a list instead of
+    /// re-filtering the slots. Sized to `deltas_per_entry` once; never
+    /// reallocates.
+    predictions: Vec<(Delta, FillLevel)>,
 }
 
 /// The table of deltas.
@@ -174,8 +187,15 @@ impl DeltaTable {
     /// (deduplicated per search: coverage is the fraction of searches a
     /// delta appears in). Triggers a phase boundary when the 4-bit
     /// counter overflows.
+    ///
+    /// The prediction list is rebuilt only when this search can have
+    /// changed it: in warm-up it follows the counter and the coverage,
+    /// so every search; after the first phase boundary only the
+    /// statuses matter, which change at a phase boundary or when a new
+    /// delta evicts a prefetching slot.
     pub fn record_search(&mut self, ip: Ip, timely_deltas: &[Delta]) {
         let i = self.find_or_allocate(ip);
+        let mut changed = !self.entries[i].phase_completed;
         self.entries[i].counter += 1;
         for (k, &d) in timely_deltas.iter().enumerate() {
             // The filters depend only on the delta's value, so an
@@ -183,30 +203,33 @@ impl DeltaTable {
             // exactly when this one would be.
             let repeat = timely_deltas[..k].contains(&d);
             if !repeat && d != Delta::ZERO && d.fits_bits(self.delta_bits) {
-                self.bump_delta(i, d);
+                changed |= self.bump_delta(i, d);
             }
         }
         if self.entries[i].counter >= self.rounds_per_phase {
             self.end_phase(i);
+            changed = true;
         }
-        self.rebuild_predictions(i);
+        if changed {
+            self.rebuild_predictions(i);
+        }
         self.check_entry_invariant(i);
     }
 
     /// Recomputes entry `i`'s prediction list from its slots. After a
-    /// phase boundary it is every valid prefetching slot with its
-    /// status; before the first one (warm-up) it is every valid slot in
-    /// at least `warmup_watermark` of the searches so far, as an L1
-    /// fill, once `warmup_min_rounds` searches have happened (Sec.
-    /// III-C). Slot order either way.
+    /// phase boundary it is every valid prefetching slot with the level
+    /// its status fills; before the first one (warm-up) it is every
+    /// valid slot in at least `warmup_watermark` of the searches so
+    /// far, as an L1 fill, once `warmup_min_rounds` searches have
+    /// happened (Sec. III-C). Slot order either way.
     fn rebuild_predictions(&mut self, i: usize) {
         let e = &mut self.entries[i];
         // Taken out and put back so the slots can be read while the
         // list is written; neither move allocates.
         let mut list = std::mem::take(&mut e.predictions);
         list.clear();
-        Self::predictions_of(e, self.warmup, self.warmup_min_rounds, |d, st| {
-            list.push((d, st));
+        Self::predictions_of(e, self.warmup, self.warmup_min_rounds, |d, level| {
+            list.push((d, level));
         });
         e.predictions = list;
     }
@@ -216,17 +239,19 @@ impl DeltaTable {
         e: &Entry,
         warmup: f64,
         warmup_min_rounds: u32,
-        mut sink: impl FnMut(Delta, DeltaStatus),
+        mut sink: impl FnMut(Delta, FillLevel),
     ) {
         if e.phase_completed {
-            for s in e.slots.iter().filter(|s| s.valid && s.status.prefetches()) {
-                sink(s.delta, s.status);
+            for s in e.slots.iter().filter(|s| s.valid) {
+                if let Some(level) = s.status.fill_level() {
+                    sink(s.delta, level);
+                }
             }
         } else if e.counter >= warmup_min_rounds {
             let c = f64::from(e.counter);
             for s in e.slots.iter().filter(|s| s.valid) {
                 if s.coverage as f64 / c >= warmup {
-                    sink(s.delta, DeltaStatus::L1Pref);
+                    sink(s.delta, FillLevel::L1);
                 }
             }
         }
@@ -276,10 +301,10 @@ impl DeltaTable {
         // The cached prediction list must be exactly what the slots
         // say now (compared element by element: no allocation).
         let mut k = 0usize;
-        Self::predictions_of(e, self.warmup, self.warmup_min_rounds, |d, st| {
+        Self::predictions_of(e, self.warmup, self.warmup_min_rounds, |d, level| {
             assert_eq!(
                 e.predictions.get(k),
-                Some(&(d, st)),
+                Some(&(d, level)),
                 "cached prediction {k} differs from the slots"
             );
             k += 1;
@@ -295,12 +320,29 @@ impl DeltaTable {
     #[inline(always)]
     fn check_entry_invariant(&self, _i: usize) {}
 
-    fn bump_delta(&mut self, entry: usize, d: Delta) {
+    /// The first valid entry whose cached prediction list differs from
+    /// one rebuilt from its slots, with both lists (tests).
+    #[cfg(test)]
+    pub(crate) fn stale_predictions(&self) -> Option<(usize, Vec<(Delta, FillLevel)>)> {
+        self.entries.iter().enumerate().find_map(|(i, e)| {
+            let mut fresh = Vec::new();
+            Self::predictions_of(e, self.warmup, self.warmup_min_rounds, |d, level| {
+                fresh.push((d, level));
+            });
+            (e.valid && fresh != e.predictions).then_some((i, fresh))
+        })
+    }
+
+    /// Counts `d` once more in entry `entry`, taking a slot for it if
+    /// it has none. Returns whether a prefetching slot was evicted for
+    /// it: after a phase boundary, the one way a search between
+    /// boundaries changes the prediction list.
+    fn bump_delta(&mut self, entry: usize, d: Delta) -> bool {
         let rounds = self.rounds_per_phase;
         let e = &mut self.entries[entry];
         if let Some(s) = e.slots.iter_mut().find(|s| s.valid && s.delta == d) {
             s.coverage = (s.coverage + 1).min(rounds);
-            return;
+            return false;
         }
         if let Some(s) = e.slots.iter_mut().find(|s| !s.valid) {
             *s = Slot {
@@ -309,23 +351,26 @@ impl DeltaTable {
                 status: DeltaStatus::NoPref,
                 valid: true,
             };
-            return;
+            return false;
         }
         // Evict the lowest-coverage replaceable slot, if any; otherwise
         // the new delta is discarded (Sec. III-C).
-        if let Some(victim) = e
+        let Some(victim) = e
             .slots
             .iter_mut()
             .filter(|s| s.status.replaceable())
             .min_by_key(|s| s.coverage)
-        {
-            *victim = Slot {
-                delta: d,
-                coverage: 1,
-                status: DeltaStatus::NoPref,
-                valid: true,
-            };
-        }
+        else {
+            return false;
+        };
+        let was_prefetching = victim.status.prefetches();
+        *victim = Slot {
+            delta: d,
+            coverage: 1,
+            status: DeltaStatus::NoPref,
+            valid: true,
+        };
+        was_prefetching
     }
 
     /// Phase boundary: convert coverage into statuses, bounded to
@@ -397,17 +442,19 @@ impl DeltaTable {
         e.phase_completed = true;
     }
 
-    /// The deltas `ip` should prefetch with right now, with the status
-    /// governing the fill level. During warm-up (before the first phase
-    /// boundary) deltas need `warmup_watermark` of the searches so far
-    /// and at least `warmup_min_rounds` searches (Sec. III-C).
-    pub fn prefetch_deltas(&self, ip: Ip, out: &mut Vec<(Delta, DeltaStatus)>) {
+    /// The deltas `ip` should prefetch with right now, each with the
+    /// level its status fills (an L1 fill is still subject to the MSHR
+    /// watermark). During warm-up (before the first phase boundary)
+    /// deltas need `warmup_watermark` of the searches so far and at
+    /// least `warmup_min_rounds` searches, and fill the L1 (Sec.
+    /// III-C).
+    pub fn prefetch_deltas(&self, ip: Ip, out: &mut Vec<(Delta, FillLevel)>) {
         out.extend_from_slice(self.predictions(ip));
     }
 
     /// [`DeltaTable::prefetch_deltas`] borrowed in place: the cached
     /// list of `ip`'s entry, empty when `ip` has none.
-    pub(crate) fn predictions(&self, ip: Ip) -> &[(Delta, DeltaStatus)] {
+    pub(crate) fn predictions(&self, ip: Ip) -> &[(Delta, FillLevel)] {
         match self.find(ip) {
             Some(i) => &self.entries[i].predictions,
             None => &[],
@@ -458,7 +505,7 @@ mod tests {
         assert_eq!(snap[0].status, DeltaStatus::L1Pref);
         let mut out = Vec::new();
         t.prefetch_deltas(IP, &mut out);
-        assert_eq!(out, vec![(Delta::new(10), DeltaStatus::L1Pref)]);
+        assert_eq!(out, vec![(Delta::new(10), FillLevel::L1)]);
     }
 
     #[test]
@@ -542,7 +589,7 @@ mod tests {
         }
         let mut out = Vec::new();
         t.prefetch_deltas(IP, &mut out);
-        assert_eq!(out, vec![(Delta::new(7), DeltaStatus::L1Pref)]);
+        assert_eq!(out, vec![(Delta::new(7), FillLevel::L1)]);
     }
 
     #[test]
@@ -563,7 +610,7 @@ mod tests {
         let mut out = Vec::new();
         t.prefetch_deltas(IP, &mut out);
         assert!(
-            out.contains(&(Delta::new(10), DeltaStatus::L1Pref)),
+            out.contains(&(Delta::new(10), FillLevel::L1)),
             "previous-phase status must keep prefetching mid-phase"
         );
         assert!(!out.iter().any(|(d, _)| *d == Delta::new(4)));

@@ -10,6 +10,7 @@
 use berti_types::{AccessKind, CacheGeometry, Cycle, Ip};
 
 use crate::mshr::Mshr;
+use crate::presence::PresenceIndex;
 use crate::replacement::ReplacementPolicy;
 use crate::set_index::SetIndex;
 
@@ -46,12 +47,17 @@ pub struct HitInfo {
     /// This demand merged into a still-in-flight prefetch: a *late,
     /// useful* prefetch.
     pub late_prefetch_hit: bool,
-    /// The stored per-line fill latency (Berti's shadow field); zero if
-    /// overflowed or already consumed. Reading a demand hit consumes it.
-    pub stored_latency: u64,
+    /// The stored per-line fill latency (Berti's 12-bit shadow field);
+    /// zero if overflowed or already consumed. Reading a demand hit
+    /// consumes it.
+    pub stored_latency: u16,
 }
 
-/// Result of [`Cache::access`].
+/// Result of [`Cache::access`]: 16 bytes (the latency field is the
+/// shadow field's own width, and a flag's spare values tell the
+/// variants apart), so it comes back in two registers instead of
+/// through a stack slot that the caller's wider reload could not take
+/// from the store buffer.
 #[derive(Clone, Copy, Debug)]
 pub enum AccessOutcome {
     /// Present (possibly still in flight; see
@@ -177,7 +183,9 @@ impl PartialEq<SetResidency> for SetResidency {
 /// `set * ways + way`, plus one packed `u64` bitmask per set for each
 /// boolean flag (valid/dirty/prefetched/demand-merged). A set lookup
 /// touches one contiguous tag stripe and one mask word instead of
-/// `ways` scattered `Option<Line>` structs.
+/// `ways` scattered `Option<Line>` structs. Beside the sets, a
+/// [`PresenceIndex`] keeps one mask of resident lines per page, which
+/// is what [`Cache::probe`] reads.
 #[derive(Clone, Debug)]
 pub struct Cache {
     name: &'static str,
@@ -204,6 +212,9 @@ pub struct Cache {
     /// Per-set "a demand merged while the line was still in flight"
     /// bitmask (a *late* prefetch, Fig. 10's dark bars).
     demand_merged: Vec<u64>,
+    /// The resident lines by page. [`Cache::fill_absent`] is its only
+    /// writer, as it is of `tags` and `valid`.
+    present: PresenceIndex,
     repl: ReplacementPolicy,
     mshr: Mshr,
     stats: CacheStats,
@@ -235,6 +246,7 @@ impl Cache {
             dirty: vec![0; geom.sets],
             prefetched: vec![0; geom.sets],
             demand_merged: vec![0; geom.sets],
+            present: PresenceIndex::new(slots),
             repl: ReplacementPolicy::new(geom.replacement, geom.sets, geom.ways),
             mshr: Mshr::new(geom.mshr_entries),
             stats: CacheStats::default(),
@@ -321,9 +333,24 @@ impl Cache {
         None
     }
 
-    /// Whether `addr` is present (even if still in flight).
+    /// Whether `addr` is present (even if still in flight): a bit test
+    /// in the presence index, no tag walk.
     pub fn probe(&self, addr: u64) -> bool {
-        self.find(addr).is_some()
+        let present = self.present.contains(addr);
+        self.check_presence(addr, present);
+        present
+    }
+
+    /// The resident lines of page `page` (line address `>> 6`) as a
+    /// mask, bit `i` for the page's line `i`: what [`Cache::probe`]
+    /// answers for every line of the page at once.
+    pub fn page_mask(&self, page: u64) -> u64 {
+        let mask = self.present.page_mask(page);
+        #[cfg(feature = "check-invariants")]
+        for i in 0..64 {
+            self.check_presence(page << 6 | i, mask >> i & 1 != 0);
+        }
+        mask
     }
 
     /// Looks up a demand access (`Load`/`Rfo`) or a prefetch probe
@@ -351,7 +378,7 @@ impl Cache {
                                 self.demand_merged[set] |= wbit;
                             }
                         }
-                        let stored_latency = u64::from(self.latency[slot]);
+                        let stored_latency = self.latency[slot];
                         self.latency[slot] = 0; // consumed by this demand touch
                         if kind == AccessKind::Rfo {
                             self.dirty[set] |= wbit;
@@ -485,6 +512,7 @@ impl Cache {
         let slot = self.slot(set, way);
         let wbit = 1u64 << way;
         let evicted = (self.valid[set] & wbit != 0).then(|| {
+            self.present.remove(self.tags[slot]);
             let was_prefetched = self.prefetched[set] & wbit != 0;
             let was_dirty = self.dirty[set] & wbit != 0;
             if was_prefetched {
@@ -515,11 +543,16 @@ impl Cache {
         self.latency[slot] = stored_latency;
         self.xlat[slot] = xlat;
         self.valid[set] |= wbit;
+        self.present.insert(addr);
         self.dirty[set] = (self.dirty[set] & !wbit) | (u64::from(is_dirty) << way);
         self.prefetched[set] = (self.prefetched[set] & !wbit) | (u64::from(is_prefetch) << way);
         self.demand_merged[set] &= !wbit;
         self.repl.on_fill(set, way, kind.is_demand());
         self.check_set_invariant(set);
+        if let Some(ev) = &evicted {
+            self.check_presence(ev.addr, false);
+        }
+        self.check_presence(addr, true);
         evicted
     }
 
@@ -554,6 +587,28 @@ impl Cache {
     #[cfg(not(feature = "check-invariants"))]
     #[inline(always)]
     fn check_set_invariant(&self, _set: usize) {}
+
+    /// `check-invariants`: the presence index answers `present` for
+    /// `addr` exactly when the tag walk finds it, and holds no more
+    /// pages than the cache has lines.
+    #[cfg(feature = "check-invariants")]
+    fn check_presence(&self, addr: u64, present: bool) {
+        assert_eq!(
+            present,
+            self.find(addr).is_some(),
+            "{}: presence index and tag walk disagree on {addr:#x}",
+            self.name
+        );
+        assert!(
+            self.present.pages() <= self.present.capacity(),
+            "{}: presence index over capacity",
+            self.name
+        );
+    }
+
+    #[cfg(not(feature = "check-invariants"))]
+    #[inline(always)]
+    fn check_presence(&self, _addr: u64, _present: bool) {}
 
     /// The stored shadow latency of `addr` without consuming it
     /// (testing/diagnostics).
@@ -620,6 +675,11 @@ mod tests {
                 replacement: ReplacementKind::Lru,
             },
         )
+    }
+
+    #[test]
+    fn access_outcome_fits_two_registers() {
+        assert_eq!(std::mem::size_of::<AccessOutcome>(), 16);
     }
 
     #[test]
@@ -939,5 +999,66 @@ mod tests {
             10,
         );
         assert!(ev.expect("victim").dirty, "RFO hit must dirty the line");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Random fills of every kind and demand touches over a 4-set,
+        /// 3-way cache, with lines drawn from 40 pages: the index holds
+        /// up to 12 pages in 32 slots, so pages collide, empty and move.
+        /// After every step the index answers exactly what the tag walk
+        /// finds for every line, and never holds more pages than the
+        /// cache has lines.
+        #[test]
+        fn presence_index_matches_the_tag_walk(
+            ops in proptest::prop::collection::vec((0u64..40, 0u64..4, 0u8..5), 1..300),
+            repl in proptest::prop::sample::select(vec![
+                ReplacementKind::Lru,
+                ReplacementKind::Fifo,
+                ReplacementKind::Srrip,
+                ReplacementKind::Drrip,
+            ]),
+        ) {
+            let mut c = Cache::new(
+                "P",
+                CacheGeometry {
+                    sets: 4,
+                    ways: 3,
+                    replacement: repl,
+                    ..tiny().geom
+                },
+            );
+            for (n, &(page, index, op)) in ops.iter().enumerate() {
+                let addr = page << 6 | index;
+                let now = Cycle::new(10 * n as u64);
+                let kind = [
+                    AccessKind::Load,
+                    AccessKind::Rfo,
+                    AccessKind::Prefetch,
+                    AccessKind::Writeback,
+                ];
+                match kind.get(usize::from(op)) {
+                    Some(&kind) => {
+                        let _ = c.fill(addr, kind, now, now + 1, 1, Ip::new(1), addr);
+                    }
+                    None => {
+                        let _ = c.access(addr, AccessKind::Load, now);
+                    }
+                }
+                for page in 0..40u64 {
+                    let mut walked = 0u64;
+                    for index in 0..4u64 {
+                        let line = page << 6 | index;
+                        let found = c.find(line).is_some();
+                        proptest::prop_assert_eq!(c.probe(line), found, "line {:#x}", line);
+                        walked |= u64::from(found) << index;
+                    }
+                    proptest::prop_assert_eq!(c.page_mask(page), walked, "page {}", page);
+                }
+                proptest::prop_assert!(c.present.pages() <= c.present.capacity());
+            }
+            proptest::prop_assert_eq!(c.present.pages() > 0, c.resident_lines() > 0);
+        }
     }
 }

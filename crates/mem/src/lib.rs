@@ -28,6 +28,7 @@ mod dram;
 mod hierarchy;
 mod mshr;
 mod prefetch;
+mod presence;
 mod replacement;
 mod set_index;
 mod tlb;

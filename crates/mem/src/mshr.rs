@@ -48,6 +48,10 @@ pub struct Mshr {
     entries: VecDeque<Entry>,
     capacity: usize,
     next_seq: u64,
+    /// `fractions[k]` is `k / capacity` as `f64`, computed once, so the
+    /// per-access occupancy fraction is a lookup instead of a division
+    /// (the same values bit for bit). `[1.0]` for a zero capacity.
+    fractions: Box<[f64]>,
 }
 
 impl Mshr {
@@ -60,10 +64,15 @@ impl Mshr {
     /// campaign grid cell fails its one job with a `ConfigError` instead
     /// of tripping the worker pool's panic-isolation path.
     pub fn new(capacity: usize) -> Self {
+        let fractions = match capacity {
+            0 => [1.0].into(),
+            _ => (0..=capacity).map(|k| k as f64 / capacity as f64).collect(),
+        };
         Self {
             entries: VecDeque::with_capacity(capacity),
             capacity,
             next_seq: 0,
+            fractions,
         }
     }
 
@@ -94,10 +103,7 @@ impl Mshr {
     /// Occupancy as a fraction of capacity (Berti's watermark input).
     /// A zero-capacity MSHR reports fully occupied.
     pub fn occupancy_fraction(&self, now: Cycle) -> f64 {
-        if self.capacity == 0 {
-            return 1.0;
-        }
-        self.occupancy(now) as f64 / self.capacity as f64
+        self.fractions[self.occupancy(now)]
     }
 
     /// Whether a new miss can be accepted at `now`: a slot is unused,

@@ -7,6 +7,7 @@
 //! keeps them (Sec. III).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use berti_types::{Ppn, Vpn};
 
@@ -17,10 +18,33 @@ const FRAME_BITS: u32 = 24;
 /// deterministic pseudo-random frame permutation.
 const FRAME_SCRAMBLE: u64 = 0x9E37_79B1;
 
+/// A fixed multiplicative hash of a page number. The map is never
+/// iterated, so its order cannot reach a report, and a page number
+/// needs none of SipHash's protection against chosen keys: one
+/// multiply per lookup instead of a keyed SipHash round.
+#[derive(Clone, Copy, Debug, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
 /// The per-process page table: deterministic first-touch allocation.
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
-    map: HashMap<Vpn, Ppn>,
+    map: HashMap<Vpn, Ppn, BuildHasherDefault<PageHasher>>,
     next: u64,
 }
 

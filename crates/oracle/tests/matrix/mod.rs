@@ -34,7 +34,8 @@
 //! This module is the table's machinery; its rows are split across four
 //! test binaries, each row in exactly one test: `soa_layout_golden.rs`
 //! (the fixture rows), `driver_matrix.rs` (three workloads × none,
-//! IP-stride and Berti, whole, sliced and 2-core), `differential.rs`
+//! IP-stride and Berti, whole, sliced and 2-core, and a 4-core mix
+//! under IP-stride and Berti), `differential.rs`
 //! (the every-prefetcher sweeps and a 2-core pair) and `determinism.rs`
 //! (repeat runs and the campaign's worker count and cache temperature).
 //!
@@ -63,13 +64,13 @@ use berti_sim::{
     Report, Sampling, SimOptions,
 };
 pub use berti_sim::{Engine, L2PrefetcherChoice, PrefetcherChoice};
-use berti_traces::ingest::{open_streaming, write_btrc};
+use berti_traces::ingest::{open_streaming, workload_from_file, write_btrc};
 use berti_traces::{Trace, WorkloadDef};
 use berti_types::{Instr, SystemConfig};
 
 #[path = "../../../traces/tests/common/mod.rs"]
 mod common;
-use common::TempPath;
+pub use common::TempPath;
 
 /// Instructions in a slice row.
 pub const SLICE: usize = 20_000;
@@ -307,6 +308,15 @@ impl Row {
 fn slice(w: &WorkloadDef) -> Vec<Instr> {
     let mut trace = w.trace();
     (0..SLICE).map(|_| trace.next_instr()).collect()
+}
+
+/// `instrs` written to a temp `.btrc` file, as a file-backed workload
+/// replayed through the mmap'd cursor (the form the benchmark's
+/// fixtures take). The file lives as long as the returned path.
+pub fn file_workload(name: &str, instrs: &[Instr]) -> (WorkloadDef, TempPath) {
+    let path = TempPath::new(&format!("matrix-{name}.btrc"));
+    write_btrc(&path, instrs).expect("writes");
+    (workload_from_file(name, path.to_path_buf()), path)
 }
 
 pub fn workload(name: &str) -> WorkloadDef {

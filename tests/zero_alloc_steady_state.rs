@@ -1,10 +1,11 @@
 //! Counting-allocator audit: the steady-state simulation loop performs
 //! **zero** heap allocations per miss.
 //!
-//! The SoA cache layout, the MSHR and queues sized at construction and the reusable
-//! scratch buffers exist so that once warm-up has sized every buffer
-//! (trace chunks, prefetcher scratch, first-touch page-table entries),
-//! the measurement phase never touches the allocator. This test proves
+//! The SoA cache layout and its presence index, the MSHR and queues
+//! sized at construction and the reusable scratch buffers exist so
+//! that once warm-up has sized every buffer (trace chunks, prefetcher
+//! scratch, first-touch page-table entries), the measurement phase
+//! never touches the allocator. This test proves
 //! it through the product's own entry point, with a
 //! `#[global_allocator]` wrapper counting over whole
 //! `simulate_with_engine` calls: set-up, warm-up and report assembly
@@ -64,47 +65,46 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// A dense two-stream loop: strided loads from two IPs over a
-/// multi-megabyte footprint, so the measurement phase continuously
-/// misses, fills, prefetches, and spills to DRAM. `spread` widens every
-/// stride, spreading the same lines over more pages.
-fn dense_loop_trace(iterations: u64, spread: u64) -> Trace {
-    let mut instrs = Vec::with_capacity(4 * iterations as usize);
-    for i in 0..iterations {
+/// Iterations of the audited loop, and how many lines apart its
+/// consecutive accesses fall: eight lines, so one pass touches 256
+/// pages a stream — more than MLOP's 128 zones, so zones are replaced
+/// in the measured passes too.
+const ITERATIONS: u64 = 500;
+const SPREAD: u64 = 8;
+/// How much the L2 and LLC are shrunk so that the short loop still
+/// spills to DRAM.
+const SHRINK: usize = 32;
+
+/// A dense two-stream loop: strided loads from two IPs and a strided
+/// store stream, so the measurement phase continuously misses, fills,
+/// prefetches, and spills to DRAM.
+fn dense_loop_trace() -> Trace {
+    let mut instrs = Vec::with_capacity(4 * ITERATIONS as usize);
+    for i in 0..ITERATIONS {
         instrs.push(Instr::load(
             Ip::new(0x400100),
-            VAddr::new(0x10_0000 + 64 * spread * i),
+            VAddr::new(0x10_0000 + 64 * SPREAD * i),
         ));
         instrs.push(Instr::alu(Ip::new(0x400104)));
         instrs.push(Instr::load(
             Ip::new(0x400200),
-            VAddr::new(0x80_0000 + 128 * spread * i),
+            VAddr::new(0x80_0000 + 128 * SPREAD * i),
         ));
         instrs.push(Instr::store(
             Ip::new(0x400204),
-            VAddr::new(0x200_0000 + 64 * spread * i),
+            VAddr::new(0x200_0000 + 64 * SPREAD * i),
         ));
     }
     Trace::new("dense-loop", instrs)
 }
 
-/// How long a loop one audit runs, how widely it strides, and how much
-/// the L2 and LLC are shrunk so that it still spills to DRAM.
-#[derive(Clone, Copy)]
-struct Shape {
-    iterations: u64,
-    spread: u64,
-    shrink: usize,
-}
-
-/// Allocations of one whole run of `pf` over a loop of `shape` that
-/// warms up for two passes of the trace and measures `measured_passes`
-/// more.
-fn run_allocs(pf: &PrefetcherChoice, engine: Engine, shape: Shape, measured_passes: u64) -> u64 {
-    let mut trace = dense_loop_trace(shape.iterations, shape.spread);
+/// Allocations of one whole run of `pf` over the loop that warms up
+/// for two passes of the trace and measures `measured_passes` more.
+fn run_allocs(pf: &PrefetcherChoice, engine: Engine, measured_passes: u64) -> u64 {
+    let mut trace = dense_loop_trace();
     let mut cfg = SystemConfig::default();
-    cfg.l2.sets /= shape.shrink;
-    cfg.llc.sets /= shape.shrink;
+    cfg.l2.sets /= SHRINK;
+    cfg.llc.sets /= SHRINK;
     let pass = trace.len() as u64;
     let opts = SimOptions {
         warmup_instructions: 2 * pass,
@@ -122,42 +122,37 @@ fn run_allocs(pf: &PrefetcherChoice, engine: Engine, shape: Shape, measured_pass
         "ran the measured phase"
     );
     assert!(report.dram.reads > 0, "the loop must spill to DRAM");
+    // The measured passes fill more lines than the L1D holds, so every
+    // level evicts there and its presence index drops and re-adds
+    // pages, not only sets bits in live ones.
+    let l1d_lines = (cfg.l1d.sets * cfg.l1d.ways) as u64;
+    assert!(
+        report.l1d.demand_misses() + report.l1d.pf_fills > l1d_lines,
+        "the loop must churn the L1D"
+    );
     ALLOCS.load(Ordering::SeqCst)
 }
 
 #[test]
 fn steady_state_simulation_never_allocates() {
-    // Both local contexts (per-IP and per-page) run the same Berti,
-    // under both engines, over the long loop.
-    let full = Shape {
-        iterations: 10_000,
-        spread: 1,
-        shrink: 1,
-    };
-    let berti = [PrefetcherChoice::Berti, PrefetcherChoice::BertiPage]
-        .map(|pf| (pf, [Engine::Naive, Engine::SkipAhead].as_slice(), full));
+    // Allocations depend neither on the loop's length nor on the cache
+    // sizes, hence the short loop over shrunk caches. Berti runs both
+    // local contexts (per-IP and per-page) under both engines;
     // ip-stride, IPCP and MLOP are the other L1D prefetchers the
-    // benchmark's campaign grids run. Their allocations do not depend
-    // on the engine or the cache sizes, so one engine and a loop a
-    // twentieth as long over an L2 and LLC a thirty-second the size (it
-    // still spills to DRAM) keep the audit cheap. Strides eight times
-    // wider touch 256 pages a pass, more than MLOP's 128 zones, so
-    // zones are replaced in the measured passes too.
-    let short = Shape {
-        iterations: 500,
-        spread: 8,
-        shrink: 32,
-    };
-    let others = [
-        PrefetcherChoice::IpStride,
-        PrefetcherChoice::Ipcp,
-        PrefetcherChoice::Mlop,
-    ]
-    .map(|pf| (pf, [Engine::SkipAhead].as_slice(), short));
-    for (pf, engines, shape) in berti.into_iter().chain(others) {
+    // benchmark's campaign grids run, and their allocations do not
+    // depend on the engine.
+    let both = [Engine::Naive, Engine::SkipAhead];
+    let audits = [
+        (PrefetcherChoice::Berti, both.as_slice()),
+        (PrefetcherChoice::BertiPage, both.as_slice()),
+        (PrefetcherChoice::IpStride, &both[1..]),
+        (PrefetcherChoice::Ipcp, &both[1..]),
+        (PrefetcherChoice::Mlop, &both[1..]),
+    ];
+    for (pf, engines) in audits {
         for &engine in engines {
-            let one = run_allocs(&pf, engine, shape, 1);
-            let two = run_allocs(&pf, engine, shape, 2);
+            let one = run_allocs(&pf, engine, 1);
+            let two = run_allocs(&pf, engine, 2);
             assert!(one > 0, "set-up and report assembly do allocate");
             assert_eq!(
                 one, two,
