@@ -2,9 +2,7 @@
 //!
 //! ```text
 //! berti-serve [--addr HOST:PORT] [--workers N] [--store DIR]
-//!             [--http-threads N] [--in-process] [--worker-cmd PATH]
 //!             [--trace-dir DIR] [--cell-timeout-ms N]
-//!             [--handshake-timeout-ms N]
 //! ```
 //!
 //! With the hidden `--worker` flag the process instead runs the
@@ -114,14 +112,12 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "\
 usage: berti-serve [--addr HOST:PORT] [--workers N] [--store DIR]
-                   [--http-threads N] [--in-process] [--worker-cmd PATH]
                    [--trace-dir DIR] [--cell-timeout-ms N]
-                   [--handshake-timeout-ms N]
 
-  --workers N              global budget: cells in flight across all campaigns
-  --cell-timeout-ms N      per-cell wall-clock deadline (0 disables; default
-                           300000); submissions may override per campaign
-  --handshake-timeout-ms N spawn-time worker handshake deadline (default 10000)";
+  --workers N          global budget: cells in flight across all campaigns,
+                       each on a worker process
+  --cell-timeout-ms N  per-cell wall-clock deadline (0 disables; default
+                       300000); submissions may override per campaign";
 
 fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
     let mut cfg = ServerConfig::default();
@@ -141,30 +137,14 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
                     .filter(|n| *n > 0)
                     .ok_or("--workers needs a positive integer")?;
             }
-            "--http-threads" => {
-                cfg.http_threads = value("--http-threads")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .ok_or("--http-threads needs a positive integer")?;
-            }
             "--store" => cfg.store_dir = PathBuf::from(value("--store")?),
-            "--in-process" => cfg.in_process = true,
-            "--worker-cmd" => cfg.worker_cmd = Some(PathBuf::from(value("--worker-cmd")?)),
             "--trace-dir" => cfg.trace_dir = Some(PathBuf::from(value("--trace-dir")?)),
             // 0 is meaningful here (disable cell deadlines), unlike
-            // the count flags above.
+            // `--workers`.
             "--cell-timeout-ms" => {
                 cfg.cell_timeout_ms = value("--cell-timeout-ms")?
                     .parse::<u64>()
                     .map_err(|_| "--cell-timeout-ms needs a non-negative integer")?;
-            }
-            "--handshake-timeout-ms" => {
-                cfg.handshake_timeout_ms = value("--handshake-timeout-ms")?
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .ok_or("--handshake-timeout-ms needs a positive integer")?;
             }
             "--help" | "-h" => return Err("help requested".to_string()),
             other => return Err(format!("unknown flag `{other}`")),

@@ -6,7 +6,7 @@
 //! the API needs it (query values). Exactly what the daemon's JSON +
 //! SSE API requires and nothing more.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use serde::Value;
 
@@ -85,8 +85,20 @@ impl Request {
         if content_length > MAX_BODY_BYTES {
             return Err(bad("request body too large"));
         }
-        let mut body = vec![0u8; content_length];
-        stream.read_exact(&mut body)?;
+        // Read what arrives rather than allocating the claimed length
+        // up front, so a client that promises 8 MiB and sends nothing
+        // costs nothing.
+        let mut body = Vec::new();
+        stream
+            .by_ref()
+            .take(content_length as u64)
+            .read_to_end(&mut body)?;
+        if body.len() != content_length {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "eof in body",
+            ));
+        }
 
         Ok(Some(Request {
             method,

@@ -176,9 +176,16 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<String>> {
     if len > MAX_FRAME_BYTES {
         return Err(torn("frame exceeds size cap"));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)
+    // Grows with the bytes that arrive, not with the claimed length: a
+    // corrupt or hostile prefix costs only what the peer actually sent.
+    let mut payload = Vec::new();
+    r.by_ref()
+        .take(u64::from(len))
+        .read_to_end(&mut payload)
         .map_err(|_| torn("eof inside frame payload"))?;
+    if payload.len() != len as usize {
+        return Err(torn("eof inside frame payload"));
+    }
     String::from_utf8(payload)
         .map(Some)
         .map_err(|_| torn("frame is not utf-8"))

@@ -7,12 +7,12 @@
 //! [`crate::proto`] frame protocol over the child's pipes. Idle worker
 //! processes are parked in a daemon-wide pool and reused across
 //! campaigns, so a steady stream of submissions pays process startup
-//! once, not per campaign. `--in-process` mode (and tests) runs cells
-//! on the budget-slot thread instead.
+//! once, not per campaign. Every cell runs this way: the process
+//! boundary is what gives a cell crash isolation and a deadline.
 //!
 //! **Admission.** The `POST /campaigns` handler admits a campaign
 //! directly ([`Sched::admit`]) with the workload registry it built to
-//! validate the submission. `cfg.workers` budget-slot threads wait on
+//! validate the submission. `workers` budget-slot threads wait on
 //! one condvar for dispatchable cells; every change that can give an
 //! idle slot something to do (an admission, a finished cell, the
 //! shutdown) happens under the dispatch lock and notifies it, so no
@@ -21,18 +21,17 @@
 //! was still queued, at the next finished cell.
 //!
 //! **Budget sharing.** Campaigns are admitted FIFO, but they do not run
-//! one at a time: `cfg.workers` budget slots are shared across every
+//! one at a time: `workers` budget slots are shared across every
 //! admitted campaign, with a per-campaign max-share of
 //! `ceil(budget / campaigns-wanting-work)` so a huge grid cannot
 //! starve a later quick-traces submission. Admission order still
 //! breaks ties, so the oldest campaign gets spare slots first.
 //!
-//! **Deadlines.** Every cell attempt on a process worker runs under a
-//! wall-clock deadline enforced by a [`deadline::WorkerMonitor`]: a
-//! wedged worker is killed, the parent emits `worker_timeout`, and the
-//! attempt is lost. Worker spawns themselves are guarded by a
-//! handshake deadline on the protocol's hello frame. (An `--in-process`
-//! cell cannot be killed, so deadlines apply only to process workers.)
+//! **Deadlines.** Every cell attempt runs under a wall-clock deadline
+//! enforced by a [`deadline::WorkerMonitor`]: a wedged worker is
+//! killed, the parent emits `worker_timeout`, and the attempt is lost.
+//! Worker spawns themselves are guarded by a handshake deadline
+//! (`HANDSHAKE_TIMEOUT`) on the protocol's hello frame.
 //!
 //! **Cells.** This module owns no per-cell policy. A dispatched cell
 //! runs through [`berti_harness::run_cell`] — the same precheck →
@@ -46,53 +45,22 @@
 //! first sleeps an exponential backoff.
 
 use std::io::{BufReader, Write as _};
-use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use berti_harness::{execute_spec, run_cell, Attempt, Event, JobOutcome, JobSpec};
+use berti_harness::{run_cell, Attempt, Event, JobOutcome, JobSpec};
 use berti_traces::TraceRegistry;
 
 use crate::proto::{
     read_frame, write_frame, WorkerHello, WorkerReply, WorkerRequest, PROTO_VERSION,
 };
+use crate::server::HANDSHAKE_TIMEOUT;
 use crate::state::{CampaignEntry, CampaignStatus, Daemon};
 
 /// First retry waits this long; each further attempt doubles it.
 const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(50);
-
-/// How the scheduler obtains workers and enforces deadlines.
-#[derive(Clone, Debug)]
-pub struct SchedulerConfig {
-    /// Global budget: cells in flight across *all* campaigns.
-    pub workers: usize,
-    /// Run cells on threads in the daemon process instead of worker
-    /// processes (loses crash isolation and deadlines; for tests and
-    /// constrained environments).
-    pub in_process: bool,
-    /// Override the worker binary (default: the daemon's own image via
-    /// `std::env::current_exe`).
-    pub worker_cmd: Option<PathBuf>,
-    /// Default per-cell wall-clock deadline; `None` disables deadlines.
-    /// A submission may override it per campaign (`cell_timeout_ms`).
-    pub cell_timeout: Option<Duration>,
-    /// How long a freshly spawned worker has to write its hello frame.
-    pub handshake_timeout: Duration,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            workers: 2,
-            in_process: false,
-            worker_cmd: None,
-            cell_timeout: Some(Duration::from_secs(300)),
-            handshake_timeout: Duration::from_secs(10),
-        }
-    }
-}
 
 /// Deadline enforcement for worker processes: a monitor thread that
 /// SIGKILLs a watched pid when its deadline passes. Killing the
@@ -317,20 +285,12 @@ pub struct ProcessWorker {
 }
 
 impl ProcessWorker {
-    /// Spawns a worker from `cmd` (or the current executable) and
-    /// completes the protocol handshake: the worker must write a
-    /// version-matching hello frame within `handshake_timeout`, or it
-    /// is killed and the spawn fails.
-    pub fn spawn(
-        cmd: &Option<PathBuf>,
-        monitor: &WorkerMonitor,
-        handshake_timeout: Duration,
-    ) -> std::io::Result<ProcessWorker> {
-        let program = match cmd {
-            Some(p) => p.clone(),
-            None => std::env::current_exe()?,
-        };
-        let mut child = Command::new(program)
+    /// Spawns a worker from the current executable and completes the
+    /// protocol handshake: the worker must write a version-matching
+    /// hello frame within `HANDSHAKE_TIMEOUT`, or it is killed and the
+    /// spawn fails.
+    pub fn spawn(monitor: &WorkerMonitor) -> std::io::Result<ProcessWorker> {
+        let mut child = Command::new(std::env::current_exe()?)
             .arg("--worker")
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
@@ -345,7 +305,7 @@ impl ProcessWorker {
             stdin,
             stdout,
         };
-        let guard = monitor.watch(worker.pid(), handshake_timeout);
+        let guard = monitor.watch(worker.pid(), HANDSHAKE_TIMEOUT);
         match worker.read_hello() {
             Ok(()) => Ok(worker),
             Err(e) => {
@@ -358,7 +318,7 @@ impl ProcessWorker {
                         std::io::ErrorKind::TimedOut,
                         format!(
                             "worker {pid} missed the {}ms spawn handshake",
-                            handshake_timeout.as_millis()
+                            HANDSHAKE_TIMEOUT.as_millis()
                         ),
                     )
                 } else {
@@ -445,16 +405,11 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Takes an idle worker or spawns (and handshakes) a fresh one.
-    fn checkout(
-        &self,
-        cfg: &SchedulerConfig,
-        daemon: &Daemon,
-        monitor: &WorkerMonitor,
-    ) -> std::io::Result<ProcessWorker> {
+    fn checkout(&self, daemon: &Daemon, monitor: &WorkerMonitor) -> std::io::Result<ProcessWorker> {
         if let Some(w) = self.idle.lock().expect("worker pool poisoned").pop() {
             return Ok(w);
         }
-        let w = ProcessWorker::spawn(&cfg.worker_cmd, monitor, cfg.handshake_timeout)?;
+        let w = ProcessWorker::spawn(monitor)?;
         daemon.stats.lock().expect("stats poisoned").worker_spawns += 1;
         Ok(w)
     }
@@ -522,7 +477,11 @@ struct SchedState {
 /// and the budget slots ([`Sched::run_slot`]) that run their cells.
 pub struct Sched {
     daemon: Arc<Daemon>,
-    cfg: SchedulerConfig,
+    /// Global budget: cells in flight across *all* campaigns.
+    workers: usize,
+    /// Default per-cell wall-clock deadline; `None` disables deadlines.
+    /// A submission may override it per campaign (`cell_timeout_ms`).
+    cell_timeout: Option<Duration>,
     pool: WorkerPool,
     monitor: WorkerMonitor,
     state: Mutex<SchedState>,
@@ -530,12 +489,14 @@ pub struct Sched {
 }
 
 impl Sched {
-    /// A dispatcher with nothing admitted and its deadline monitor
-    /// running; cells run once [`Sched::run_slot`] threads start.
-    pub fn new(daemon: Arc<Daemon>, cfg: SchedulerConfig) -> Sched {
+    /// A dispatcher over a budget of `workers` cells in flight, with
+    /// nothing admitted and its deadline monitor running; cells run
+    /// once [`Sched::run_slot`] threads start.
+    pub fn new(daemon: Arc<Daemon>, workers: usize, cell_timeout: Option<Duration>) -> Sched {
         Sched {
             daemon,
-            cfg,
+            workers: workers.max(1),
+            cell_timeout,
             pool: WorkerPool::default(),
             monitor: WorkerMonitor::new(),
             state: Mutex::new(SchedState {
@@ -548,7 +509,7 @@ impl Sched {
 
     /// The global budget: how many [`Sched::run_slot`] threads to run.
     pub fn slots(&self) -> usize {
-        self.cfg.workers.max(1)
+        self.workers
     }
 
     /// Admits a registered campaign into the active set, with the
@@ -616,7 +577,7 @@ impl Sched {
             self.reap(&mut state);
             let wanting = state.active.iter().filter(|a| a.wants_work()).count();
             if wanting > 0 {
-                let budget = self.cfg.workers.max(1);
+                let budget = self.workers;
                 // Per-campaign max-share: an even split of the budget,
                 // rounded up, so a huge early grid cannot starve a
                 // later quick submission; FIFO order gets spare slots.
@@ -751,7 +712,7 @@ impl Sched {
     /// the current dispatch state (counters are incremented in place
     /// as their events occur).
     fn publish_gauges(&self, state: &SchedState) {
-        let budget = self.cfg.workers.max(1) as u64;
+        let budget = self.workers as u64;
         let mut queued = 0u64;
         let mut running = 0u64;
         let mut in_flight = 0u64;
@@ -798,11 +759,10 @@ fn run_task(sched: &Sched, task: &Task, worker: &mut Option<ProcessWorker>) {
 }
 
 /// One attempt at one cell, as the daemon makes it: back off before a
-/// retry, then run the cell in-process or on this slot's worker (a
-/// fresh one if the last died) under the cell deadline. A worker that
-/// dies or is killed mid-cell is discarded and reported
-/// (`worker_crashed` / `worker_timeout`) before the attempt is handed
-/// back as retryable.
+/// retry, then run the cell on this slot's worker (a fresh one if the
+/// last died) under the cell deadline. A worker that dies or is killed
+/// mid-cell is discarded and reported (`worker_crashed` /
+/// `worker_timeout`) before the attempt is handed back as retryable.
 fn attempt_cell(
     sched: &Sched,
     entry: &CampaignEntry,
@@ -821,16 +781,9 @@ fn attempt_cell(
         }
         std::thread::sleep(RETRY_BACKOFF_BASE * (1 << (attempt - 2)));
     }
-    let trace_dir = entry.trace_dir.as_deref();
-    if sched.cfg.in_process {
-        return Attempt::catching(|| {
-            let mut emit = |event: Event| entry.events.push(&event);
-            execute_spec(spec, trace_dir.map(Path::new), entry.interval, &mut emit)
-        });
-    }
     let proc = match worker {
         Some(w) => w,
-        None => match sched.pool.checkout(&sched.cfg, daemon, &sched.monitor) {
+        None => match sched.pool.checkout(daemon, &sched.monitor) {
             Ok(w) => worker.insert(w),
             Err(e) => return Attempt::Retryable(format!("spawning worker: {e}")),
         },
@@ -840,12 +793,12 @@ fn attempt_cell(
     let cell_timeout = match entry.cell_timeout_ms {
         Some(0) => None,
         Some(ms) => Some(Duration::from_millis(ms)),
-        None => sched.cfg.cell_timeout,
+        None => sched.cell_timeout,
     };
     let pid = proc.pid();
     let watch = cell_timeout.map(|timeout| sched.monitor.watch(pid, timeout));
     let mut emit = |line: String| entry.events.push_line(line);
-    let outcome = proc.run(spec, trace_dir, entry.interval, &mut emit);
+    let outcome = proc.run(spec, entry.trace_dir.as_deref(), entry.interval, &mut emit);
     let timed_out = watch.as_ref().is_some_and(|w| w.fired());
     drop(watch);
     let error = match outcome {

@@ -38,7 +38,7 @@ use berti_sim::SimOptions;
 use serde::{Deserialize, Value};
 
 use crate::http::{respond_error, respond_json, respond_sse_header, Request};
-use crate::sched::{Sched, SchedulerConfig};
+use crate::sched::Sched;
 use crate::state::{CampaignEntry, Daemon};
 use crate::stats::metrics_json;
 
@@ -62,6 +62,14 @@ const HTTP_IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// [`HTTP_IO_TIMEOUT`] so a healthy-but-quiet stream never trips it.
 const SSE_KEEPALIVE: Duration = Duration::from_secs(5);
 
+/// HTTP handler threads: bounds concurrent connections, including
+/// long-lived SSE streams.
+const HTTP_THREADS: usize = 8;
+
+/// How long a freshly spawned worker has to complete the protocol
+/// handshake (its hello frame) before it is killed.
+pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Server configuration, usually built from CLI flags.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -70,16 +78,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Global worker budget: cells in flight across all campaigns.
     pub workers: usize,
-    /// Run cells in-process instead of in worker processes.
-    pub in_process: bool,
-    /// Override the worker binary (tests point this at
-    /// `CARGO_BIN_EXE_berti-serve`).
-    pub worker_cmd: Option<PathBuf>,
     /// Result-store directory.
     pub store_dir: PathBuf,
-    /// HTTP handler threads (bounds concurrent connections, including
-    /// long-lived SSE streams).
-    pub http_threads: usize,
     /// Default trace directory for submissions that don't carry their
     /// own `"trace_dir"`; discovered trace files join the workload
     /// registry.
@@ -88,9 +88,6 @@ pub struct ServerConfig {
     /// disables deadlines. A submission may override it with a
     /// `"cell_timeout_ms"` body key.
     pub cell_timeout_ms: u64,
-    /// How long a freshly spawned worker has to complete the protocol
-    /// handshake, milliseconds.
-    pub handshake_timeout_ms: u64,
 }
 
 impl Default for ServerConfig {
@@ -98,13 +95,9 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:7791".to_string(),
             workers: 2,
-            in_process: false,
-            worker_cmd: None,
             store_dir: PathBuf::from("results/cache"),
-            http_threads: 8,
             trace_dir: None,
             cell_timeout_ms: 300_000,
-            handshake_timeout_ms: 10_000,
         }
     }
 }
@@ -114,7 +107,6 @@ pub struct Server {
     listener: TcpListener,
     daemon: Arc<Daemon>,
     sched: Sched,
-    http_threads: usize,
 }
 
 impl Server {
@@ -127,19 +119,12 @@ impl Server {
         let mut daemon = Daemon::new(Arc::new(store));
         daemon.default_trace_dir = cfg.trace_dir.as_ref().map(|p| p.display().to_string());
         let daemon = Arc::new(daemon);
-        let sched_cfg = SchedulerConfig {
-            workers: cfg.workers,
-            in_process: cfg.in_process,
-            worker_cmd: cfg.worker_cmd.clone(),
-            cell_timeout: (cfg.cell_timeout_ms > 0)
-                .then(|| Duration::from_millis(cfg.cell_timeout_ms)),
-            handshake_timeout: Duration::from_millis(cfg.handshake_timeout_ms.max(1)),
-        };
+        let cell_timeout =
+            (cfg.cell_timeout_ms > 0).then(|| Duration::from_millis(cfg.cell_timeout_ms));
         Ok(Server {
             listener,
-            sched: Sched::new(Arc::clone(&daemon), sched_cfg),
+            sched: Sched::new(Arc::clone(&daemon), cfg.workers, cell_timeout),
             daemon,
-            http_threads: cfg.http_threads.max(1),
         })
     }
 
@@ -163,7 +148,6 @@ impl Server {
             listener,
             daemon,
             sched,
-            http_threads,
         } = self;
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
         let conn_rx = Mutex::new(conn_rx);
@@ -176,7 +160,7 @@ impl Server {
                     .spawn_scoped(scope, move || sched.run_slot())
                     .expect("budget slot spawns");
             }
-            for _ in 0..http_threads {
+            for _ in 0..HTTP_THREADS {
                 scope.spawn(move || loop {
                     let stream = conn_rx.lock().expect("conn queue poisoned").recv();
                     match stream {

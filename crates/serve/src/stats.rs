@@ -68,29 +68,6 @@ berti_stats::counter_group! {
     }
 }
 
-berti_stats::counter_group! {
-    /// Decode-once trace-cache effectiveness (process-wide; the worker
-    /// shards replay traces through `berti_traces::cache`).
-    pub struct TraceCacheStats {
-        /// Traces actually decoded/mapped/generated.
-        pub decodes: u64,
-        /// Opens served from the shared cache.
-        pub hits: u64,
-        /// Bytes the cache keeps resident (decoded arrays + mappings).
-        pub resident_bytes: u64,
-    }
-}
-
-/// Snapshots the process-wide trace cache into its counter group.
-pub fn trace_cache_stats() -> TraceCacheStats {
-    let c = berti_traces::cache::stats();
-    TraceCacheStats {
-        decodes: c.decodes,
-        hits: c.hits,
-        resident_bytes: c.resident_bytes,
-    }
-}
-
 /// Renders `/metrics`: every registry group as a JSON object keyed by
 /// group then counter name, so new counter groups (or new counters)
 /// appear without touching this function.
@@ -98,7 +75,6 @@ pub fn metrics_json(stats: &ServeStats, sched: &SchedStats) -> Value {
     let mut registry = Registry::new();
     registry.record("serve", stats);
     registry.record("scheduler", sched);
-    registry.record("trace_cache", &trace_cache_stats());
     render_registry(&registry)
 }
 
@@ -141,6 +117,11 @@ mod tests {
             ..SchedStats::default()
         };
         let v = metrics_json(&stats, &sched);
+        let Value::Object(groups) = &v else {
+            panic!("metrics render as an object");
+        };
+        let names: Vec<&str> = groups.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["serve", "scheduler"]);
         let serve = v.get("serve").expect("serve group");
         assert_eq!(serve.get("http_requests").and_then(|v| v.as_u64()), Some(7));
         assert_eq!(
@@ -164,25 +145,5 @@ mod tests {
             scheduler.get("workers_busy").and_then(|v| v.as_u64()),
             Some(0)
         );
-    }
-
-    #[test]
-    fn metrics_surface_the_trace_cache_group() {
-        // Pull a builtin workload through the process-wide cache so the
-        // counters are non-trivially populated (other tests may have
-        // touched the cache already; the assertions are monotone).
-        let w = &berti_traces::spec::suite()[0];
-        let _ = w.trace();
-        let v = metrics_json(&ServeStats::default(), &SchedStats::default());
-        let tc = v.get("trace_cache").expect("trace_cache group");
-        assert!(tc.get("decodes").and_then(|v| v.as_u64()).unwrap_or(0) >= 1);
-        assert!(
-            tc.get("resident_bytes")
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0)
-                > 0,
-            "a generated trace must pin resident bytes"
-        );
-        assert!(tc.get("hits").is_some());
     }
 }

@@ -15,7 +15,8 @@
 //!   or without a reader on the daemon's stdout, wakes an idle daemon
 //!   and ends live SSE tails,
 //! - a warm lockstep client waits on work, not on the daemon's timers,
-//! - only the newest finished campaigns stay servable.
+//! - only the newest finished campaigns stay servable,
+//! - a flag the daemon does not parse is a usage error.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -843,10 +844,10 @@ fn trace_dir_campaign_matches_cli_and_validates_workloads() {
 
 /// A typed executor failure means the same thing through every front
 /// end. One good and one truncated `.btrc` in a trace dir, the same
-/// two-cell campaign through the one-shot path, the daemon with
-/// process workers, and the daemon `--in-process`, each on its own
-/// store: the corrupt cell fails once (`attempts == 1`, no retry, no
-/// backoff) everywhere, and the three aggregates agree byte for byte.
+/// two-cell campaign through the one-shot path (the in-process attempt)
+/// and the daemon (process workers), each on its own store: the
+/// corrupt cell fails once (`attempts == 1`, no retry, no backoff)
+/// both ways, and the two aggregates agree byte for byte.
 #[test]
 fn corrupt_trace_fails_once_and_aggregates_identically_through_every_front_end() {
     let root = fresh_dir("corrupt");
@@ -883,44 +884,44 @@ fn corrupt_trace_fails_once_and_aggregates_identically_through_every_front_end()
     assert_eq!(bad.len(), 1, "exactly the corrupt cell failed: {one_shot}");
     assert_eq!(bad[0].get("attempts").and_then(|v| v.as_u64()), Some(1));
 
-    for (store, mode) in [("store-proc", None), ("store-thread", Some("--in-process"))] {
-        let mut args = vec!["--trace-dir", traces.to_str().expect("utf-8")];
-        args.extend(mode);
-        let daemon = DaemonProc::start(&root.join(store), &[], &args);
-        let addr = daemon.addr.clone();
-        let id = submit(&addr, &campaign);
-        let summary = wait_for(&addr, &id, "campaign done", |s| status_of(s) == "done");
-        assert_eq!(summary.get("completed").and_then(|v| v.as_u64()), Some(1));
-        assert_eq!(summary.get("failed").and_then(|v| v.as_u64()), Some(1));
+    let daemon = DaemonProc::start(
+        &root.join("store-daemon"),
+        &[],
+        &["--trace-dir", traces.to_str().expect("utf-8")],
+    );
+    let addr = daemon.addr.clone();
+    let id = submit(&addr, &campaign);
+    let summary = wait_for(&addr, &id, "campaign done", |s| status_of(s) == "done");
+    assert_eq!(summary.get("completed").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(summary.get("failed").and_then(|v| v.as_u64()), Some(1));
 
-        let (status, result) = http(&addr, "GET", &format!("/campaigns/{id}/result"), None);
-        assert_eq!(status, 200);
-        assert_eq!(
-            result, one_shot,
-            "{mode:?}: daemon and one-shot aggregates agree byte for byte"
-        );
+    let (status, result) = http(&addr, "GET", &format!("/campaigns/{id}/result"), None);
+    assert_eq!(status, 200);
+    assert_eq!(
+        result, one_shot,
+        "daemon and one-shot aggregates agree byte for byte"
+    );
 
-        let stream = sse_collect(&addr, &format!("/campaigns/{id}/events?offset=0"), None);
-        let failures: Vec<serde::Value> = stream
-            .frames
-            .iter()
-            .map(|(_, line)| serde::json::parse(line).expect("parses"))
-            .filter(|v| v.get("event").and_then(|e| e.as_str()) == Some("job_failed"))
-            .collect();
-        assert_eq!(failures.len(), 1, "{mode:?}: one failed attempt, not two");
-        assert_eq!(failures[0].get("attempt").and_then(|v| v.as_u64()), Some(1));
-        assert_eq!(
-            failures[0].get("will_retry").and_then(|v| v.as_bool()),
-            Some(false)
-        );
-        let sched = get_json(&addr, "/metrics");
-        let sched = sched.get("scheduler").expect("scheduler group");
-        assert_eq!(sched.get("cell_retries").and_then(|v| v.as_u64()), Some(0));
-        assert_eq!(
-            sched.get("backoff_sleeps").and_then(|v| v.as_u64()),
-            Some(0)
-        );
-    }
+    let stream = sse_collect(&addr, &format!("/campaigns/{id}/events?offset=0"), None);
+    let failures: Vec<serde::Value> = stream
+        .frames
+        .iter()
+        .map(|(_, line)| serde::json::parse(line).expect("parses"))
+        .filter(|v| v.get("event").and_then(|e| e.as_str()) == Some("job_failed"))
+        .collect();
+    assert_eq!(failures.len(), 1, "one failed attempt, not two");
+    assert_eq!(failures[0].get("attempt").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(
+        failures[0].get("will_retry").and_then(|v| v.as_bool()),
+        Some(false)
+    );
+    let sched = get_json(&addr, "/metrics");
+    let sched = sched.get("scheduler").expect("scheduler group");
+    assert_eq!(sched.get("cell_retries").and_then(|v| v.as_u64()), Some(0));
+    assert_eq!(
+        sched.get("backoff_sleeps").and_then(|v| v.as_u64()),
+        Some(0)
+    );
 }
 
 /// A client in lockstep with the daemon — submit, follow the stream to
@@ -932,7 +933,7 @@ fn corrupt_trace_fails_once_and_aggregates_identically_through_every_front_end()
 #[test]
 fn warm_lockstep_rounds_wait_on_work_not_on_timers() {
     let store = fresh_dir("lockstep");
-    let daemon = DaemonProc::start(&store, &[], &["--in-process"]);
+    let daemon = DaemonProc::start(&store, &[], &[]);
     let addr = daemon.addr.clone();
     let campaign = Campaign::grid("lockstep")
         .workload("lbm-like")
@@ -1056,7 +1057,7 @@ fn sigterm_ends_a_live_sse_tail_and_the_daemon_exits() {
 #[test]
 fn evicted_campaigns_answer_404_and_are_counted() {
     let store = fresh_dir("evict");
-    let daemon = DaemonProc::start(&store, &[], &["--in-process"]);
+    let daemon = DaemonProc::start(&store, &[], &[]);
     let addr = daemon.addr.clone();
     let campaign = Campaign::grid("evict")
         .workload("lbm-like")
@@ -1093,4 +1094,33 @@ fn evicted_campaigns_answer_404_and_are_counted() {
         serve.get("campaigns_evicted").and_then(|v| v.as_u64()),
         Some(1)
     );
+}
+
+/// The daemon parses exactly `--addr`, `--workers`, `--store`,
+/// `--trace-dir` and `--cell-timeout-ms` (plus the hidden `--worker`).
+/// Any other flag is refused before the daemon binds: exit 2, the
+/// unknown-flag error and the usage text on stderr.
+#[test]
+fn unknown_flags_get_the_usage_error() {
+    for args in [
+        &["--in-process"][..],
+        &["--worker-cmd", "/bin/true"],
+        &["--http-threads", "4"],
+        &["--handshake-timeout-ms", "100"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_berti-serve"))
+            .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("daemon runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: usage exit code");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{}`", args[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage: berti-serve"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: never bound");
+    }
 }

@@ -270,7 +270,14 @@ impl std::fmt::Debug for ChampsimStream {
 impl ChampsimStream {
     /// Opens `path`, paying the counting pass.
     pub fn open(path: &Path) -> Result<Self, IngestError> {
-        let len = Self::count_instrs(path)?;
+        Self::from_reader(path, ByteReader::open(path)?)
+    }
+
+    /// Opens `path` with its counting pass read from `reader`, a fresh
+    /// reader of `path` (peeked bytes included), so a caller that
+    /// sniffed the format does not start the decompressor again.
+    fn from_reader(path: &Path, reader: ByteReader) -> Result<Self, IngestError> {
+        let len = Self::count_instrs(reader)?;
         Self::with_len(path, len)
     }
 
@@ -285,8 +292,7 @@ impl ChampsimStream {
     /// The counting pass: validates that the body is whole 64-byte
     /// records and sums [`instrs_per_record`] over them — no predictor
     /// or chain state needed, so it touches each byte exactly once.
-    fn count_instrs(path: &Path) -> Result<usize, IngestError> {
-        let mut reader = ByteReader::open(path)?;
+    fn count_instrs(mut reader: ByteReader) -> Result<usize, IngestError> {
         let mut buf = vec![0u8; CHAMPSIM_RECORD_BYTES * 1024];
         let mut records = 0u64;
         let mut instrs = 0usize;
@@ -485,8 +491,7 @@ pub fn open_streaming(path: &Path) -> Result<Box<dyn InstrStream>, IngestError> 
     let mut reader = ByteReader::open(path)?;
     let magic = reader.peek(4)?;
     if magic != BTRC_MAGIC {
-        drop(reader);
-        return Ok(Box::new(ChampsimStream::open(path)?));
+        return Ok(Box::new(ChampsimStream::from_reader(path, reader)?));
     }
     if compression_tool(path).is_none() {
         drop(reader);
