@@ -1,6 +1,6 @@
 //! Decode-once sharing across a campaign: every cell of a same-trace
 //! campaign replays through the process-wide stream cache, so the
-//! trace file is decoded (or mmapped) exactly once per process no
+//! trace file is decoded (or opened) exactly once per process no
 //! matter how many cells or workers touch it. Also pins satellite
 //! behavior: a corrupt trace file fails its cell with a *typed* error
 //! on the first attempt — no panic, no retry — while healthy cells in
@@ -21,7 +21,8 @@ fn write_slice(dir: &std::path::Path, name: &str, len: usize) -> std::path::Path
         .expect("builtin exists")
         .builtin_body()
         .expect("generates");
-    let records = &btrc.body()[..len.min(btrc.record_count()) * RECORD_BYTES];
+    let body = btrc.body().expect("an owned body");
+    let records = &body[..len.min(btrc.record_count()) * RECORD_BYTES];
     let path = dir.join(format!("{name}.btrc"));
     write_btrc(&path, &decode_records(records).expect("decodes")).expect("writes");
     path

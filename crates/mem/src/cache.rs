@@ -367,7 +367,7 @@ impl Cache {
                 let slot = self.slot(set, way);
                 let wbit = 1u64 << way;
                 match kind {
-                    AccessKind::Load | AccessKind::Rfo | AccessKind::Translation => {
+                    AccessKind::Load | AccessKind::Rfo => {
                         let in_flight = self.valid_at[slot] > now;
                         let was_prefetched = self.prefetched[set] & wbit != 0;
                         let timely = was_prefetched && !in_flight;
@@ -382,6 +382,9 @@ impl Cache {
                         self.latency[slot] = 0; // consumed by this demand touch
                         if kind == AccessKind::Rfo {
                             self.dirty[set] |= wbit;
+                            self.stats.rfo_hits += 1;
+                        } else {
+                            self.stats.load_hits += 1;
                         }
                         let ready_at = if in_flight {
                             self.valid_at[slot]
@@ -389,11 +392,6 @@ impl Cache {
                             now + self.geom.latency
                         };
                         self.repl.on_hit(set, way);
-                        match kind {
-                            AccessKind::Load | AccessKind::Translation => self.stats.load_hits += 1,
-                            AccessKind::Rfo => self.stats.rfo_hits += 1,
-                            _ => unreachable!(),
-                        }
                         if timely {
                             self.stats.pf_useful_timely += 1;
                         }
@@ -435,7 +433,7 @@ impl Cache {
                     return AccessOutcome::MshrFull;
                 }
                 match kind {
-                    AccessKind::Load | AccessKind::Translation => self.stats.load_misses += 1,
+                    AccessKind::Load => self.stats.load_misses += 1,
                     AccessKind::Rfo => self.stats.rfo_misses += 1,
                     AccessKind::Prefetch => {}
                     AccessKind::Writeback => self.stats.wb_misses += 1,

@@ -15,7 +15,7 @@
 //! - [`Way::Sampled`]: `simulate_instrumented` with the interval
 //!   sampler on, which only reads counters;
 //! - [`Way::Streamed`]: a slice row's instructions streamed through the
-//!   mmap'd `.btrc` cursor from a written file, against the same slice
+//!   record cursor from a written `.btrc` file, against the same slice
 //!   replayed from memory. The slice is shorter than a third of the
 //!   run, so the cursor wraps several times;
 //! - [`Way::Campaign`]: `run_campaign`, cold with one worker, then warm
@@ -311,7 +311,7 @@ fn slice(w: &WorkloadDef) -> Vec<Instr> {
 }
 
 /// `instrs` written to a temp `.btrc` file, as a file-backed workload
-/// replayed through the mmap'd cursor (the form the benchmark's
+/// replayed through the record cursor (the form the benchmark's
 /// fixtures take). The file lives as long as the returned path.
 pub fn file_workload(name: &str, instrs: &[Instr]) -> (WorkloadDef, TempPath) {
     let path = TempPath::new(&format!("matrix-{name}.btrc"));

@@ -6,7 +6,7 @@
 //! the API needs it (query values). Exactly what the daemon's JSON +
 //! SSE API requires and nothing more.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
 
 use serde::Value;
 
@@ -15,7 +15,7 @@ use serde::Value;
 /// memory).
 pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
-/// Largest accepted header section.
+/// Largest accepted header section, request line included.
 const MAX_HEADER_BYTES: usize = 64 * 1024;
 
 /// One parsed HTTP request.
@@ -36,10 +36,12 @@ pub struct Request {
 impl Request {
     /// Reads one request from `stream`. Returns `Ok(None)` on a clean
     /// EOF before any bytes (client connected and left), `Err` on a
-    /// malformed or oversized request.
+    /// malformed or oversized request: [`ErrorKind::FileTooLarge`] for
+    /// a body over [`MAX_BODY_BYTES`] (see [`rejection_status`]).
     pub fn read(stream: &mut impl BufRead) -> std::io::Result<Option<Request>> {
-        let mut line = String::new();
-        if stream.read_line(&mut line)? == 0 {
+        let mut budget = MAX_HEADER_BYTES;
+        let line = read_line(stream, &mut budget)?;
+        if line.is_empty() {
             return Ok(None);
         }
         let mut parts = line.split_whitespace();
@@ -53,15 +55,10 @@ impl Request {
         };
 
         let mut headers = Vec::new();
-        let mut header_bytes = 0;
         loop {
-            let mut h = String::new();
-            if stream.read_line(&mut h)? == 0 {
+            let h = read_line(stream, &mut budget)?;
+            if h.is_empty() {
                 return Err(bad("eof in headers"));
-            }
-            header_bytes += h.len();
-            if header_bytes > MAX_HEADER_BYTES {
-                return Err(bad("header section too large"));
             }
             let h = h.trim_end();
             if h.is_empty() {
@@ -83,7 +80,10 @@ impl Request {
                 .map_err(|_| bad("malformed content-length"))?,
         };
         if content_length > MAX_BODY_BYTES {
-            return Err(bad("request body too large"));
+            return Err(std::io::Error::new(
+                ErrorKind::FileTooLarge,
+                "request body too large",
+            ));
         }
         // Read what arrives rather than allocating the claimed length
         // up front, so a client that promises 8 MiB and sends nothing
@@ -132,8 +132,31 @@ impl Request {
     }
 }
 
+/// Reads one line of the header section, reading at most `budget`
+/// bytes and taking what it read off `budget`; `""` at EOF. A line
+/// still open when the budget runs out is an error, so no line grows
+/// past the header limit however long the client makes it.
+fn read_line(stream: &mut impl BufRead, budget: &mut usize) -> std::io::Result<String> {
+    let mut line = String::new();
+    *budget -= stream.by_ref().take(*budget as u64).read_line(&mut line)?;
+    if *budget == 0 && !line.ends_with('\n') {
+        return Err(bad("header section too large"));
+    }
+    Ok(line)
+}
+
 fn bad(msg: &str) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+    std::io::Error::new(ErrorKind::InvalidData, msg)
+}
+
+/// The status that answers a request [`Request::read`] rejected: 413
+/// for a body over [`MAX_BODY_BYTES`], 400 for anything malformed.
+pub fn rejection_status(e: &std::io::Error) -> u16 {
+    if e.kind() == ErrorKind::FileTooLarge {
+        413
+    } else {
+        400
+    }
 }
 
 fn parse_query(q: &str) -> Vec<(String, String)> {
@@ -292,7 +315,27 @@ mod tests {
             MAX_BODY_BYTES + 1
         );
         let mut r = BufReader::new(raw.as_bytes());
-        assert!(Request::read(&mut r).is_err());
+        let err = Request::read(&mut r).expect_err("over the limit");
+        assert_eq!(rejection_status(&err), 413);
+        let mut r = BufReader::new(&b"POST /x HTTP/1.1\r\nContent-Length: ten\r\n\r\n"[..]);
+        let err = Request::read(&mut r).expect_err("malformed");
+        assert_eq!(rejection_status(&err), 400);
+    }
+
+    #[test]
+    fn header_section_is_bounded_with_the_request_line() {
+        let head = |line_bytes: usize| {
+            let mut raw = b"GET /x HTTP/1.1\r\nX: ".to_vec();
+            raw.resize(raw.len() + line_bytes, b'a');
+            raw.extend_from_slice(b"\r\n\r\n");
+            Request::read(&mut BufReader::new(&raw[..]))
+        };
+        let fits = MAX_HEADER_BYTES - "GET /x HTTP/1.1\r\nX: \r\n\r\n".len();
+        assert!(head(fits).expect("parses").is_some());
+        assert_eq!(
+            head(fits + 1).expect_err("one byte over").kind(),
+            ErrorKind::InvalidData
+        );
     }
 
     #[test]

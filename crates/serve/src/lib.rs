@@ -49,9 +49,8 @@
 //! HTTP API and `DESIGN.md` §8 for the worker protocol.
 
 // `deny` rather than `forbid`: the deadline monitor in [`sched`] binds
-// the libc `kill(2)` symbol behind one scoped `#[allow(unsafe_code)]`
-// (the same carve-out `berti-traces` uses for mmap); everything else
-// stays safe Rust.
+// the libc `kill(2)` symbol behind one scoped `#[allow(unsafe_code)]`;
+// everything else stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

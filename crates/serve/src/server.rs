@@ -37,7 +37,7 @@ use berti_harness::{registry, Campaign, ResultCache};
 use berti_sim::SimOptions;
 use serde::{Deserialize, Value};
 
-use crate::http::{respond_error, respond_json, respond_sse_header, Request};
+use crate::http::{rejection_status, respond_error, respond_json, respond_sse_header, Request};
 use crate::sched::Sched;
 use crate::state::{CampaignEntry, Daemon};
 use crate::stats::metrics_json;
@@ -234,7 +234,7 @@ fn handle_connection(stream: TcpStream, daemon: &Daemon, sched: &Sched) {
             stats.http_requests += 1;
             stats.http_errors += 1;
             drop(stats);
-            let _ = respond_error(&mut writer, 400, &e.to_string());
+            let _ = respond_error(&mut writer, rejection_status(&e), &e.to_string());
             return;
         }
     };

@@ -118,7 +118,8 @@ fn lbm_slice(len: usize) -> Vec<berti_types::Instr> {
         .expect("builtin exists")
         .builtin_body()
         .expect("generates");
-    decode_records(&btrc.body()[..len * RECORD_BYTES]).expect("decodes")
+    let body = btrc.body().expect("an owned body");
+    decode_records(&body[..len * RECORD_BYTES]).expect("decodes")
 }
 
 /// One-shot HTTP exchange; returns (status, body).
@@ -541,6 +542,23 @@ fn malformed_submissions_are_rejected() {
     assert_eq!(status, 400);
     let (status, _) = http(&addr, "GET", "/campaigns/c1", None);
     assert_eq!(status, 404, "nothing was actually submitted");
+
+    // A body over the limit is refused by its length alone, before any
+    // of it is sent.
+    let mut s = TcpStream::connect(&addr).expect("connect");
+    s.set_read_timeout(Some(DEADLINE)).expect("timeout");
+    let claim = berti_serve::http::MAX_BODY_BYTES + 1;
+    write!(
+        s,
+        "POST /campaigns HTTP/1.1\r\nContent-Length: {claim}\r\n\r\n"
+    )
+    .expect("request writes");
+    let mut raw = String::new();
+    s.read_to_string(&mut raw).expect("response reads");
+    assert!(
+        raw.starts_with("HTTP/1.1 413 Payload Too Large\r\n"),
+        "{raw}"
+    );
 
     let health = get_json(&addr, "/healthz");
     assert_eq!(health.get("status").and_then(|v| v.as_str()), Some("ok"));

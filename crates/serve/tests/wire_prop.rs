@@ -7,7 +7,9 @@
 //!   would hang the test);
 //! - a length prefix (or `Content-Length`) larger than the bytes
 //!   supplied is a torn-frame (short-body) error, and the claimed
-//!   length is never allocated before the bytes arrive;
+//!   length is never allocated before the bytes arrive; nor is a
+//!   request line or header line that never ends buffered past the
+//!   header limit;
 //! - a reader that hands out 1..n bytes per `read` gives the same
 //!   results as one that hands out everything at once;
 //! - `write_frame` → `read_frame` round-trips.
@@ -16,7 +18,7 @@
 //! fuzz job runs this file at 512.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::{BufReader, ErrorKind, Read};
+use std::io::{repeat, BufReader, ErrorKind, Read};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use berti_serve::http::{Request, MAX_BODY_BYTES};
@@ -283,4 +285,18 @@ fn claimed_lengths_are_not_allocated_before_the_bytes_arrive() {
         largest < CEILING,
         "largest allocation {largest} B for claims of {MAX_FRAME_BYTES} and {MAX_BODY_BYTES} B"
     );
+
+    // 32 MiB of request line, then of one header line, with no newline:
+    // each is refused at the header limit, not buffered whole.
+    const ENDLESS: u64 = 32 << 20;
+    for head in [&b""[..], b"GET /x HTTP/1.1\r\nX-Long: "] {
+        LARGEST.store(0, Ordering::Relaxed);
+        let got = request(head.chain(repeat(b'a').take(ENDLESS)));
+        let largest = LARGEST.load(Ordering::Relaxed);
+        assert_eq!(got, Err(ErrorKind::InvalidData));
+        assert!(
+            largest < CEILING,
+            "largest allocation {largest} B for a {ENDLESS} B line"
+        );
+    }
 }

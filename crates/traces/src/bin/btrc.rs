@@ -85,12 +85,11 @@ fn gen(workload: &str, output: &Path, tile: u64) -> Result<(), String> {
     let btrc = w
         .builtin_body()
         .expect("the builtin registry holds generators only");
+    let body = btrc.body().expect("a generated body is owned");
     // Tiling builds arbitrarily large fixtures (e.g. for memory-ceiling
     // CI runs) in the memory of one body.
-    let records = write_btrc_file(output, |out| {
-        (0..tile).try_for_each(|_| out.write(btrc.body()))
-    })
-    .map_err(|e| e.to_string())?;
+    let records = write_btrc_file(output, |out| (0..tile).try_for_each(|_| out.write(body)))
+        .map_err(|e| e.to_string())?;
     println!("{workload} -> {} ({records} records)", output.display());
     Ok(())
 }

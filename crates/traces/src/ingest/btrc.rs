@@ -89,7 +89,7 @@ impl BtrcHeader {
 }
 
 /// Parses and fully validates the fixed 32-byte `.btrc` header. Every
-/// reader — the reference decoder, the mmap stream, the pipe stream —
+/// reader — the reference decoder, the record cursor, the pipe stream —
 /// goes through this one function, so a malformed header is
 /// the same typed error no matter which backend saw it.
 pub fn parse_btrc_header(header: &[u8; BTRC_HEADER_BYTES]) -> Result<BtrcHeader, IngestError> {

@@ -1,41 +1,41 @@
-//! The one record cursor: every trace replayed from memory is a `.btrc`
-//! body behind an [`MmapBtrc`] handle, and [`MmapStream`] decodes its
-//! 40-byte records lazily per chunk. A file is mapped read-only, its
-//! header validated eagerly (including that the file really holds the
-//! body the header promises — a shorter file is a typed error at open,
-//! not a fault at replay). A body built in this process (a generated
-//! builtin, a `Trace::new` sequence, a decoded small file) is owned by
-//! the handle instead, and has no checksum to verify.
+//! The one record cursor: every trace replayed from memory or from a
+//! plain `.btrc` file is a `.btrc` body behind an [`MmapBtrc`] handle,
+//! and [`MmapStream`] decodes its 40-byte records lazily per chunk. A
+//! file's header is validated eagerly at open, including that the file
+//! really holds the body the header promises (a shorter file is a typed
+//! error at open, not at replay); each cursor then reads the records
+//! its chunks need from the handle's open file, 64 KiB at a time, into
+//! a buffer it owns. A body built in this process (a generated builtin,
+//! a `Trace::new` sequence, a decoded small file) is owned by the
+//! handle instead, decoded in place, and has no checksum to verify.
 //!
 //! ## When the checksum is verified
 //!
 //! The FNV body checksum belongs to the shared handle, not to a cursor:
 //! the handle keeps the length of the body prefix hashed so far and the
-//! running FNV over it, and the one cursor whose chunk covers that
-//! frontier extends it. Each body byte is therefore hashed at most once
-//! per handle per process however many cursors, threads and partial
-//! passes replay it, short cells that never finish a pass still
-//! accumulate towards the verdict, and the verdict falls when the
-//! prefix reaches the end of the body: a mismatch is a typed
-//! [`IngestError::ChecksumMismatch`] from the `next_chunk` that
-//! completes the coverage (the frontier stays put, so every later
-//! cursor to reach the end gets the same error and no record of the
-//! last chunk is handed out).
+//! running FNV over it, and the one cursor whose block covers that
+//! frontier extends it from the bytes it just read. Each body byte is
+//! therefore hashed at most once per handle per process however many
+//! cursors, threads and partial passes replay it, short cells that
+//! never finish a pass still accumulate towards the verdict, and the
+//! verdict falls when the prefix reaches the end of the body: a
+//! mismatch is a typed [`IngestError::ChecksumMismatch`] from the
+//! `next_chunk` that completes the coverage (the frontier stays put, so
+//! every later cursor to reach the end gets the same error and no
+//! record of the last chunk is handed out).
 //!
-//! ## Mapping lifetime and safety
+//! ## A file that changes under replay
 //!
-//! A [`MmapBtrc`] owns its mapping for as long as any stream holds the
-//! `Arc`; cursors borrow the mapped bytes only inside `next_chunk`, so
-//! no reference outlives the handle. The mapping is `PROT_READ` +
-//! `MAP_PRIVATE`: nothing in this process can write through it. The
-//! one residual hazard inherent to mmap — another process truncating
-//! the file *after* we validated its length — is the same fault every
-//! mmap consumer accepts; we remove the common case (a file that was
-//! already short) by checking `metadata.len()` against the header
-//! before the first access.
+//! Cursors read through the file the handle opened, so a file replaced
+//! by rename keeps replaying the bytes that were validated. One cut
+//! short in place after open has no records left where the header said
+//! there would be: the first block read that runs past its new end is a
+//! typed [`IngestError::Truncated`], never a fault (records a cursor
+//! read before the cut are still served from its block).
 
 use std::fs::File;
-use std::path::Path;
+use std::io::{ErrorKind, Read, Seek, SeekFrom};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -45,148 +45,53 @@ use super::btrc::{parse_btrc_header, BtrcHeader, FNV_OFFSET_BASIS};
 use super::{fnv1a64_update, IngestError, BTRC_HEADER_BYTES};
 use crate::stream::InstrStream;
 
-/// A read-only memory mapping of a whole file. On non-Unix targets
-/// (no `mmap`) this degrades to reading the file into memory — same
-/// API, no zero-copy.
-#[cfg(unix)]
-mod map {
-    use std::fs::File;
-    use std::io;
-    use std::os::unix::io::AsRawFd;
-
-    /// Minimal `mmap(2)` binding: the build environment has no
-    /// crates.io access, so the usual `memmap2`/`libc` route is
-    /// unavailable; these two symbols come straight from the platform
-    /// libc the binary already links.
-    #[allow(unsafe_code)]
-    mod sys {
-        use std::os::raw::{c_int, c_void};
-
-        pub const PROT_READ: c_int = 1;
-        pub const MAP_PRIVATE: c_int = 2;
-
-        extern "C" {
-            pub fn mmap(
-                addr: *mut c_void,
-                len: usize,
-                prot: c_int,
-                flags: c_int,
-                fd: c_int,
-                offset: i64,
-            ) -> *mut c_void;
-            pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        }
-    }
-
-    pub struct Mmap {
-        ptr: *mut u8,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is read-only (`PROT_READ`) and private; no
-    // alias can write through it, so shared references from any thread
-    // are sound.
-    #[allow(unsafe_code)]
-    unsafe impl Send for Mmap {}
-    #[allow(unsafe_code)]
-    unsafe impl Sync for Mmap {}
-
-    impl Mmap {
-        #[allow(unsafe_code)]
-        pub fn map(file: &File, len: u64) -> io::Result<Mmap> {
-            let len = usize::try_from(len)
-                .map_err(|_| io::Error::new(io::ErrorKind::OutOfMemory, "file exceeds usize"))?;
-            if len == 0 {
-                return Ok(Mmap {
-                    ptr: std::ptr::null_mut(),
-                    len: 0,
-                });
-            }
-            // SAFETY: fd is a live, readable file descriptor borrowed
-            // for the duration of the call; a private read-only
-            // mapping of it has no aliasing or mutation hazards. The
-            // result is checked against MAP_FAILED before use.
-            let ptr = unsafe {
-                sys::mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    sys::PROT_READ,
-                    sys::MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Mmap {
-                ptr: ptr.cast(),
-                len,
-            })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            if self.len == 0 {
-                return &[];
-            }
-            // SAFETY: `ptr` is a live PROT_READ mapping of exactly
-            // `len` bytes, valid until `Drop` unmaps it; `&self`
-            // borrows guarantee the slice cannot outlive that.
-            #[allow(unsafe_code)]
-            unsafe {
-                std::slice::from_raw_parts(self.ptr, self.len)
-            }
-        }
-    }
-
-    impl Drop for Mmap {
-        #[allow(unsafe_code)]
-        fn drop(&mut self) {
-            if self.len > 0 {
-                // SAFETY: this is the unique owner of the mapping; no
-                // borrow of `bytes()` can be live here.
-                unsafe {
-                    sys::munmap(self.ptr.cast(), self.len);
-                }
-            }
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod map {
-    use std::fs::File;
-    use std::io::{self, Read};
-
-    /// Portable fallback: same interface, plain heap buffer.
-    pub struct Mmap {
-        buf: Vec<u8>,
-    }
-
-    impl Mmap {
-        pub fn map(file: &File, len: u64) -> io::Result<Mmap> {
-            let mut buf = Vec::with_capacity(len as usize);
-            let mut file = file.try_clone()?;
-            file.read_to_end(&mut buf)?;
-            Ok(Mmap { buf })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            &self.buf
-        }
-    }
-}
+/// Records a cursor reads from a file at once: 64 KiB of them. The
+/// read's cost is mostly per record (the kernel's copy), and a block
+/// this size takes the rest off it: a scratch 4-core mix over 16 MB
+/// fixtures spent 15 % more CPU than with the body memory-mapped when
+/// every 256-record chunk was its own read, 10 % at this size, and no
+/// less at four times it.
+const BLOCK_RECORDS: usize = (64 << 10) / RECORD_BYTES;
 
 /// Where a handle's bytes live.
 enum Bytes {
-    /// The whole mapped file, header included.
-    Mapped(map::Mmap),
+    /// A plain `.btrc` file, read block by block by each cursor.
+    File(BodyFile),
     /// A record body built in this process, without a header.
     Owned(Box<[u8]>),
 }
 
-/// A validated, shareable `.btrc` body: a mapping of one file, or a
-/// body built in this process (a generated builtin, an encoded
+/// An open plain `.btrc` file whose header has been validated.
+struct BodyFile {
+    /// The lock makes a seek and the read after it one step.
+    file: Mutex<File>,
+    path: PathBuf,
+}
+
+impl BodyFile {
+    /// Fills `block` with the body's bytes from offset `start`. A file
+    /// cut short since open fails typed, as it would have at open.
+    fn read(&self, header: &BtrcHeader, start: usize, block: &mut [u8]) -> Result<(), IngestError> {
+        let io = |e: std::io::Error| IngestError::io(&self.path, &e);
+        // The offset is set before every read, so a panic that poisoned
+        // the lock left nothing behind to distrust.
+        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let read = file
+            .seek(SeekFrom::Start((BTRC_HEADER_BYTES + start) as u64))
+            .and_then(|_| file.read_exact(block));
+        if let Err(e) = read {
+            if e.kind() == ErrorKind::UnexpectedEof {
+                let len = file.metadata().map_err(io)?.len();
+                header.check_body_len(len.saturating_sub(BTRC_HEADER_BYTES as u64))?;
+            }
+            return Err(io(e));
+        }
+        Ok(())
+    }
+}
+
+/// A validated, shareable `.btrc` body: an open plain `.btrc` file, or
+/// a body built in this process (a generated builtin, an encoded
 /// [`crate::Trace::new`] sequence, a decoded small file). Cheap to
 /// clone behind an [`Arc`]; the stream cache hands the same handle to
 /// every cell replaying the trace, so the body is opened or built once
@@ -198,8 +103,8 @@ pub struct MmapBtrc {
     /// once this equals its length. Written only while holding `hash`
     /// (`Release`), read lock-free by every chunk (`Acquire`).
     hashed: AtomicUsize,
-    /// Running FNV-1a over `body()[..hashed]`; holding the lock is the
-    /// right to extend the prefix.
+    /// Running FNV-1a over the body's first `hashed` bytes; holding the
+    /// lock is the right to extend the prefix.
     hash: Mutex<u64>,
 }
 
@@ -213,42 +118,40 @@ impl std::fmt::Debug for MmapBtrc {
 }
 
 impl MmapBtrc {
-    /// Maps `path` and eagerly validates everything that does not
+    /// Opens `path` and eagerly validates everything that does not
     /// require reading the body: magic, version, record size, reserved
     /// bits, and that the file length matches the header's record
     /// count exactly. A file shorter than its header claims is
-    /// [`IngestError::Truncated`] here — never a fault later.
+    /// [`IngestError::Truncated`] here, not at replay.
     pub fn open(path: &Path) -> Result<Self, IngestError> {
-        let file = File::open(path).map_err(|e| IngestError::io(path, &e))?;
-        let file_len = file
-            .metadata()
-            .map_err(|e| IngestError::io(path, &e))?
-            .len();
+        let io = |e: std::io::Error| IngestError::io(path, &e);
+        let mut file = File::open(path).map_err(io)?;
+        let file_len = file.metadata().map_err(io)?.len();
         if file_len < BTRC_HEADER_BYTES as u64 {
             return Err(IngestError::TruncatedHeader {
                 got: file_len as usize,
             });
         }
-        let map = map::Mmap::map(&file, file_len).map_err(|e| IngestError::io(path, &e))?;
-        let header_bytes: &[u8; BTRC_HEADER_BYTES] = map.bytes()[..BTRC_HEADER_BYTES]
-            .try_into()
-            .expect("header slice");
-        let header = parse_btrc_header(header_bytes)?;
+        let mut header_bytes = [0; BTRC_HEADER_BYTES];
+        file.read_exact(&mut header_bytes).map_err(io)?;
+        let header = parse_btrc_header(&header_bytes)?;
         header.check_body_len(file_len - BTRC_HEADER_BYTES as u64)?;
-        let btrc = Self {
-            bytes: Bytes::Mapped(map),
-            header,
-            hashed: AtomicUsize::new(0),
-            hash: Mutex::new(FNV_OFFSET_BASIS),
-        };
         // An empty body has no chunk to carry its verdict.
-        if btrc.body().is_empty() && btrc.header.checksum != FNV_OFFSET_BASIS {
+        if header.record_count == 0 && header.checksum != FNV_OFFSET_BASIS {
             return Err(IngestError::ChecksumMismatch {
-                expected: btrc.header.checksum,
+                expected: header.checksum,
                 got: FNV_OFFSET_BASIS,
             });
         }
-        Ok(btrc)
+        Ok(Self {
+            bytes: Bytes::File(BodyFile {
+                file: Mutex::new(file),
+                path: path.to_path_buf(),
+            }),
+            header,
+            hashed: AtomicUsize::new(0),
+            hash: Mutex::new(FNV_OFFSET_BASIS),
+        })
     }
 
     /// Takes ownership of a record body built in this process (by
@@ -284,13 +187,12 @@ impl MmapBtrc {
         self.header.record_count as usize
     }
 
-    /// The record bytes (everything after a file's header). For a
-    /// mapped file they are verified only once [`MmapBtrc::hashed_bytes`]
-    /// equals their length.
-    pub fn body(&self) -> &[u8] {
+    /// The record bytes of a body built in this process; `None` for a
+    /// file, whose cursors read it block by block.
+    pub fn body(&self) -> Option<&[u8]> {
         match &self.bytes {
-            Bytes::Mapped(map) => &map.bytes()[BTRC_HEADER_BYTES..],
-            Bytes::Owned(body) => body,
+            Bytes::File(_) => None,
+            Bytes::Owned(body) => Some(body),
         }
     }
 
@@ -302,13 +204,14 @@ impl MmapBtrc {
         self.hashed.load(Ordering::Acquire)
     }
 
-    /// Extends the hashed prefix to `end` if it currently ends inside
-    /// `body()[start..end]` — the caller is about to hand out (or
-    /// decode) those bytes. A frontier outside the range means another
+    /// Extends the hashed prefix over `records`, the body's bytes from
+    /// `start`, if it currently ends inside them — the caller is about
+    /// to hand them out. A frontier outside the range means another
     /// cursor already hashed them, or has yet to hash what precedes
     /// them; either way this call hashes nothing. Reaching the end of
     /// the body with the wrong sum is the checksum verdict.
-    fn hash_through(&self, start: usize, end: usize) -> Result<(), IngestError> {
+    fn hash_through(&self, start: usize, records: &[u8]) -> Result<(), IngestError> {
+        let end = start + records.len();
         let covers = |frontier: usize| (start..end).contains(&frontier);
         if !covers(self.hashed.load(Ordering::Acquire)) {
             return Ok(());
@@ -321,9 +224,8 @@ impl MmapBtrc {
         if !covers(frontier) {
             return Ok(()); // a sibling cursor got here first
         }
-        let body = self.body();
-        let got = fnv1a64_update(*hash, &body[frontier..end]);
-        if end == body.len() && got != self.header.checksum {
+        let got = fnv1a64_update(*hash, &records[frontier - start..]);
+        if end == self.record_count() * RECORD_BYTES && got != self.header.checksum {
             return Err(IngestError::ChecksumMismatch {
                 expected: self.header.checksum,
                 got,
@@ -335,19 +237,30 @@ impl MmapBtrc {
     }
 }
 
-/// A zero-copy cursor over a shared [`MmapBtrc`]: decodes 40-byte
-/// records lazily per chunk straight out of the mapping. The cursor is
-/// only a position; checksum progress lives in the handle.
+/// A cursor over a shared [`MmapBtrc`]: decodes 40-byte records lazily
+/// per chunk, straight out of an owned body or out of the block it last
+/// read from the handle's file. The cursor is a position and that block;
+/// checksum progress lives in the handle.
 pub struct MmapStream {
     btrc: Arc<MmapBtrc>,
     /// Next record index of the current pass.
     rec: usize,
+    /// The body's records from `block_rec` on, as last read from a
+    /// file. Sized by its first read and reused after that, across
+    /// rewinds too, so replay does not allocate.
+    block: Vec<u8>,
+    block_rec: usize,
 }
 
 impl MmapStream {
     /// A cursor at record zero over `btrc`.
     pub fn new(btrc: Arc<MmapBtrc>) -> Self {
-        Self { btrc, rec: 0 }
+        Self {
+            btrc,
+            rec: 0,
+            block: Vec::new(),
+            block_rec: 0,
+        }
     }
 }
 
@@ -357,19 +270,40 @@ impl InstrStream for MmapStream {
     }
 
     fn next_chunk(&mut self, buf: &mut [Instr]) -> Result<usize, IngestError> {
-        let n = buf.len().min(self.btrc.record_count() - self.rec);
+        let Self {
+            btrc,
+            rec,
+            block,
+            block_rec,
+        } = self;
+        let left = btrc.record_count() - *rec;
+        let mut n = buf.len().min(left);
         if n == 0 {
             return Ok(0);
         }
-        let (start, end) = (self.rec * RECORD_BYTES, (self.rec + n) * RECORD_BYTES);
-        self.btrc.hash_through(start, end)?;
-        decode_record_chunk(&self.btrc.body()[start..end], &mut buf[..n]).map_err(
-            |(index, error)| IngestError::BadRecord {
-                index: self.rec as u64 + index,
+        let start = *rec * RECORD_BYTES;
+        let records = match &btrc.bytes {
+            Bytes::Owned(body) => &body[start..start + n * RECORD_BYTES],
+            Bytes::File(file) => {
+                let held = block.len() / RECORD_BYTES;
+                if !(*block_rec..*block_rec + held).contains(rec) {
+                    block.resize(BLOCK_RECORDS.max(n).min(left) * RECORD_BYTES, 0);
+                    file.read(&btrc.header, start, block)?;
+                    *block_rec = *rec;
+                }
+                let at = *rec - *block_rec;
+                n = n.min(block.len() / RECORD_BYTES - at);
+                &block[at * RECORD_BYTES..(at + n) * RECORD_BYTES]
+            }
+        };
+        btrc.hash_through(start, records)?;
+        decode_record_chunk(records, &mut buf[..n]).map_err(|(index, error)| {
+            IngestError::BadRecord {
+                index: *rec as u64 + index,
                 error,
-            },
-        )?;
-        self.rec += n;
+            }
+        })?;
+        *rec += n;
         Ok(n)
     }
 
@@ -426,8 +360,7 @@ mod tests {
     fn short_file_is_a_typed_error_at_open() {
         let good = encode_btrc(&sample(10));
         // File shorter than the header's record count promises: the
-        // open must fail typed — mapping it and decoding would walk
-        // off the end of the file.
+        // open must fail typed, before any cursor reads a block.
         let path = TempPath::file("short.btrc", &good[..good.len() - 2 * RECORD_BYTES - 3]);
         match MmapBtrc::open(&path) {
             Err(IngestError::Truncated {

@@ -5,8 +5,8 @@
 //! Two backends live here: [`ChampsimStream`] (64-byte `input_instr`
 //! records through the sequential branch-predictor/dep-chain decoder)
 //! and [`BtrcPipeStream`] (`.btrc` bodies arriving through a
-//! decompressor, where mmap is impossible). Plain `.btrc` files take
-//! the zero-copy mmap path in [`super::mmap`] instead;
+//! decompressor, which can only be read front to back). Plain `.btrc`
+//! files take the shared record cursor in [`super::mmap`] instead;
 //! [`open_streaming`] picks the right backend by extension and content,
 //! and [`drain_file`] decodes a whole file once, in order, by the same
 //! rule.
@@ -342,8 +342,8 @@ impl InstrStream for ChampsimStream {
 }
 
 /// An [`InstrStream`] over a `.btrc` body arriving through a
-/// decompressor pipe (`.btrc.xz` and friends), where mmap is
-/// impossible. The header is parsed eagerly at open; records decode
+/// decompressor pipe (`.btrc.xz` and friends), which can only be read
+/// front to back. The header is parsed eagerly at open; records decode
 /// lazily per chunk with a running FNV hash, verified against the
 /// header checksum at the end of the first full pass.
 pub struct BtrcPipeStream {
@@ -482,8 +482,9 @@ impl InstrStream for BtrcPipeStream {
     }
 }
 
-/// Opens the right streaming backend for `path`: zero-copy mmap for
-/// plain `.btrc`, pipe decoders for compressed files and ChampSim
+/// Opens the right streaming backend for `path`: the record cursor
+/// over an opened file for plain `.btrc`, pipe decoders for compressed
+/// files and ChampSim
 /// bodies. Format detection is by content, not extension: bodies
 /// starting with the `BTRC` magic are `.btrc`, anything else is
 /// ChampSim.

@@ -17,10 +17,7 @@
 //! - `cloud`: CloudSuite-like services — low data MPKI, high branch
 //!   pressure, mixed regular/irregular accesses.
 
-// `deny`, not `forbid`: the one `#[allow(unsafe_code)]` exception is
-// the minimal mmap(2) binding in `ingest::mmap`, which backs zero-copy
-// `.btrc` replay. Everything else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -1,9 +1,9 @@
 //! The streaming trace seam: pull cursors over instruction streams.
 //!
 //! [`InstrStream`] is the contract every trace backend implements —
-//! the one record cursor over a shared `.btrc` body (mapped from a
-//! file, or built in memory for builtins, `Trace::new` and small
-//! decoded files) and the incremental ChampSim/compressed decoders
+//! the one record cursor over a shared `.btrc` body (read from a
+//! plain `.btrc` file, or built in memory for builtins, `Trace::new`
+//! and small decoded files) and the incremental ChampSim/compressed decoders
 //! (`crate::ingest`). A stream produces one *replay period* of
 //! instructions chunk by chunk; the consumer ([`crate::Trace`]) rewinds
 //! it to replay cyclically, so a multi-GB trace never has to

@@ -301,8 +301,7 @@ impl Trace {
     /// # Panics
     ///
     /// Panics if the stream cannot be forked (e.g. the backing file
-    /// vanished mid-run); shared in-memory and mmap backends cannot
-    /// fail.
+    /// vanished mid-run); the shared record cursor cannot fail.
     pub fn restarted(&self) -> Trace {
         let stream = self
             .stream
@@ -390,7 +389,7 @@ mod tests {
         let body = w.builtin_body().expect("a builtin");
         assert!(Arc::ptr_eq(&body, &w.builtin_body().expect("memoized")));
         assert_eq!(
-            decode_records(body.body()).expect("decodes"),
+            decode_records(body.body().expect("an owned body")).expect("decodes"),
             [Instr::alu(Ip::new(3)); 5]
         );
         assert_eq!(w.trace().len(), 5);

@@ -51,7 +51,7 @@ fn gen_writes_the_encoded_workload_once_or_tiled() {
         .expect("a builtin")
         .builtin_body()
         .expect("generates");
-    let instrs = decode_records(body.body()).expect("decodes");
+    let instrs = decode_records(body.body().expect("an owned body")).expect("decodes");
     let expected = encode_btrc(&instrs);
     let body = &expected[BTRC_HEADER_BYTES..];
 

@@ -127,7 +127,7 @@ fn drain(mut stream: Box<dyn InstrStream>) -> Result<Vec<Instr>, IngestError> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(common::proptest_cases(64)))]
 
     /// Arbitrary bytes in an uncompressed file, with and without the
     /// `BTRC` magic, opened through the trace cache and drained: never

@@ -63,3 +63,12 @@ impl Drop for TempPath {
         }
     }
 }
+
+/// Cases per property: `default` in an ordinary run, `PROPTEST_CASES`
+/// when it is set (the scheduled fuzz job sets it to run longer).
+pub fn proptest_cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}

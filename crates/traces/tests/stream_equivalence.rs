@@ -6,10 +6,10 @@
 //! one-shot materializing decoder produces. These property tests pin
 //! that promise for the one record cursor ([`MmapStream`]) over both of
 //! its handle forms — an owned body built in the process (builtins,
-//! [`Trace::new`]) and the mmap'd file of the same bytes — and for the
-//! [`Trace`] chunked cursor, and check that mmap-time corruption
-//! (truncation below what the header claims, a flipped body byte) is a
-//! typed [`IngestError`] — never a panic, never a SIGBUS.
+//! [`Trace::new`]) and the plain `.btrc` file of the same bytes — and
+//! for the [`Trace`] chunked cursor, and check that file corruption
+//! (truncation below what the header claims, at open or after it, and
+//! a flipped body byte) is a typed [`IngestError`] — never a panic.
 
 mod common;
 
@@ -61,9 +61,9 @@ fn drain_pass(stream: &mut dyn InstrStream, chunk: usize) -> Result<Vec<Instr>, 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(common::proptest_cases(24)))]
 
-    /// One pass of the mmap stream equals the one-shot decode for every
+    /// One pass of the file's stream equals the one-shot decode for every
     /// chunk size — including 1 (maximal refills), sizes that divide
     /// the trace, sizes that straddle the final partial chunk, and
     /// sizes larger than the trace. A rewound second pass with a
@@ -91,11 +91,11 @@ proptest! {
         prop_assert_eq!(&second, &instrs);
     }
 
-    /// The record cursor over an owned body and over the mmap'd file of
-    /// the same bytes are one replay: the same sequence at any chunk
-    /// size, again after a rewind, and from a fork taken mid-pass. The
-    /// owned handle never hashes (it starts verified); the mapped one
-    /// is verified by its first pass.
+    /// The record cursor over an owned body and over the file of the
+    /// same bytes are one replay: the same sequence at any chunk size,
+    /// again after a rewind, and from a fork taken mid-pass. The owned
+    /// handle never hashes (it starts verified); the file's is verified
+    /// by its first pass.
     #[test]
     fn owned_body_replays_like_the_mapped_file(
         len in 1usize..400,
@@ -107,11 +107,11 @@ proptest! {
         let path = TempPath::new("owned.btrc");
         write_btrc(&path, &instrs).expect("writes");
         let owned = Arc::new(MmapBtrc::from_body(encode_records(&instrs)));
-        let mapped = Arc::new(MmapBtrc::open(&path).expect("maps"));
-        prop_assert!(owned.body() == mapped.body());
+        let file = Arc::new(MmapBtrc::open(&path).expect("opens"));
         prop_assert_eq!(owned.hashed_bytes(), len * RECORD_BYTES);
+        prop_assert_eq!(file.hashed_bytes(), 0);
 
-        let replays = [&owned, &mapped].map(|btrc| {
+        let replays = [&owned, &file].map(|btrc| {
             let mut s = MmapStream::new(Arc::clone(btrc));
             let first = drain_pass(&mut s, chunk_a).expect("first pass");
             s.rewind().expect("rewinds");
@@ -128,13 +128,13 @@ proptest! {
             prop_assert_eq!(pass, &instrs);
         }
         prop_assert_eq!(owned.hashed_bytes(), len * RECORD_BYTES);
-        prop_assert_eq!(mapped.hashed_bytes(), len * RECORD_BYTES);
+        prop_assert_eq!(file.hashed_bytes(), len * RECORD_BYTES);
     }
 
     /// The `Trace` cursor replays cyclically: pulling more instructions
     /// than one pass wraps around to position zero, exactly like the
     /// old materialized `Vec` replay did with index arithmetic — over
-    /// the mapped file and over `Trace::new`'s owned body alike.
+    /// the file and over `Trace::new`'s owned body alike.
     #[test]
     fn trace_cursor_wraps_identically_to_materialized_replay(
         len in 1usize..200,
@@ -155,9 +155,8 @@ proptest! {
     }
 
     /// Truncating the file below what the header claims is a typed
-    /// error at *open* time (this is the SIGBUS guard: the mmap is
-    /// never indexed past the real file length), and truncating inside
-    /// the header itself is `TruncatedHeader`.
+    /// error at *open* time, before any cursor reads a block, and
+    /// truncating inside the header itself is `TruncatedHeader`.
     #[test]
     fn truncated_mmap_is_a_typed_error_at_open(
         len in 1usize..60,
@@ -202,6 +201,44 @@ fn pull(stream: &mut dyn InstrStream, records: usize) -> Result<Vec<Instr>, Inge
         out.extend_from_slice(&buf[..n]);
     }
     Ok(out)
+}
+
+/// A file cut short in place after it was opened: what a cursor has
+/// already read and the start of the new length replay, and the first
+/// read that reaches past the new end is a typed `Truncated`
+/// naming the records left, for the cursor and for a fork. The file is
+/// longer than one block read, so the cursor has to read again after
+/// the cut. While the body was memory-mapped, touching the cut pages
+/// raised SIGBUS and killed the process.
+#[test]
+fn truncated_after_open_is_a_typed_error_at_the_next_chunk() {
+    let instrs = mixed_instrs(8 * STREAM_CHUNK_INSTRS * 20);
+    let path = TempPath::new("shrunk.btrc");
+    write_btrc(&path, &instrs).expect("writes");
+    let mut stream = open_streaming(&path).expect("opens");
+    assert_eq!(pull(stream.as_mut(), 100).expect("streams"), instrs[..100]);
+
+    let kept = instrs.len() / 2;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .and_then(|f| f.set_len((BTRC_HEADER_BYTES + kept * RECORD_BYTES) as u64))
+        .expect("truncates");
+    let mut fork = stream.fork().expect("forks");
+    assert_eq!(
+        pull(fork.as_mut(), 100).expect("inside the new length"),
+        instrs[..100]
+    );
+    for cursor in [stream.as_mut(), fork.as_mut()] {
+        let err = drain_pass(cursor, 64).expect_err("reads past the new end");
+        assert_eq!(
+            err,
+            IngestError::Truncated {
+                expected_records: instrs.len() as u64,
+                got_records: kept as u64,
+            }
+        );
+    }
 }
 
 /// Partial passes accumulate: cursor A reads three quarters of the body

@@ -84,14 +84,12 @@ pub enum AccessKind {
     Prefetch,
     /// A write-back of a dirty victim line.
     Writeback,
-    /// A page-table walk access issued by the MMU.
-    Translation,
 }
 
 impl AccessKind {
     /// Whether this request was produced by the running program
     /// (a load or a store), as opposed to the prefetcher or the
-    /// cache/MMU machinery.
+    /// cache machinery.
     #[inline]
     pub const fn is_demand(self) -> bool {
         matches!(self, AccessKind::Load | AccessKind::Rfo)
@@ -105,7 +103,6 @@ impl fmt::Display for AccessKind {
             AccessKind::Rfo => "rfo",
             AccessKind::Prefetch => "prefetch",
             AccessKind::Writeback => "writeback",
-            AccessKind::Translation => "translation",
         };
         f.write_str(s)
     }
@@ -194,7 +191,6 @@ mod tests {
         assert!(AccessKind::Rfo.is_demand());
         assert!(!AccessKind::Prefetch.is_demand());
         assert!(!AccessKind::Writeback.is_demand());
-        assert!(!AccessKind::Translation.is_demand());
     }
 
     #[test]
@@ -210,7 +206,6 @@ mod tests {
             AccessKind::Rfo,
             AccessKind::Prefetch,
             AccessKind::Writeback,
-            AccessKind::Translation,
         ] {
             assert!(!k.to_string().is_empty());
         }

@@ -16,42 +16,57 @@
 //!
 //! The warm-up spans two full passes of the (cyclic) trace, so the
 //! measurement phase replays addresses whose pages are all allocated
-//! and whose learning structures have reached steady state.
+//! and whose learning structures have reached steady state. The loop
+//! is replayed from memory and, for one row, from a `.btrc` file, whose
+//! cursor reads every chunk's records from the file into the block it
+//! sized on its first chunk, across each rewind of the measured passes.
 //!
-//! This file holds a single `#[test]` on purpose: the counter is
-//! process-global, and a sibling test allocating concurrently would
-//! produce false positives.
+//! Only the audited thread's allocations count: the simulator runs on
+//! the calling thread, while the test harness's own thread allocates
+//! whenever it likes (it was seen adding four to a one-pass count as
+//! the test started). This file still holds a single `#[test]`, so the
+//! one counter is never reset under a running audit.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use berti::sim::{simulate_with_engine, Engine, PrefetcherChoice, SimOptions};
+use berti::traces::ingest::{open_streaming, write_btrc};
 use berti::traces::Trace;
 use berti::types::{Instr, Ip, SystemConfig, VAddr};
 
-/// Counts allocations (and growth reallocations) while armed.
+#[path = "../crates/traces/tests/common/mod.rs"]
+mod common;
+use common::TempPath;
+
+/// Counts allocations (and growth reallocations) on an armed thread.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Set on the thread running an audited simulation.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if ARMED.with(Cell::get) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if ARMED.with(Cell::get) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if ARMED.with(Cell::get) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
@@ -78,7 +93,7 @@ const SHRINK: usize = 32;
 /// A dense two-stream loop: strided loads from two IPs and a strided
 /// store stream, so the measurement phase continuously misses, fills,
 /// prefetches, and spills to DRAM.
-fn dense_loop_trace() -> Trace {
+fn dense_loop() -> Vec<Instr> {
     let mut instrs = Vec::with_capacity(4 * ITERATIONS as usize);
     for i in 0..ITERATIONS {
         instrs.push(Instr::load(
@@ -95,13 +110,19 @@ fn dense_loop_trace() -> Trace {
             VAddr::new(0x200_0000 + 64 * SPREAD * i),
         ));
     }
-    Trace::new("dense-loop", instrs)
+    instrs
 }
 
-/// Allocations of one whole run of `pf` over the loop that warms up
-/// for two passes of the trace and measures `measured_passes` more.
-fn run_allocs(pf: &PrefetcherChoice, engine: Engine, measured_passes: u64) -> u64 {
-    let mut trace = dense_loop_trace();
+/// Allocations of one whole run of `pf` over a fresh `trace` of the
+/// loop that warms up for two passes of it and measures
+/// `measured_passes` more.
+fn run_allocs(
+    trace: &dyn Fn() -> Trace,
+    pf: &PrefetcherChoice,
+    engine: Engine,
+    measured_passes: u64,
+) -> u64 {
+    let mut trace = trace();
     let mut cfg = SystemConfig::default();
     cfg.l2.sets /= SHRINK;
     cfg.llc.sets /= SHRINK;
@@ -112,9 +133,9 @@ fn run_allocs(pf: &PrefetcherChoice, engine: Engine, measured_passes: u64) -> u6
         ..SimOptions::default()
     };
     ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.with(|a| a.set(true));
     let report = simulate_with_engine(&cfg, pf.clone(), None, &mut trace, &opts, engine);
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.with(|a| a.set(false));
     // Sanity: the measured window did real work (misses and DRAM
     // traffic), so equal counts mean alloc-free work, not no work.
     assert!(
@@ -140,19 +161,28 @@ fn steady_state_simulation_never_allocates() {
     // local contexts (per-IP and per-page) under both engines;
     // ip-stride, IPCP and MLOP are the other L1D prefetchers the
     // benchmark's campaign grids run, and their allocations do not
-    // depend on the engine.
+    // depend on the engine. The file-backed row replays the loop the
+    // way `--trace-dir` cells replay theirs.
+    let file = TempPath::new("dense-loop.btrc");
+    write_btrc(&file, &dense_loop()).expect("writes");
+    let in_memory = || Trace::new("dense-loop", dense_loop());
+    let from_file = || {
+        let stream = open_streaming(&file).expect("opens");
+        Trace::from_stream("dense-loop", stream).expect("primes")
+    };
     let both = [Engine::Naive, Engine::SkipAhead];
-    let audits = [
-        (PrefetcherChoice::Berti, both.as_slice()),
-        (PrefetcherChoice::BertiPage, both.as_slice()),
-        (PrefetcherChoice::IpStride, &both[1..]),
-        (PrefetcherChoice::Ipcp, &both[1..]),
-        (PrefetcherChoice::Mlop, &both[1..]),
+    let audits: [(&dyn Fn() -> Trace, _, &[Engine]); 6] = [
+        (&in_memory, PrefetcherChoice::Berti, &both),
+        (&in_memory, PrefetcherChoice::BertiPage, &both),
+        (&in_memory, PrefetcherChoice::IpStride, &both[1..]),
+        (&in_memory, PrefetcherChoice::Ipcp, &both[1..]),
+        (&in_memory, PrefetcherChoice::Mlop, &both[1..]),
+        (&from_file, PrefetcherChoice::Berti, &both[1..]),
     ];
-    for (pf, engines) in audits {
+    for (trace, pf, engines) in audits {
         for &engine in engines {
-            let one = run_allocs(&pf, engine, 1);
-            let two = run_allocs(&pf, engine, 2);
+            let one = run_allocs(trace, &pf, engine, 1);
+            let two = run_allocs(trace, &pf, engine, 2);
             assert!(one > 0, "set-up and report assembly do allocate");
             assert_eq!(
                 one, two,
